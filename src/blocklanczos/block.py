@@ -19,58 +19,22 @@ from pathlib import Path
 
 import numpy as np
 
-from blocklanczos import spinchain
-from blocklanczos.scalar import EigenpairReconstruction
+from blocklanczos import spinchain, textio
+from blocklanczos.scalar import (
+    EigenpairReconstruction,
+    allocate_basis,
+    reconstruct_state,
+    working_array,
+)
 from blocklanczos.spinchain import HamiltonianSpec, StateVector
 
 DEFAULT_DEFLATION_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class BlockVector:
-    """An ordered group of same-length chain states advanced together."""
-
-    columns: tuple[StateVector, ...]
-
-    def __post_init__(self) -> None:
-        columns = tuple(self.columns)
-        if not columns:
-            raise ValueError("a block needs at least one column")
-        if len({c.length for c in columns}) != 1:
-            raise ValueError("all columns must share the same site count")
-        object.__setattr__(self, "columns", columns)
-
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-    @property
-    def length(self) -> int:
-        return self.columns[0].length
-
-    def matrix(self) -> np.ndarray:
-        """Stacked (dimension x width) column matrix."""
-        return np.column_stack([c.amplitudes for c in self.columns])
-
-    def orthonormality_defect(self) -> float:
-        q = self.matrix()
-        return float(np.max(np.abs(q.conj().T @ q - np.eye(self.width))))
-
-    def require_orthonormal(self, tol: float = 1e-8) -> None:
-        defect = self.orthonormality_defect()
-        if defect > tol:
-            raise ValueError(f"block not orthonormal: Gram defect {defect:.3e}")
-
-    @classmethod
-    def from_matrix(cls, length: int, mat: np.ndarray) -> BlockVector:
-        mat = np.atleast_2d(mat)
-        return cls(tuple(StateVector(length, mat[:, j]) for j in range(mat.shape[1])))
-
-
 def random_orthonormal_block(
     length: int, width: int, rng: np.random.Generator, complex_amplitudes: bool = False
-) -> BlockVector:
-    """Orthonormal random block from a QR factorization."""
+) -> np.ndarray:
+    """Orthonormal random ``(2**length, width)`` block from a QR factorization."""
     dim = 2**length
     if not 1 <= width <= dim:
         raise ValueError(f"width must be in [1, {dim}], got {width}")
@@ -78,77 +42,16 @@ def random_orthonormal_block(
     if complex_amplitudes:
         raw = raw + 1j * rng.standard_normal((dim, width))
     q, _ = np.linalg.qr(raw)
-    return BlockVector.from_matrix(length, q)
+    return q
 
 
-def eigenvector_start(spec: HamiltonianSpec, width: int) -> BlockVector:
-    """The ``width`` lowest exact eigenvectors, the default starting block."""
+def eigenvector_start(spec: HamiltonianSpec, width: int) -> np.ndarray:
+    """The ``width`` lowest exact eigenvectors as columns, the default
+    starting block."""
     _, vecs = spinchain.exact_diagonalize(spec)
     if width > len(vecs):
         raise ValueError(f"width {width} exceeds Hilbert-space dimension {len(vecs)}")
-    return BlockVector(tuple(vecs[:width]))
-
-
-def _format_scalar(x) -> str:
-    if isinstance(x, complex):
-        return repr(x)
-    return repr(float(x))
-
-
-def _parse_scalar(token: str):
-    try:
-        return float(token)
-    except ValueError:
-        return complex(token)
-
-
-def write_matrix_sections(path: Path, sections: list[tuple[str, int, np.ndarray]],
-                          header: str) -> None:
-    """Text serialization: one `<name> <index> <rows> <cols>` stanza per matrix,
-    dense row-major entries, repr-exact scalars."""
-    lines = [f"# {header}"]
-    for name, index, mat in sections:
-        mat = np.atleast_2d(mat)
-        complex_out = bool(np.iscomplexobj(mat) and np.any(mat.imag != 0.0))
-        rows, cols = mat.shape
-        lines.append(f"{name} {index} {rows} {cols}")
-        for r in range(rows):
-            entries = (
-                complex(mat[r, c]) if complex_out else float(np.real(mat[r, c]))
-                for c in range(cols)
-            )
-            lines.append(" ".join(_format_scalar(e) for e in entries))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def read_matrix_sections(path: Path) -> list[tuple[str, int, np.ndarray]]:
-    sections: list[tuple[str, int, np.ndarray]] = []
-    lines = [
-        ln.strip()
-        for ln in path.read_text().splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    pos = 0
-    while pos < len(lines):
-        head = lines[pos].split()
-        if len(head) != 4:
-            raise ValueError(f"{path}: malformed section header {lines[pos]!r}")
-        name, index, rows, cols = head[0], int(head[1]), int(head[2]), int(head[3])
-        pos += 1
-        values = []
-        for r in range(rows):
-            if pos >= len(lines):
-                raise ValueError(f"{path}: truncated section {name} {index}")
-            row = [_parse_scalar(tok) for tok in lines[pos].split()]
-            if len(row) != cols:
-                raise ValueError(
-                    f"{path}: section {name} {index} row {r} has {len(row)} of {cols} entries"
-                )
-            values.append(row)
-            pos += 1
-        mat = np.array(values)
-        sections.append((name, index, mat))
-    return sections
+    return np.column_stack([v.amplitudes for v in vecs[:width]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,22 +117,12 @@ class BlockCoefficients:
         for n, b in enumerate(self.b_blocks, start=1):
             sections.append(("B", n, b))
             sections.append(("A", n, self.a_blocks[n]))
-        write_matrix_sections(Path(path), sections, "block lanczos coefficients")
+        textio.write_matrix_sections(path, sections, "block lanczos coefficients")
 
     @classmethod
     def load(cls, path: str | Path) -> BlockCoefficients:
-        a_by_index: dict[int, np.ndarray] = {}
-        b_by_index: dict[int, np.ndarray] = {}
-        for name, index, mat in read_matrix_sections(Path(path)):
-            if name == "A":
-                a_by_index[index] = mat
-            elif name == "B":
-                b_by_index[index] = mat
-            else:
-                raise ValueError(f"{path}: unexpected section {name!r}")
-        a_blocks = tuple(a_by_index[k] for k in sorted(a_by_index))
-        b_blocks = tuple(b_by_index[k] for k in sorted(b_by_index))
-        return cls(a_blocks, b_blocks)
+        groups = textio.read_named_sections(path, ("A", "B"))
+        return cls(tuple(groups["A"]), tuple(groups["B"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,51 +203,65 @@ def _gram_schmidt_factor(
 
 def block_lanczos_run(
     spec: HamiltonianSpec,
-    start: BlockVector,
+    start: np.ndarray,
     max_iter: int,
     deflation_tol: float = DEFAULT_DEFLATION_TOL,
     counter: ExtractionCounter | None = None,
-) -> tuple[BlockCoefficients, list[BlockVector]]:
+) -> tuple[BlockCoefficients, np.ndarray]:
     """Advance the block recursion from ``start`` for up to ``max_iter`` expansions.
 
-    Each expansion applies H to the whole block, subtracts the diagonal and
+    ``start`` is a ``(dim, width)`` array with orthonormal columns. Each
+    expansion applies H to the whole block, subtracts the diagonal and
     previous-coupling projections, re-orthogonalizes against every stored
     column (two passes), then factors the remainder into an orthonormal
     block times an upper-triangular coupling block. Fully deflated
     remainders terminate the run cleanly: the Krylov space has become
     invariant.
 
+    Returns the coefficients and the basis as one ``(dim, coeffs.dimension)``
+    array whose columns are the Krylov vectors, block after block; it is
+    float64 when the start is real.
+
     ``counter``, when given, records one scalar extraction per coefficient
     entry (width**2 per block when nothing deflates).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if start.length != spec.length:
-        raise ValueError(f"start has {start.length} sites but spec has {spec.length}")
-    start.require_orthonormal(1e-8)
+    start = np.asarray(start)
+    if start.ndim != 2 or start.shape[1] == 0:
+        raise ValueError(
+            f"start must be a (dimension, width) array with width >= 1, "
+            f"got shape {start.shape}"
+        )
+    dim, width = start.shape
+    if dim != spec.dim:
+        raise ValueError(f"start has dimension {dim} but spec has {spec.dim}")
+    defect = float(np.max(np.abs(start.conj().T @ start - np.eye(width))))
+    if defect > 1e-8:
+        raise ValueError(f"start block not orthonormal: Gram defect {defect:.3e}")
 
-    dim = spec.dim
-    first = start.matrix()
-    if np.all(first.imag == 0.0):
-        first = np.ascontiguousarray(first.real)
-    blocks: list[np.ndarray] = [first]
-    stacked = first
+    psi = np.ascontiguousarray(working_array(start))
+    # columns are Krylov vectors; each block is written once into its slot
+    basis = allocate_basis((dim, min((max_iter + 1) * width, dim)), psi.dtype)
+    basis[:, :width] = psi
+    hi = width
+    prev: np.ndarray | None = None
     a_blocks: list[np.ndarray] = []
     b_blocks: list[np.ndarray] = []
 
     for n in range(max_iter + 1):
-        psi = blocks[n]
         h_psi = spinchain.apply_to_array(spec, psi)
         a = psi.conj().T @ h_psi
         a = 0.5 * (a + a.conj().T)  # exact Hermiticity, kills roundoff skew
         a_blocks.append(a)
         if counter is not None:
             counter.record(f"A{n}", a.shape[0], a.shape[1])
-        if n == max_iter or stacked.shape[1] >= dim:
+        if n == max_iter or hi >= dim:
             break
         residual = h_psi - psi @ a
-        if n > 0:
-            residual -= blocks[n - 1] @ b_blocks[n - 1].conj().T
+        if prev is not None:
+            residual -= prev @ b_blocks[n - 1].conj().T
+        stacked = basis[:, :hi]
         for _ in range(2):
             residual -= stacked @ (stacked.conj().T @ residual)
         q_new, b = _gram_schmidt_factor(residual, deflation_tol)
@@ -363,37 +270,47 @@ def block_lanczos_run(
         if counter is not None:
             counter.record(f"B{n + 1}", b.shape[0], b.shape[1])
         b_blocks.append(b)
-        blocks.append(q_new)
-        stacked = np.concatenate([stacked, q_new], axis=1)
+        prev, psi = psi, q_new
+        basis[:, hi : hi + q_new.shape[1]] = q_new
+        hi += q_new.shape[1]
 
     coeffs = BlockCoefficients(tuple(a_blocks), tuple(b_blocks))
-    wrapped = [
-        BlockVector.from_matrix(spec.length, blocks[k]) for k in range(len(a_blocks))
-    ]
-    return coeffs, wrapped
+    return coeffs, basis[:, :hi]
+
+
+def _assemble(
+    diagonal: tuple[np.ndarray, ...],
+    lower: tuple[np.ndarray, ...],
+    upper: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Dense block tridiagonal matrix: ``diagonal`` blocks on the diagonal,
+    ``lower[n]`` below and ``upper[n]`` above block (n, n), exact zeros
+    elsewhere. Real when no block has a nonzero imaginary part."""
+    widths = [a.shape[0] for a in diagonal]
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    total = int(offsets[-1])
+    any_complex = any(
+        m.dtype.kind == "c" and np.any(m.imag != 0.0)
+        for m in (*diagonal, *lower, *upper)
+    )
+    mat = np.zeros((total, total), dtype=np.complex128 if any_complex else np.float64)
+    for n, a in enumerate(diagonal):
+        i = offsets[n]
+        mat[i : i + widths[n], i : i + widths[n]] = a if any_complex else a.real
+    for n, (b, c) in enumerate(zip(lower, upper)):
+        i, j = offsets[n + 1], offsets[n]
+        mat[i : i + widths[n + 1], j : j + widths[n]] = b if any_complex else b.real
+        mat[j : j + widths[n], i : i + widths[n + 1]] = c if any_complex else c.real
+    return mat
 
 
 def assemble_block_tridiagonal(coeffs: BlockCoefficients) -> BlockTridiagonalMatrix:
     """Dense assembly: diagonal blocks on the diagonal, couplings below,
     conjugate-transposed couplings above, exact zeros elsewhere."""
-    widths = coeffs.widths
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    total = int(offsets[-1])
-    any_complex = any(
-        np.iscomplexobj(m) and np.any(m.imag != 0.0)
-        for m in (*coeffs.a_blocks, *coeffs.b_blocks)
+    upper = tuple(b.conj().T for b in coeffs.b_blocks)
+    return BlockTridiagonalMatrix(
+        _assemble(coeffs.a_blocks, coeffs.b_blocks, upper), coeffs.widths
     )
-    dtype = np.complex128 if any_complex else np.float64
-    mat = np.zeros((total, total), dtype=dtype)
-    for n, a in enumerate(coeffs.a_blocks):
-        i = offsets[n]
-        mat[i : i + widths[n], i : i + widths[n]] = a.real if dtype == np.float64 else a
-    for n, b in enumerate(coeffs.b_blocks):
-        i, j = offsets[n + 1], offsets[n]
-        bb = b.real if dtype == np.float64 else b
-        mat[i : i + widths[n + 1], j : j + widths[n]] = bb
-        mat[j : j + widths[n], i : i + widths[n + 1]] = bb.conj().T
-    return BlockTridiagonalMatrix(mat, widths)
 
 
 def block_ritz_values(coeffs: BlockCoefficients) -> np.ndarray:
@@ -412,24 +329,15 @@ def block_eigensolve(mat: BlockTridiagonalMatrix) -> list[EigenpairReconstructio
 
 
 def reconstruct_excitations(
-    blocks: list[BlockVector],
+    basis: np.ndarray,
     recs: list[EigenpairReconstruction],
     count: int,
 ) -> list[StateVector]:
-    """The ``count`` lowest reconstructed states, each normalized."""
+    """The ``count`` lowest states reconstructed from a ``(dim, k)`` block
+    Krylov basis, each normalized."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if count > len(recs):
         raise ValueError(f"requested {count} states but only {len(recs)} pairs exist")
     ordered = sorted(recs, key=lambda r: r.energy)[:count]
-    q = np.concatenate([b.matrix() for b in blocks], axis=1)
-    length = blocks[0].length
-    states = []
-    for rec in ordered:
-        k = len(rec.gammas)
-        if k > q.shape[1]:
-            raise ValueError(
-                f"weight vector of size {k} exceeds the {q.shape[1]} stored columns"
-            )
-        states.append(StateVector(length, q[:, :k] @ rec.gammas).normalized())
-    return states
+    return [reconstruct_state(basis, rec) for rec in ordered]

@@ -27,11 +27,10 @@ Commands and their artifacts:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -39,7 +38,9 @@ import numpy as np
 import scipy
 
 import blocklanczos
-from blocklanczos import block, incremental, noise, nonhermitian, scalar, spinchain
+from blocklanczos import (
+    block, incremental, noise, nonhermitian, scalar, spinchain, textio,
+)
 
 COMMANDS = ("solve", "incremental", "noise-sweep", "nonhermitian-demo",
             "cost-table")
@@ -153,14 +154,6 @@ def _require(params: dict[str, Any], allowed: dict[str, Any],
     return merged
 
 
-def _write_csv(path: Path, header: Sequence[str],
-               rows: Sequence[Sequence[Any]]) -> None:
-    with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _run_solve(config: ExperimentConfig, outdir: Path) -> tuple[list[str], list[str]]:
     params = _require(config.parameters, {
         "length": 2, "j_xy": 1.0, "j_z": 1.0, "block_size": 1,
@@ -183,8 +176,7 @@ def _run_solve(config: ExperimentConfig, outdir: Path) -> tuple[list[str], list[
         recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
     energies = sorted(rec.energy for rec in recs)[:max(excitations, 1)]
     artifact = "solve_spectrum.csv"
-    _write_csv(outdir / artifact, ("index", "energy"),
-               [(i, repr(float(e))) for i, e in enumerate(energies)])
+    textio.write_csv(outdir / artifact, ("index", "energy"), enumerate(energies))
     lines = [f"ground energy {energies[0]!r}"]
     for i, energy in enumerate(energies[1:], start=1):
         lines.append(f"excited {i} energy {energy!r}")
@@ -225,7 +217,8 @@ def _run_incremental(config: ExperimentConfig,
     )
     record = incremental.run_incremental(scenario_config)
     artifact = SCENARIO_ARTIFACTS[scenario]
-    record.to_csv(outdir / artifact)
+    textio.write_csv(outdir / artifact, incremental.CSV_HEADER,
+                     map(astuple, record.rows))
     lines = [
         f"scenario {scenario}: {len(record)} steps, final energy "
         f"{record.final_energy!r}, final delta {record.final_delta!r}"
@@ -248,8 +241,10 @@ def _run_noise_sweep(config: ExperimentConfig,
     )
     summary = noise.summarize_sweep(rows)
     fits = noise.fit_summary(summary)
-    noise.write_sweep_csv(rows, outdir / "noise_sweep.csv")
-    noise.write_summary_csv(summary, outdir / "noise_summary.csv")
+    textio.write_csv(outdir / "noise_sweep.csv", noise.SWEEP_HEADER,
+                     map(astuple, rows))
+    textio.write_csv(outdir / "noise_summary.csv", noise.SUMMARY_HEADER,
+                     map(astuple, summary))
     report = noise.slope_report(fits)
     (outdir / "slope_report.txt").write_text(report)
     slopes = [fit.slope for fit in fits.values()]
@@ -273,21 +268,17 @@ def _run_nonhermitian_demo(config: ExperimentConfig,
     mat = rng.standard_normal((dim, dim))
     op = nonhermitian.GeneralOperator.from_matrix(mat)
     right0, left0 = nonhermitian.paired_random_start(dim, width, rng)
-    coeffs, pair = nonhermitian.two_sided_block_run(op, right0, left0,
-                                                    max_iter=max_iter)
+    coeffs, (left, right) = nonhermitian.two_sided_block_run(
+        op, right0, left0, max_iter=max_iter)
     computed = np.sort_complex(nonhermitian.t_eigenvalues(coeffs))
     reference = np.sort_complex(np.linalg.eigvals(mat))
-    rows = [
-        (repr(float(c.real)), repr(float(c.imag)),
-         repr(float(r.real)), repr(float(r.imag)))
-        for c, r in zip(computed, reference)
-    ]
-    _write_csv(outdir / "nonhermitian_spectrum.csv",
-               ("computed_real", "computed_imag",
-                "reference_real", "reference_imag"), rows)
+    rows = [(c.real, c.imag, r.real, r.imag) for c, r in zip(computed, reference)]
+    textio.write_csv(outdir / "nonhermitian_spectrum.csv",
+                     ("computed_real", "computed_imag",
+                      "reference_real", "reference_imag"), rows)
     coeffs.save(outdir / "nonhermitian_coefficients.txt")
     error = nonhermitian.match_spectra(computed, reference)
-    defect = nonhermitian.biorthogonality_check(pair)
+    defect = nonhermitian.biorthogonality_check(left, right)
     lines = [
         f"two-sided run: {coeffs.dimension} of {dim} directions, spectrum "
         f"error {error:.3e}, biorthogonality defect {defect:.3e}"
@@ -302,10 +293,10 @@ def _run_cost_table(config: ExperimentConfig,
     lines = []
     for q in params["q_values"]:
         sweep = noise.cost_sweep(int(q))
-        rows.extend((int(q), group, repr(float(cost))) for group, cost in sweep)
+        rows.extend((int(q), group, cost) for group, cost in sweep)
         best_group, best_cost = min(sweep, key=lambda item: item[1])
         lines.append(f"q={q}: best group size {best_group} (cost {best_cost!r})")
-    _write_csv(outdir / "cost_table.csv", ("q", "group_size", "cost"), rows)
+    textio.write_csv(outdir / "cost_table.csv", ("q", "group_size", "cost"), rows)
     return lines, ["cost_table.csv"]
 
 

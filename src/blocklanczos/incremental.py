@@ -186,19 +186,6 @@ class ConvergenceRecord:
     def deltas(self) -> np.ndarray:
         return np.array([row.delta_vs_exact for row in self.rows])
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for row in self.rows:
-                writer.writerow([
-                    row.terms_added,
-                    repr(float(row.lambda_fraction)),
-                    repr(float(row.energy)),
-                    repr(float(row.delta_vs_exact)),
-                    row.lanczos_iters,
-                ])
-
     @classmethod
     def from_csv(cls, path: str | Path) -> ConvergenceRecord:
         with open(path, newline="") as handle:

@@ -233,17 +233,6 @@ def mae_sweep(
     return rows
 
 
-def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.block_size, row.block_count, repr(float(row.eta)),
-                row.seed, repr(float(row.mae)),
-            ])
-
-
 def load_sweep_csv(path: str | Path) -> list[SweepRow]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -278,17 +267,6 @@ def summarize_sweep(rows: list[SweepRow]) -> list[SummaryRow]:
         SummaryRow(key[0], key[1], key[2], float(np.mean(totals[key])))
         for key in order
     ]
-
-
-def write_summary_csv(rows: list[SummaryRow], path: str | Path) -> None:
-    with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.block_size, row.block_count, repr(float(row.eta)),
-                repr(float(row.mean_mae)),
-            ])
 
 
 @dataclass(frozen=True)

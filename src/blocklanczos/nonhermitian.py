@@ -25,8 +25,11 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from blocklanczos.block import read_matrix_sections, write_matrix_sections
+from blocklanczos import textio
+from blocklanczos.block import _assemble
+from blocklanczos.scalar import allocate_basis
 from blocklanczos.spinchain import HamiltonianSpec, apply_to_array
 
 DENSE_DIMENSION_CAP = 512
@@ -95,38 +98,12 @@ class GeneralOperator:
         return worst
 
 
-@dataclass(frozen=True, eq=False)
-class BiorthogonalBlockPair:
-    """Matched left/right block sequences with pairwise identity Grams."""
-
-    left_blocks: tuple[np.ndarray, ...]
-    right_blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        left = tuple(np.atleast_2d(np.asarray(m)) for m in self.left_blocks)
-        right = tuple(np.atleast_2d(np.asarray(m)) for m in self.right_blocks)
-        if len(left) != len(right):
-            raise ValueError("left and right block lists differ in length")
-        for n, (l, r) in enumerate(zip(left, right)):
-            if l.shape != r.shape:
-                raise ValueError(f"pair {n}: left {l.shape} vs right {r.shape}")
-        object.__setattr__(self, "left_blocks", left)
-        object.__setattr__(self, "right_blocks", right)
-
-    def __len__(self) -> int:
-        return len(self.left_blocks)
-
-
-def biorthogonality_check(pair: BiorthogonalBlockPair) -> float:
-    """max over (i, j) of the max-abs entry of L_i^T R_j - delta_ij I."""
-    worst = 0.0
-    for i, left in enumerate(pair.left_blocks):
-        for j, right in enumerate(pair.right_blocks):
-            gram = left.T @ right
-            if i == j:
-                gram = gram - np.eye(gram.shape[0])
-            worst = max(worst, float(np.max(np.abs(gram))))
-    return worst
+def biorthogonality_check(left: np.ndarray, right: np.ndarray) -> float:
+    """max-abs entry of left^T right - I for equal-shape (dim, k) bases."""
+    if left.shape != right.shape:
+        raise ValueError(f"left basis {left.shape} vs right basis {right.shape}")
+    gram = left.T @ right
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,44 +164,17 @@ class NonHermitianBlockTridiagonal:
             sections.append(("B", n, self.b_blocks[n - 1]))
             sections.append(("C", n, self.c_blocks[n - 1]))
             sections.append(("A", n, self.a_blocks[n]))
-        write_matrix_sections(Path(path), sections, "two-sided block coefficients")
+        textio.write_matrix_sections(path, sections, "two-sided block coefficients")
 
     @classmethod
     def load(cls, path: str | Path) -> NonHermitianBlockTridiagonal:
-        by_name: dict[str, dict[int, np.ndarray]] = {"A": {}, "B": {}, "C": {}}
-        for name, index, mat in read_matrix_sections(Path(path)):
-            if name not in by_name:
-                raise ValueError(f"{path}: unexpected section {name!r}")
-            by_name[name][index] = mat
-        return cls(
-            tuple(by_name["A"][k] for k in sorted(by_name["A"])),
-            tuple(by_name["B"][k] for k in sorted(by_name["B"])),
-            tuple(by_name["C"][k] for k in sorted(by_name["C"])),
-        )
+        groups = textio.read_named_sections(path, ("A", "B", "C"))
+        return cls(tuple(groups["A"]), tuple(groups["B"]), tuple(groups["C"]))
 
 
 def assemble_t(coeffs: NonHermitianBlockTridiagonal) -> np.ndarray:
     """Dense general block tridiagonal: B below, C above the diagonal."""
-    widths = coeffs.widths
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    total = int(offsets[-1])
-    any_complex = any(
-        np.iscomplexobj(m) and np.any(m.imag != 0.0)
-        for m in (*coeffs.a_blocks, *coeffs.b_blocks, *coeffs.c_blocks)
-    )
-    dtype = np.complex128 if any_complex else np.float64
-    cast = (lambda m: m.astype(dtype, copy=False)) if dtype == np.complex128 else (
-        lambda m: m.real.astype(dtype, copy=False)
-    )
-    mat = np.zeros((total, total), dtype=dtype)
-    for n, a in enumerate(coeffs.a_blocks):
-        i = offsets[n]
-        mat[i : i + widths[n], i : i + widths[n]] = cast(a)
-    for n in range(coeffs.iterations):
-        i, j = offsets[n + 1], offsets[n]
-        mat[i : i + widths[n + 1], j : j + widths[n]] = cast(coeffs.b_blocks[n])
-        mat[j : j + widths[n], i : i + widths[n + 1]] = cast(coeffs.c_blocks[n])
-    return mat
+    return _assemble(coeffs.a_blocks, coeffs.b_blocks, coeffs.c_blocks)
 
 
 def t_eigenvalues(coeffs: NonHermitianBlockTridiagonal) -> np.ndarray:
@@ -261,7 +211,7 @@ def two_sided_block_run(
     left_start: np.ndarray,
     max_iter: int,
     breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
-) -> tuple[NonHermitianBlockTridiagonal, BiorthogonalBlockPair]:
+) -> tuple[NonHermitianBlockTridiagonal, tuple[np.ndarray, np.ndarray]]:
     """Advance the coupled left/right recursions for up to ``max_iter`` expansions.
 
     Both residual blocks are re-biorthogonalized against every stored pair
@@ -270,6 +220,10 @@ def two_sided_block_run(
     exhausted); or serious breakdown, when both residuals are still nonzero
     but their pair Gram matrix is singular relative to their magnitudes, in
     which case :class:`SeriousBreakdownError` is raised.
+
+    Returns the coefficients and the ``(left, right)`` bases, two
+    ``(dim, coeffs.dimension)`` arrays whose columns are paired block after
+    block with ``left.T @ right = I``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -289,25 +243,33 @@ def two_sided_block_run(
         raise ValueError("start pair is not biorthonormal: left^T right != I")
 
     dim = op.dimension
-    rights = [right]
-    lefts = [left]
-    right_stack, left_stack = right, left
+    # The first product fixes the bases' dtype: a complex operator makes
+    # every later block complex even from a real start.
+    h_right = op.apply(right)
+    dtype = np.result_type(right, left, h_right)
+    cap = min((max_iter + 1) * width, dim)
+    rights = allocate_basis((dim, cap), dtype)
+    lefts = allocate_basis((dim, cap), dtype)
+    rights[:, :width] = right
+    lefts[:, :width] = left
+    hi = width
+    prev_right = prev_left = None
     a_list: list[np.ndarray] = []
     b_list: list[np.ndarray] = []
     c_list: list[np.ndarray] = []
 
     for n in range(max_iter + 1):
-        h_right = op.apply(rights[n])
-        a = lefts[n].T @ h_right
+        a = left.T @ h_right
         a_list.append(a)
-        if n == max_iter or right_stack.shape[1] >= dim:
+        if n == max_iter or hi >= dim:
             break
-        ht_left = op.apply_transpose(lefts[n])
-        r_res = h_right - rights[n] @ a
-        s_res = ht_left - lefts[n] @ a.T
-        if n > 0:
-            r_res -= rights[n - 1] @ c_list[n - 1]
-            s_res -= lefts[n - 1] @ b_list[n - 1].T
+        ht_left = op.apply_transpose(left)
+        r_res = h_right - right @ a
+        s_res = ht_left - left @ a.T
+        if prev_right is not None:
+            r_res -= prev_right @ c_list[n - 1]
+            s_res -= prev_left @ b_list[n - 1].T
+        right_stack, left_stack = rights[:, :hi], lefts[:, :hi]
         for _ in range(2):
             r_res -= right_stack @ (left_stack.T @ r_res)
             s_res -= left_stack @ (right_stack.T @ s_res)
@@ -324,39 +286,29 @@ def two_sided_block_run(
                 f"residual norms {r_norm:.3e}, {s_norm:.3e}",
             )
         root = np.sqrt(sing)
-        b_next = root[:, None] * vh
-        c_next = u * root[None, :]
-        right_next = (r_res @ vh.conj().T) / root[None, :]
-        left_next = (s_res @ u.conj()) / root[None, :]
-        b_list.append(b_next)
-        c_list.append(c_next)
-        rights.append(right_next)
-        lefts.append(left_next)
-        right_stack = np.concatenate([right_stack, right_next], axis=1)
-        left_stack = np.concatenate([left_stack, left_next], axis=1)
+        b_list.append(root[:, None] * vh)
+        c_list.append(u * root[None, :])
+        prev_right, prev_left = right, left
+        right = (r_res @ vh.conj().T) / root[None, :]
+        left = (s_res @ u.conj()) / root[None, :]
+        rights[:, hi : hi + width] = right
+        lefts[:, hi : hi + width] = left
+        hi += width
+        h_right = op.apply(right)
 
     coeffs = NonHermitianBlockTridiagonal(tuple(a_list), tuple(b_list), tuple(c_list))
-    pair = BiorthogonalBlockPair(tuple(lefts), tuple(rights))
-    return coeffs, pair
+    return coeffs, (lefts[:, :hi], rights[:, :hi])
 
 
 def match_spectra(computed: np.ndarray, reference: np.ndarray) -> float:
-    """Greedy nearest pairing of two complex multisets; returns the largest
-    paired distance. Lengths must agree."""
+    """Largest paired distance under the pairing of two complex multisets
+    that minimizes the summed distance. Lengths must agree."""
     computed = np.asarray(computed, dtype=np.complex128).ravel()
     reference = np.asarray(reference, dtype=np.complex128).ravel()
     if computed.size != reference.size:
         raise ValueError(
             f"spectra differ in size: {computed.size} vs {reference.size}"
         )
-    order = np.lexsort((computed.imag, computed.real))
-    remaining = reference.copy()
-    alive = np.ones(remaining.size, dtype=bool)
-    worst = 0.0
-    for idx in order:
-        dists = np.abs(remaining - computed[idx])
-        dists[~alive] = np.inf
-        j = int(np.argmin(dists))
-        worst = max(worst, float(dists[j]))
-        alive[j] = False
-    return worst
+    dists = np.abs(computed[:, None] - reference[None, :])
+    rows, cols = linear_sum_assignment(dists)
+    return float(dists[rows, cols].max(initial=0.0))

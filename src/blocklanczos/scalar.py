@@ -9,13 +9,14 @@ eigenpairs give Ritz energies and reconstruction weights for excited states.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
 
-from blocklanczos import spinchain
+from blocklanczos import spinchain, textio
 from blocklanczos.spinchain import HamiltonianSpec, StateVector
 
 DEFAULT_BREAKDOWN_TOL = 1e-10
@@ -76,52 +77,23 @@ class TridiagonalCoefficients:
         return mat
 
     def save(self, path: str | Path) -> None:
-        """Two-column text table: ``alpha_i beta_{i+1}``, last row alpha only."""
-        lines = ["# lanczos coefficients: alpha [beta]"]
-        for i, alpha in enumerate(self.alphas):
-            if i < self.betas.size:
-                lines.append(f"{float(alpha)!r} {float(self.betas[i])!r}")
-            else:
-                lines.append(f"{float(alpha)!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        """Matrix-section text: 1x1 ``A`` sections for alphas, ``B`` for betas."""
+        sections = [("A", 0, self.alphas[:1])]
+        for n in range(1, self.size):
+            sections.append(("B", n, self.betas[n - 1 : n]))
+            sections.append(("A", n, self.alphas[n : n + 1]))
+        textio.write_matrix_sections(path, sections, "lanczos coefficients")
 
     @classmethod
     def load(cls, path: str | Path) -> TridiagonalCoefficients:
-        alphas: list[float] = []
-        betas: list[float] = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) not in (1, 2):
-                raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns")
-            alphas.append(float(fields[0]))
-            if len(fields) == 2:
-                betas.append(float(fields[1]))
-        return cls(np.array(alphas), np.array(betas))
-
-
-@dataclass(frozen=True, eq=False)
-class KrylovBasis:
-    """Ordered orthonormal Krylov vectors produced by a Lanczos run."""
-
-    vectors: tuple[StateVector, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def matrix(self) -> np.ndarray:
-        """Stacked column matrix (dimension x basis size)."""
-        return np.column_stack([v.amplitudes for v in self.vectors])
-
-    def orthonormality_defect(self) -> float:
-        q = self.matrix()
-        gram = q.conj().T @ q
-        return float(np.max(np.abs(gram - np.eye(len(self.vectors)))))
+        groups = textio.read_named_sections(path, ("A", "B"))
+        for mat in (*groups["A"], *groups["B"]):
+            if mat.shape != (1, 1):
+                raise ValueError(f"{path}: expected 1x1 sections, got {mat.shape}")
+        return cls(
+            np.array([m[0, 0] for m in groups["A"]]),
+            np.array([m[0, 0] for m in groups["B"]]),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +116,32 @@ class EigenpairReconstruction:
         object.__setattr__(self, "energy", float(self.energy))
 
 
-def _working_array(v: StateVector) -> np.ndarray:
-    """Copy of the amplitudes, demoted to float64 when purely real."""
-    amps = v.amplitudes
-    if np.all(amps.imag == 0.0):
-        return amps.real.copy()
-    return amps.copy()
+def working_array(amps: np.ndarray) -> np.ndarray:
+    """The amplitudes as float64 when purely real, else as complex128."""
+    if np.all(np.imag(amps) == 0.0):
+        return np.asarray(np.real(amps), dtype=np.float64)
+    return np.asarray(amps, dtype=np.complex128)
+
+
+def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    """Uninitialized Krylov basis buffer.
+
+    A buffer larger than physical memory is refused before allocation, so an
+    oversized request fails with a ValueError under every overcommit policy.
+    """
+    nbytes = int(shape[0]) * int(shape[1]) * np.dtype(dtype).itemsize
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise ValueError(
+            f"a Krylov basis of shape {tuple(shape)} needs {nbytes} bytes, more "
+            f"than the {physical} bytes of physical memory; lower max_iter"
+        )
+    try:
+        return np.empty(shape, dtype=dtype)
+    except MemoryError as err:
+        raise ValueError(
+            f"cannot allocate a Krylov basis of {nbytes} bytes: {err}"
+        ) from err
 
 
 def lanczos_run(
@@ -157,7 +149,7 @@ def lanczos_run(
     start: StateVector,
     max_iter: int,
     breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
-) -> tuple[TridiagonalCoefficients, KrylovBasis]:
+) -> tuple[TridiagonalCoefficients, np.ndarray]:
     """Run the three-term recursion from ``start`` for up to ``max_iter`` expansions.
 
     Each expansion applies H once, subtracts the projections onto the two
@@ -166,8 +158,9 @@ def lanczos_run(
     below ``breakdown_tol``: the Krylov space has become invariant. The
     realized expansion count is ``len(coeffs.betas)``.
 
-    Returns the coefficient table and the orthonormal basis, with
-    ``len(basis) == len(coeffs.alphas)``.
+    Returns the coefficient table and the orthonormal basis as a
+    ``(dim, len(coeffs.alphas))`` array whose columns are the Krylov
+    vectors; it is float64 when the start is real.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -176,10 +169,10 @@ def lanczos_run(
     start.require_normalized(1e-10)
 
     dim = spec.dim
-    v0 = _working_array(start)
+    v0 = working_array(start.amplitudes)
     cap = min(max_iter + 1, dim)
     # rows are Krylov vectors: keeps the reorthogonalization BLAS-contiguous
-    basis = np.empty((cap, dim), dtype=v0.dtype)
+    basis = allocate_basis((cap, dim), v0.dtype)
     basis[0] = v0
     alphas: list[float] = []
     betas: list[float] = []
@@ -202,8 +195,7 @@ def lanczos_run(
 
     kept = len(alphas)
     coeffs = TridiagonalCoefficients(np.array(alphas), np.array(betas))
-    vectors = tuple(StateVector(spec.length, basis[k]) for k in range(kept))
-    return coeffs, KrylovBasis(vectors)
+    return coeffs, basis[:kept].T
 
 
 def ritz_values(coeffs: TridiagonalCoefficients) -> np.ndarray:
@@ -234,17 +226,19 @@ def tridiagonal_eigensolve(
     ]
 
 
-def reconstruct_state(basis: KrylovBasis, rec: EigenpairReconstruction) -> StateVector:
-    """Combine Krylov vectors with the Ritz weights; returns a normalized state."""
-    if len(rec.gammas) > len(basis):
+def reconstruct_state(basis: np.ndarray, rec: EigenpairReconstruction) -> StateVector:
+    """Combine the columns of a ``(dim, k)`` Krylov basis with the Ritz
+    weights; returns a normalized state."""
+    dim, size = basis.shape
+    if len(rec.gammas) > size:
         raise ValueError(
-            f"{len(rec.gammas)} weights exceed the {len(basis)}-vector basis"
+            f"{len(rec.gammas)} weights exceed the {size}-vector basis"
         )
-    length = basis.vectors[0].length
-    amps = np.zeros(basis.vectors[0].dim, dtype=np.complex128)
-    for gamma, vec in zip(rec.gammas, basis.vectors):
-        amps += gamma * vec.amplitudes
-    return StateVector(length, amps).normalized()
+    # summed column by column, in order, so results do not depend on BLAS
+    amps = np.zeros(dim, dtype=np.result_type(basis, rec.gammas))
+    for gamma, column in zip(rec.gammas, basis.T):
+        amps += gamma * column
+    return StateVector(dim.bit_length() - 1, amps).normalized()
 
 
 def residual_norm(spec: HamiltonianSpec, v: StateVector, energy: float) -> float:

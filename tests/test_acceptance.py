@@ -159,8 +159,7 @@ def test_criterion_06_width_one_block_matches_scalar():
         spec = spinchain.build_xxz(length, j_xy, j_z)
         start = spinchain.random_state_vector(length, rng)
         s_coeffs, _ = scalar.lanczos_run(spec, start, max_iter=12)
-        b_start = block.BlockVector.from_matrix(
-            length, start.amplitudes.reshape(-1, 1))
+        b_start = start.amplitudes.reshape(-1, 1)
         b_coeffs, _ = block.block_lanczos_run(spec, b_start, max_iter=12)
         depth = min(s_coeffs.iterations, b_coeffs.iterations)
         assert depth >= 2
@@ -198,14 +197,14 @@ def test_criterion_07_block_width_resolves_degeneracy():
             if width > spec.dim:
                 continue
             start = block.random_orthonormal_block(spec.length, width, rng)
-            coeffs, blocks = block.block_lanczos_run(
+            coeffs, basis = block.block_lanczos_run(
                 spec, start, max_iter=spec.dim)
             recs = block.block_eigensolve(
                 block.assemble_block_tridiagonal(coeffs))
             lowest = sorted(recs, key=lambda r: r.energy)[:k]
             for rec in lowest:
                 worst_energy = max(worst_energy, abs(rec.energy - values[0]))
-            states = block.reconstruct_excitations(blocks, recs, k)
+            states = block.reconstruct_excitations(basis, recs, k)
             recon = np.column_stack([s.amplitudes for s in states])
             angles = scipy.linalg.subspace_angles(recon, ed_space)
             worst_angle = max(worst_angle, float(np.max(angles)))
@@ -231,14 +230,14 @@ def test_criterion_08_two_sided_recovers_general_spectra():
             mat = rng.standard_normal((n, n))
             op = nonhermitian.GeneralOperator.from_matrix(mat)
             right0, left0 = nonhermitian.paired_random_start(n, d, rng)
-            coeffs, pair = nonhermitian.two_sided_block_run(
+            coeffs, (left, right) = nonhermitian.two_sided_block_run(
                 op, right0, left0, max_iter=2 * n)
             assert coeffs.dimension == n
             error = nonhermitian.match_spectra(
                 nonhermitian.t_eigenvalues(coeffs), np.linalg.eigvals(mat))
             worst_spectrum = max(worst_spectrum, error)
             worst_defect = max(worst_defect,
-                               nonhermitian.biorthogonality_check(pair))
+                               nonhermitian.biorthogonality_check(left, right))
             cases += 1
     assert cases >= 20
     # symmetric input: the two-sided reduction must agree with the
@@ -251,8 +250,7 @@ def test_criterion_08_two_sided_recovers_general_spectra():
         q, _ = np.linalg.qr(rng.standard_normal((spec.dim, d)))
         two, _ = nonhermitian.two_sided_block_run(
             dense_op, q, q.copy(), max_iter=12)
-        one, _ = block.block_lanczos_run(
-            spec, block.BlockVector.from_matrix(length, q), max_iter=12)
+        one, _ = block.block_lanczos_run(spec, q, max_iter=12)
         for k in range(min(two.iterations, one.iterations) + 1):
             got = np.sort(nonhermitian.t_eigenvalues(two.prefix(k)).real)
             want = np.sort(np.linalg.eigvalsh(

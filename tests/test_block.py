@@ -10,28 +10,28 @@ def heisenberg(length):
 
 
 class TestBlockVector:
+    """Block vectors are (dim, width) arrays; block_lanczos_run validates
+    them as starts."""
+
     def test_width_and_matrix(self):
         rng = np.random.default_rng(0)
         bv = block.random_orthonormal_block(3, 2, rng)
-        assert bv.width == 2
-        assert bv.matrix().shape == (8, 2)
-        assert bv.orthonormality_defect() < 1e-12
+        assert bv.shape == (8, 2)
+        assert np.max(np.abs(bv.T @ bv - np.eye(2))) < 1e-12
 
     def test_mixed_lengths_rejected(self):
         a = sc.random_state_vector(2, np.random.default_rng(1))
-        b = sc.random_state_vector(3, np.random.default_rng(2))
-        with pytest.raises(ValueError):
-            block.BlockVector((a, b))
+        with pytest.raises(ValueError, match="dimension"):
+            block.block_lanczos_run(heisenberg(3), a.amplitudes[:, None], max_iter=2)
 
     def test_require_orthonormal(self):
-        v = sc.random_state_vector(3, np.random.default_rng(3))
-        bv = block.BlockVector((v, v))
+        q = block.random_orthonormal_block(3, 2, np.random.default_rng(3))
         with pytest.raises(ValueError, match="orthonormal"):
-            bv.require_orthonormal()
+            block.block_lanczos_run(heisenberg(3), 2.0 * q, max_iter=2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            block.BlockVector(())
+            block.block_lanczos_run(heisenberg(3), np.empty((8, 0)), max_iter=2)
 
 
 class TestBlockCoefficients:
@@ -96,7 +96,7 @@ class TestBlockLanczosRun:
         spec = sc.build_xxz(6, 1.0, 0.8)
         v = sc.random_state_vector(6, rng)
         coeffs_s, _ = scalar.lanczos_run(spec, v, max_iter=20)
-        coeffs_b, _ = block.block_lanczos_run(spec, block.BlockVector((v,)), max_iter=20)
+        coeffs_b, _ = block.block_lanczos_run(spec, v.amplitudes[:, None], max_iter=20)
         assert len(coeffs_b.a_blocks) == coeffs_s.alphas.size
         for i, a in enumerate(coeffs_b.a_blocks):
             assert a[0, 0] == pytest.approx(coeffs_s.alphas[i], abs=1e-10)
@@ -108,7 +108,7 @@ class TestBlockLanczosRun:
         spec = heisenberg(5)
         v = sc.random_state_vector(5, rng)
         coeffs_s, _ = scalar.lanczos_run(spec, v, max_iter=12)
-        coeffs_b, _ = block.block_lanczos_run(spec, block.BlockVector((v,)), max_iter=12)
+        coeffs_b, _ = block.block_lanczos_run(spec, v.amplitudes[:, None], max_iter=12)
         for k in range(min(coeffs_s.iterations, coeffs_b.iterations) + 1):
             rv_s = scalar.ritz_values(coeffs_s.prefix(k))
             rv_b = block.block_ritz_values(coeffs_b.prefix(k))
@@ -118,7 +118,7 @@ class TestBlockLanczosRun:
         spec = heisenberg(4)
         vals, _ = sc.exact_diagonalize(spec)
         start = block.eigenvector_start(spec, 3)
-        coeffs, blocks = block.block_lanczos_run(spec, start, max_iter=5)
+        coeffs, basis = block.block_lanczos_run(spec, start, max_iter=5)
         assert len(coeffs.a_blocks) == 1
         assert len(coeffs.b_blocks) == 0
         a0 = coeffs.a_blocks[0]
@@ -141,8 +141,7 @@ class TestBlockLanczosRun:
         rng = np.random.default_rng(4)
         spec = sc.build_xxz(6, 1.0, 0.5)
         start = block.random_orthonormal_block(6, 3, rng)
-        _, blocks = block.block_lanczos_run(spec, start, max_iter=8)
-        q = np.concatenate([b.matrix() for b in blocks], axis=1)
+        _, q = block.block_lanczos_run(spec, start, max_iter=8)
         gram = q.conj().T @ q
         assert np.max(np.abs(gram - np.eye(q.shape[1]))) < 1e-8
 
@@ -150,13 +149,14 @@ class TestBlockLanczosRun:
         rng = np.random.default_rng(9)
         spec = sc.build_xxz(6, 1.0, 0.5)
         start = block.random_orthonormal_block(6, 3, rng)
-        coeffs, blocks = block.block_lanczos_run(spec, start, max_iter=6)
-        for n, bv in enumerate(blocks):
-            psi = bv.matrix()
+        coeffs, basis = block.block_lanczos_run(spec, start, max_iter=6)
+        offsets = np.cumsum((0,) + coeffs.widths)
+        blocks = [basis[:, i:j] for i, j in zip(offsets, offsets[1:])]
+        for n, psi in enumerate(blocks):
             h_psi = sc.apply_to_array(spec, psi)
             assert np.max(np.abs(psi.conj().T @ h_psi - coeffs.a_blocks[n])) < 1e-10
             if n + 1 < len(blocks):
-                recomputed = blocks[n + 1].matrix().conj().T @ h_psi
+                recomputed = blocks[n + 1].conj().T @ h_psi
                 assert np.max(np.abs(recomputed - coeffs.b_blocks[n])) < 1e-8
 
     def test_triangular_gauge(self):
@@ -177,7 +177,7 @@ class TestBlockLanczosRun:
         r = rng.standard_normal(16)
         r -= (g @ r) * g
         r /= np.linalg.norm(r)
-        start = block.BlockVector.from_matrix(4, np.column_stack([g, r]))
+        start = np.column_stack([g, r])
         coeffs, _ = block.block_lanczos_run(spec, start, max_iter=20)
         assert coeffs.widths[0] == 2
         assert coeffs.widths[1] == 1
@@ -212,7 +212,9 @@ class TestBlockLanczosRun:
         spec = heisenberg(3)
         v = sc.random_state_vector(3, np.random.default_rng(1))
         with pytest.raises(ValueError, match="orthonormal"):
-            block.block_lanczos_run(spec, block.BlockVector((v, v)), max_iter=2)
+            block.block_lanczos_run(
+                spec, np.column_stack([v.amplitudes, v.amplitudes]), max_iter=2
+            )
 
     def test_bad_max_iter(self):
         spec = heisenberg(3)
@@ -233,7 +235,7 @@ class TestAssembly:
         spec = heisenberg(4)
         v = sc.random_state_vector(4, rng)
         coeffs_s, _ = scalar.lanczos_run(spec, v, max_iter=6)
-        coeffs_b, _ = block.block_lanczos_run(spec, block.BlockVector((v,)), max_iter=6)
+        coeffs_b, _ = block.block_lanczos_run(spec, v.amplitudes[:, None], max_iter=6)
         assembled = block.assemble_block_tridiagonal(coeffs_b).matrix
         assert np.max(np.abs(assembled - coeffs_s.matrix())) < 1e-10
 
@@ -278,7 +280,7 @@ class TestEigensolveAndReconstruction:
     def test_two_site_reduction(self):
         spec = heisenberg(2)
         start = sc.ProductState.from_string("ud").to_state_vector()
-        coeffs, _ = block.block_lanczos_run(spec, block.BlockVector((start,)), max_iter=5)
+        coeffs, _ = block.block_lanczos_run(spec, start.amplitudes[:, None], max_iter=5)
         recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
         assert [r.energy for r in recs] == pytest.approx([-0.75, 0.25], abs=1e-12)
 
@@ -295,9 +297,9 @@ class TestEigensolveAndReconstruction:
         rng = np.random.default_rng(23)
         spec = heisenberg(6)
         start = block.random_orthonormal_block(6, 2, rng)
-        coeffs, blocks = block.block_lanczos_run(spec, start, max_iter=25)
+        coeffs, basis = block.block_lanczos_run(spec, start, max_iter=25)
         recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        ground = block.reconstruct_excitations(blocks, recs, 1)[0]
+        ground = block.reconstruct_excitations(basis, recs, 1)[0]
         _, vecs = sc.exact_diagonalize(spec)
         assert abs(ground.inner(vecs[0])) > 1.0 - 1e-8
 
@@ -306,9 +308,9 @@ class TestEigensolveAndReconstruction:
         rng = np.random.default_rng(31)
         spec = sc.build_xxz(3, 0.0, -1.0)
         start = block.random_orthonormal_block(3, 2, rng)
-        coeffs, blocks = block.block_lanczos_run(spec, start, max_iter=10)
+        coeffs, basis = block.block_lanczos_run(spec, start, max_iter=10)
         recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(blocks, recs, 2)
+        states = block.reconstruct_excitations(basis, recs, 2)
         vals, vecs = sc.exact_diagonalize(spec)
         assert vals[0] == pytest.approx(vals[1], abs=1e-12)
         ed_span = np.column_stack([vecs[0].amplitudes, vecs[1].amplitudes])
@@ -320,9 +322,9 @@ class TestEigensolveAndReconstruction:
         rng = np.random.default_rng(43)
         spec = heisenberg(3)
         start = block.random_orthonormal_block(3, 8, rng)
-        coeffs, blocks = block.block_lanczos_run(spec, start, max_iter=3)
+        coeffs, basis = block.block_lanczos_run(spec, start, max_iter=3)
         recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(blocks, recs, 8)
+        states = block.reconstruct_excitations(basis, recs, 8)
         ed = sc.eigenvalues(spec)
         for state, energy in zip(states, ed):
             rayleigh = np.real(state.inner(sc.apply_hamiltonian(spec, state)))
@@ -332,9 +334,9 @@ class TestEigensolveAndReconstruction:
         rng = np.random.default_rng(3)
         spec = heisenberg(5)
         start = block.random_orthonormal_block(5, 3, rng)
-        coeffs, blocks = block.block_lanczos_run(spec, start, max_iter=10)
+        coeffs, basis = block.block_lanczos_run(spec, start, max_iter=10)
         recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(blocks, recs, 5)
+        states = block.reconstruct_excitations(basis, recs, 5)
         for i in range(5):
             for j in range(i + 1, 5):
                 assert abs(states[i].inner(states[j])) < 1e-8
@@ -343,7 +345,7 @@ class TestEigensolveAndReconstruction:
         rng = np.random.default_rng(1)
         spec = heisenberg(3)
         start = block.random_orthonormal_block(3, 2, rng)
-        coeffs, blocks = block.block_lanczos_run(spec, start, max_iter=2)
+        coeffs, basis = block.block_lanczos_run(spec, start, max_iter=2)
         recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
         with pytest.raises(ValueError):
-            block.reconstruct_excitations(blocks, recs, len(recs) + 1)
+            block.reconstruct_excitations(basis, recs, len(recs) + 1)

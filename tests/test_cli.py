@@ -318,6 +318,16 @@ class TestErrorHandling:
         assert cli.main(["--config", str(path)]) == 1
         assert "error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("block_size", [1, 2])
+    def test_oversized_basis_exit_1(self, tmp_path, capsys, block_size):
+        # max_iter defaults to the dimension: a 2**20 x 2**20 basis
+        path = solve_config(tmp_path, length=20, block_size=block_size)
+        assert cli.main(["--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error: ")
+        assert "bytes" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_config_file_not_mutated(self, tmp_path, capsys):
         path = solve_config(tmp_path)
         before = open(path, "rb").read()

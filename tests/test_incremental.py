@@ -1,9 +1,12 @@
 """Tests for the incremental interaction-ramping solver."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from blocklanczos import incremental, scalar, spinchain
+from blocklanczos.textio import write_csv
 from blocklanczos.incremental import (
     CSV_HEADER,
     ConvergenceRecord,
@@ -137,7 +140,7 @@ class TestConvergenceRecord:
     def test_csv_round_trip(self, tmp_path):
         record = ConvergenceRecord(self.make_rows())
         path = tmp_path / "trajectory.csv"
-        record.to_csv(path)
+        write_csv(path, CSV_HEADER, map(astuple, record.rows))
         text = path.read_text()
         assert text.splitlines()[0] == ",".join(CSV_HEADER)
         loaded = ConvergenceRecord.from_csv(path)

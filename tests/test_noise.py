@@ -1,9 +1,12 @@
 """Tests for coefficient-noise propagation and sampling models."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from blocklanczos import noise
+from blocklanczos.textio import write_csv
 from blocklanczos.noise import (
     CostModel,
     CountingSampler,
@@ -24,8 +27,6 @@ from blocklanczos.noise import (
     sampled_energy_errors,
     slope_report,
     summarize_sweep,
-    write_summary_csv,
-    write_sweep_csv,
 )
 
 import reference_values as ref
@@ -214,7 +215,7 @@ class TestSweep:
     def test_csv_round_trip(self, tmp_path):
         rows = mae_sweep(2, [3], [1e-4, 1e-3], trials=2, base_seed=2)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
+        write_csv(path, SWEEP_HEADER, map(astuple, rows))
         assert path.read_text().splitlines()[0] == ",".join(SWEEP_HEADER)
         assert load_sweep_csv(path) == rows
 
@@ -226,7 +227,7 @@ class TestSweep:
             np.mean([row.mae for row in rows]), rel=1e-15
         )
         path = tmp_path / "summary.csv"
-        write_summary_csv(summary, path)
+        write_csv(path, SUMMARY_HEADER, map(astuple, summary))
         assert path.read_text().splitlines()[0] == ",".join(SUMMARY_HEADER)
 
     def test_sweep_deterministic(self):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from blocklanczos import block, spinchain
+from blocklanczos import block, spinchain, textio
 from blocklanczos.nonhermitian import (
-    BiorthogonalBlockPair,
     GeneralOperator,
     NonHermitianBlockTridiagonal,
     SeriousBreakdownError,
@@ -74,26 +73,26 @@ class TestGeneralOperator:
 
 
 class TestBiorthogonalBlockPair:
+    """A biorthogonal pair is two equal-shape (dim, k) bases."""
+
     def test_length_mismatch_rejected(self):
         b = np.eye(4, 2)
         with pytest.raises(ValueError):
-            BiorthogonalBlockPair((b, b), (b,))
+            biorthogonality_check(np.hstack([b, b]), b)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            BiorthogonalBlockPair((np.eye(4, 2),), (np.eye(4, 3),))
+            biorthogonality_check(np.eye(4, 2), np.eye(4, 3))
 
     def test_check_on_orthonormal_identical_pair(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((12, 3)))
-        pair = BiorthogonalBlockPair((q,), (q,))
-        assert biorthogonality_check(pair) < 1e-12
+        assert biorthogonality_check(q, q) < 1e-12
 
     def test_check_scaled_right_block_gives_unit_defect(self):
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.standard_normal((12, 3)))
-        pair = BiorthogonalBlockPair((q,), (2.0 * q,))
-        assert biorthogonality_check(pair) == pytest.approx(1.0, abs=1e-10)
+        assert biorthogonality_check(q, 2.0 * q) == pytest.approx(1.0, abs=1e-10)
 
     def test_check_on_fresh_run_pair(self):
         rng = np.random.default_rng(6)
@@ -102,7 +101,7 @@ class TestBiorthogonalBlockPair:
         _, pair = two_sided_block_run(
             GeneralOperator.from_matrix(mat), r0, l0, max_iter=10
         )
-        assert biorthogonality_check(pair) < 1e-8
+        assert biorthogonality_check(*pair) < 1e-8
 
 
 class TestNonHermitianBlockTridiagonal:
@@ -175,7 +174,7 @@ class TestNonHermitianBlockTridiagonal:
 
     def test_load_rejects_unknown_section(self, tmp_path):
         path = tmp_path / "bad.txt"
-        block.write_matrix_sections(path, [("D", 0, np.eye(2))], "stray section")
+        textio.write_matrix_sections(path, [("D", 0, np.eye(2))], "stray section")
         with pytest.raises(ValueError):
             NonHermitianBlockTridiagonal.load(path)
 
@@ -219,7 +218,7 @@ class TestTwoSidedRun:
         assert len(coeffs.a_blocks) == 1
         assert coeffs.a_blocks[0] == pytest.approx(np.array([[1.0]]))
         assert coeffs.iterations == 0
-        assert len(pair) == 1
+        assert pair[1].shape == (4, 1)
 
     def test_cyclic_permutation_serious_breakdown(self):
         op = GeneralOperator.from_matrix(cyclic_permutation())
@@ -257,7 +256,7 @@ class TestTwoSidedRun:
         assert coeffs.dimension == 64
         err = match_spectra(t_eigenvalues(coeffs), np.linalg.eigvals(mat))
         assert err < 1e-6
-        assert biorthogonality_check(pair) < 1e-8
+        assert biorthogonality_check(*pair) < 1e-8
 
     @pytest.mark.parametrize(
         "dim,width,seed", [(16, 1, 13), (32, 4, 14), (48, 2, 15), (64, 4, 16)]
@@ -271,7 +270,7 @@ class TestTwoSidedRun:
         )
         assert coeffs.dimension == dim
         assert match_spectra(t_eigenvalues(coeffs), np.linalg.eigvals(mat)) < 1e-6
-        assert biorthogonality_check(pair) < 1e-8
+        assert biorthogonality_check(*pair) < 1e-8
 
     def test_distinct_left_start_saturation(self):
         rng = np.random.default_rng(17)
@@ -291,7 +290,7 @@ class TestTwoSidedRun:
             GeneralOperator.from_matrix(mat), r0, l0, max_iter=48
         )
         assert match_spectra(t_eigenvalues(coeffs), np.linalg.eigvals(mat)) < 1e-6
-        assert biorthogonality_check(pair) < 1e-8
+        assert biorthogonality_check(*pair) < 1e-8
 
     def test_hermitian_reduction_gives_transposed_couplings(self):
         spec = spinchain.build_xxz(6, j_xy=1.0, j_z=0.7)
@@ -310,9 +309,7 @@ class TestTwoSidedRun:
         rng = np.random.default_rng(20)
         q, _ = np.linalg.qr(rng.standard_normal((64, 2)))
         two, _ = two_sided_block_run(dense_op, q, q.copy(), max_iter=14)
-        one, _ = block.block_lanczos_run(
-            spec, block.BlockVector.from_matrix(6, q), max_iter=14
-        )
+        one, _ = block.block_lanczos_run(spec, q, max_iter=14)
         assert two.iterations == one.iterations
         for k in range(two.iterations + 1):
             got = np.sort(t_eigenvalues(two.prefix(k)).real)
@@ -334,7 +331,7 @@ class TestTwoSidedRun:
         assert coeffs.dimension == 64
         ref = np.linalg.eigvalsh(spinchain.dense_matrix(spec).real)
         assert match_spectra(t_eigenvalues(coeffs), ref) < 1e-8
-        assert biorthogonality_check(pair) < 1e-8
+        assert biorthogonality_check(*pair) < 1e-8
 
     def test_post_hoc_coefficient_consistency(self):
         rng = np.random.default_rng(22)
@@ -343,11 +340,14 @@ class TestTwoSidedRun:
         coeffs, pair = two_sided_block_run(
             GeneralOperator.from_matrix(mat), r0, l0, max_iter=8
         )
-        lefts, rights = pair.left_blocks, pair.right_blocks
-        for n in range(len(pair)):
+        offsets = np.cumsum((0,) + coeffs.widths)
+        lefts, rights = (
+            [basis[:, i:j] for i, j in zip(offsets, offsets[1:])] for basis in pair
+        )
+        for n in range(len(lefts)):
             recomputed = lefts[n].T @ (mat @ rights[n])
             assert np.max(np.abs(recomputed - coeffs.a_blocks[n])) < 1e-8
-        for n in range(len(pair) - 1):
+        for n in range(len(lefts) - 1):
             b_re = lefts[n + 1].T @ (mat @ rights[n])
             c_re = lefts[n].T @ (mat @ rights[n + 1])
             assert np.max(np.abs(b_re - coeffs.b_blocks[n])) < 1e-8
@@ -384,6 +384,10 @@ class TestMatchSpectra:
         ref = np.array([0.0, 10.0, 20.0], dtype=complex)
         shifted = ref + np.array([1e-4, -2e-4, 3e-4]) * 1j
         assert match_spectra(shifted, ref) == pytest.approx(3e-4, rel=1e-12)
+
+    def test_pairing_minimizes_worst_distance(self):
+        # nearest-first pairing would take 0 -> 1 and leave 1 -> -1 (2.0)
+        assert match_spectra(np.array([0.0, 1.0]), np.array([1.0, -1.0])) == 1.0
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
