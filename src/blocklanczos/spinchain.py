@@ -1,9 +1,9 @@
 """Spin-1/2 open-chain Hamiltonians on a bit-encoded basis.
 
 Provides matrix-free application of nearest-neighbour XXZ-type couplings,
-a dense Kronecker-product assembly with full exact diagonalization as the
-reference oracle, and the closed-form free-fermion ground energy of the
-open XY chain as an independent cross-check.
+a sparse Kronecker-product assembly as the reference oracle (ARPACK ground
+state, dense full spectra), and the closed-form free-fermion ground energy
+of the open XY chain as an independent cross-check.
 
 Conventions (fixed and tested):
   * spin operators are S = sigma/2, so ZZ bonds contribute +-1/4 per unit
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 FLIP_KIND = "XX+YY"
 ZZ_KIND = "ZZ"
@@ -35,7 +37,9 @@ DENSE_SITE_CAP = 14
 _SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
 _SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 _SZ = np.array([[-0.5, 0.0], [0.0, 0.5]], dtype=np.complex128)
-_ID2 = np.eye(2, dtype=np.complex128)
+# Two-site bond operators on sites (site + 1, site), site varying fastest.
+_ZZ_PAIR = np.kron(_SZ, _SZ)
+_FLIP_PAIR = np.kron(_SX, _SX) + np.kron(_SY, _SY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,47 +285,35 @@ def apply_hamiltonian(spec: HamiltonianSpec, v: StateVector) -> StateVector:
     return StateVector(spec.length, apply_to_array(spec, v.amplitudes))
 
 
-def _kron_chain(length: int, site_ops: dict[int, np.ndarray]) -> np.ndarray:
-    """Kronecker product over all sites, identity where no operator is given.
+def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
+    """Sparse 2**L x 2**L assembly from explicit Kronecker products.
 
-    Built so that site 0 varies fastest (least significant bit).
+    Deliberately independent of :func:`apply_to_array`: each bond is a
+    two-site product of single-site Sx, Sy, Sz matrices between identities,
+    not bit manipulation, so the two routes cross-validate each other.
     """
-    mat = np.array([[1.0 + 0.0j]])
-    for site in reversed(range(length)):
-        mat = np.kron(mat, site_ops.get(site, _ID2))
+    mat = spec.constant * sp.identity(spec.dim, dtype=np.complex128, format="csr")
+    for term in spec.terms:  # in spec order
+        pair = _ZZ_PAIR if term.kind == ZZ_KIND else _FLIP_PAIR
+        above = sp.identity(2 ** (spec.length - term.site - 2))
+        bond = sp.kron(sp.kron(above, pair), sp.identity(2**term.site), format="csr")
+        mat = mat + term.coefficient * bond
     return mat
 
 
-def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Dense 2**L x 2**L assembly from explicit Kronecker products.
-
-    Deliberately independent of :func:`apply_to_array`: terms are built from
-    single-site Sx, Sy, Sz matrices, not from bit manipulation, so the two
-    routes cross-validate each other.
-    """
+def _oracle_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
+    """:func:`sparse_matrix` under ``DENSE_SITE_CAP``, real when it can be."""
     if spec.length > DENSE_SITE_CAP:
         raise ValueError(
             f"dense assembly capped at {DENSE_SITE_CAP} sites, got {spec.length}"
         )
-    dim = spec.dim
-    mat = spec.constant * np.eye(dim, dtype=np.complex128)
-    for term in spec.terms:
-        i, j = term.site, term.site + 1
-        if term.kind == ZZ_KIND:
-            mat += term.coefficient * _kron_chain(spec.length, {i: _SZ, j: _SZ})
-        else:
-            mat += term.coefficient * (
-                _kron_chain(spec.length, {i: _SX, j: _SX})
-                + _kron_chain(spec.length, {i: _SY, j: _SY})
-            )
-    return mat
+    mat = sparse_matrix(spec)
+    return mat if mat.data.imag.any() else mat.real
 
 
-def _dense_real_or_complex(spec: HamiltonianSpec) -> np.ndarray:
-    mat = dense_matrix(spec)
-    if np.all(mat.imag == 0.0):
-        return np.ascontiguousarray(mat.real)
-    return mat
+def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
+    """Dense complex form of :func:`sparse_matrix`, capped at ``DENSE_SITE_CAP``."""
+    return _oracle_matrix(spec).toarray().astype(np.complex128)
 
 
 def exact_diagonalize(spec: HamiltonianSpec) -> tuple[np.ndarray, list[StateVector]]:
@@ -330,33 +322,38 @@ def exact_diagonalize(spec: HamiltonianSpec) -> tuple[np.ndarray, list[StateVect
     The reference oracle for every solver in this package. Capped at
     ``DENSE_SITE_CAP`` sites.
     """
-    mat = _dense_real_or_complex(spec)
-    values, vectors = np.linalg.eigh(mat)
+    values, vectors = np.linalg.eigh(_oracle_matrix(spec).toarray())
     states = [StateVector(spec.length, vectors[:, k]) for k in range(vectors.shape[1])]
     return values, states
 
 
 def eigenvalues(spec: HamiltonianSpec) -> np.ndarray:
     """Ascending dense spectrum without eigenvectors (cheaper)."""
-    return np.linalg.eigvalsh(_dense_real_or_complex(spec))
+    return np.linalg.eigvalsh(_oracle_matrix(spec).toarray())
+
+
+def _lowest_eigenpair(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
+    """ARPACK's implicitly restarted Lanczos on the sparse assembly, started
+    from a fixed-seed vector so that earlier ARPACK calls cannot change it.
+    A spec whose terms are all zero is ``constant * I`` (ARPACK rejects the
+    zero matrix): it gets ``constant`` and basis state 0, as dense eigh does."""
+    mat = _oracle_matrix(spec)
+    if not any(term.coefficient for term in spec.terms):
+        return spec.constant, np.eye(1, spec.dim)[0]
+    v0 = np.random.default_rng(0).standard_normal(spec.dim)
+    vals, vecs = eigsh(mat, k=1, which="SA", v0=v0, tol=0.0)
+    return float(vals[0]), vecs[:, 0]
 
 
 def ground_energy(spec: HamiltonianSpec) -> float:
-    """Lowest eigenvalue via a dense subset solve."""
-    import scipy.linalg as sla
-
-    mat = _dense_real_or_complex(spec)
-    vals = sla.eigh(mat, eigvals_only=True, subset_by_index=(0, 0))
-    return float(vals[0])
+    """Lowest eigenvalue; see :func:`_lowest_eigenpair`."""
+    return _lowest_eigenpair(spec)[0]
 
 
 def ground_state(spec: HamiltonianSpec) -> tuple[float, StateVector]:
-    """Lowest eigenpair via a dense subset solve."""
-    import scipy.linalg as sla
-
-    mat = _dense_real_or_complex(spec)
-    vals, vecs = sla.eigh(mat, subset_by_index=(0, 0))
-    return float(vals[0]), StateVector(spec.length, vecs[:, 0])
+    """Lowest eigenpair; see :func:`_lowest_eigenpair`."""
+    energy, amps = _lowest_eigenpair(spec)
+    return energy, StateVector(spec.length, amps)
 
 
 def xy_analytic_ground_energy(length: int, j_xy: float) -> float:

@@ -130,6 +130,19 @@ class TestIncrementalCommand:
         # a 6-site ramp adds 5 bond terms, one row per whole term
         assert len(rows) == 6
 
+    def test_ramp_without_flip_flop_base(self, tmp_path, capsys):
+        # j_xy = 0 leaves an empty base chain: its ground state is basis state 0
+        path = write_config(tmp_path / "config.json", {
+            "command": "incremental",
+            "output_dir": str(tmp_path / "out"),
+            "incremental": {"scenario": "small", "j_xy": 0.0},
+        })
+        assert cli.main(["--config", path]) == 0
+        assert "final energy 2.25," in capsys.readouterr().out
+        with open(tmp_path / "out" / "fig1_convergence.csv") as handle:
+            rows = list(csv.reader(handle))
+        assert float(rows[-1][2]) == 2.25
+
     def test_scenario_names_pick_artifact_files(self):
         assert cli.SCENARIO_ARTIFACTS["small"] == "fig1_convergence.csv"
         assert cli.SCENARIO_ARTIFACTS["large"] == "fig2_convergence.csv"

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.sparse.linalg import eigsh
 
 from blocklanczos import spinchain as sc
 
@@ -7,6 +13,57 @@ from reference_values import (
     HEISENBERG10_GROUND_ENERGY,
     XY10_GROUND_ENERGY,
 )
+
+# Single-site operators in basis order (down, up), for the reference assembly.
+_SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
+_SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
+_SZ = np.array([[-0.5, 0.0], [0.0, 0.5]], dtype=np.complex128)
+_ID2 = np.eye(2, dtype=np.complex128)
+
+
+def kron_chain(length, site_ops):
+    """Kronecker product over all sites, identity where no operator is given;
+    site 0 varies fastest (least significant bit)."""
+    mat = np.array([[1.0 + 0.0j]])
+    for site in reversed(range(length)):
+        mat = np.kron(mat, site_ops.get(site, _ID2))
+    return mat
+
+
+def per_site_dense_matrix(spec):
+    """Reference assembly: one full L-site Kronecker chain per operator."""
+    mat = spec.constant * np.eye(spec.dim, dtype=np.complex128)
+    for term in spec.terms:
+        i, j = term.site, term.site + 1
+        if term.kind == sc.ZZ_KIND:
+            mat += term.coefficient * kron_chain(spec.length, {i: _SZ, j: _SZ})
+        else:
+            mat += term.coefficient * (
+                kron_chain(spec.length, {i: _SX, j: _SX})
+                + kron_chain(spec.length, {i: _SY, j: _SY})
+            )
+    return mat
+
+
+def random_xxz(length, rng, j_z_scale=1.0):
+    """Both bond kinds on every link with random-sign coefficients, shuffled,
+    plus a nonzero constant."""
+    terms = []
+    for site in range(length - 1):
+        for kind, scale in ((sc.FLIP_KIND, 1.0), (sc.ZZ_KIND, j_z_scale)):
+            magnitude = scale * rng.uniform(0.1, 2.0)
+            terms.append(sc.CouplingTerm(kind, site, rng.choice([-1.0, 1.0]) * magnitude))
+    order = rng.permutation(len(terms))
+    return sc.HamiltonianSpec(length, tuple(terms[k] for k in order),
+                              constant=rng.uniform(-3.0, 3.0))
+
+
+ORACLE_SPECS = {
+    **{f"random-L{length}": random_xxz(length, np.random.default_rng(100 + length))
+       for length in range(1, 11)},
+    "random-L10-jz100": random_xxz(10, np.random.default_rng(7), j_z_scale=100.0),
+    "xxz-L10-jz100": sc.build_xxz(10, 1.0, 100.0),
+}
 
 
 class TestStateVector:
@@ -241,3 +298,68 @@ class TestXYAnalytic:
             sc.xy_analytic_ground_energy(1, 1.0)
         with pytest.raises(ValueError):
             sc.xy_analytic_ground_energy(4, 0.0)
+
+
+class TestSparseAssembly:
+    @pytest.mark.parametrize("length", range(2, 9))
+    def test_dense_matrix_equals_per_site_kron_chain(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(3):
+            terms = tuple(
+                sc.CouplingTerm(rng.choice(sc.TERM_KINDS), int(rng.integers(length - 1)),
+                                rng.normal())
+                for _ in range(int(rng.integers(0, 2 * length)))
+            )
+            spec = sc.HamiltonianSpec(length, terms, constant=rng.normal())
+            assert np.array_equal(sc.dense_matrix(spec), per_site_dense_matrix(spec))
+
+    @pytest.mark.parametrize("oracle", [sc.dense_matrix, sc.ground_energy,
+                                        sc.ground_state, sc.eigenvalues])
+    def test_size_cap(self, oracle):
+        with pytest.raises(ValueError, match="capped"):
+            oracle(sc.HamiltonianSpec(sc.DENSE_SITE_CAP + 1))
+
+
+class TestGroundOracle:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+    def test_energy_matches_dense_eigvalsh(self, spec):
+        exact = np.linalg.eigvalsh(sc.dense_matrix(spec))[0]
+        energy = sc.ground_energy(spec)
+        assert abs(energy - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+    def test_state_is_unit_eigenvector(self, spec):
+        energy, state = sc.ground_state(spec)
+        assert state.is_normalized(1e-12)
+        residual = sc.apply_to_array(spec, state.amplitudes) - energy * state.amplitudes
+        assert np.linalg.norm(residual) <= 1e-10 * max(1.0, abs(energy))
+
+    @pytest.mark.parametrize("spec", [
+        sc.HamiltonianSpec(1),
+        sc.HamiltonianSpec(4),
+        sc.HamiltonianSpec(3, (), 2.5),
+    ], ids=["L1", "L4", "L3-constant"])
+    def test_termless_spec_is_constant_times_identity(self, spec):
+        assert sc.ground_energy(spec) == spec.constant
+        energy, state = sc.ground_state(spec)
+        assert energy == spec.constant
+        expected = np.zeros(spec.dim)
+        expected[0] = 1.0
+        assert np.array_equal(state.amplitudes, expected)
+
+    def test_deterministic_across_arpack_history(self):
+        spec = sc.build_xxz(8, 1.0, 0.7)
+        script = (
+            "from blocklanczos import spinchain as sc; "
+            "print(sc.ground_energy(sc.build_xxz(8, 1.0, 0.7)).hex())"
+        )
+        src = os.path.dirname(os.path.dirname(sc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               text=True, check=True, env=env).stdout.strip()
+        rng = np.random.default_rng(3)
+        for n in (16, 40, 120):
+            a = rng.standard_normal((n, n))
+            eigsh(sparse.csr_matrix(a + a.T), k=2, which="SA")
+        assert sc.ground_energy(spec).hex() == fresh
