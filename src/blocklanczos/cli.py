@@ -12,7 +12,9 @@ manifest alone.
 Commands and their artifacts:
 
 * ``solve`` - ground (and optionally excited) energies of one chain;
-  writes ``solve_spectrum.csv`` and prints the ground energy.
+  writes ``solve_spectrum.csv`` and prints the ground energy. An omitted
+  ``max_iter`` runs to saturation, allowed up to
+  ``SATURATING_SOLVE_DIM_CAP`` states.
 * ``incremental`` - ramping trajectory; writes ``fig1_convergence.csv``
   (small scenario), ``fig2_convergence.csv`` (large) or
   ``fig3_convergence.csv`` (random-start).
@@ -46,6 +48,12 @@ COMMANDS = ("solve", "incremental", "noise-sweep", "nonhermitian-demo",
             "cost-table")
 
 MANIFEST_NAME = "manifest.json"
+
+# Largest chain dimension for which ``solve`` runs to saturation when
+# ``max_iter`` is omitted: the saturating basis is dim**2 float64 values and
+# the full reorthogonalization O(dim**3) work (about 1 s at 2**10 states,
+# ten times that per added site).
+SATURATING_SOLVE_DIM_CAP = 2**10
 
 SCENARIO_ARTIFACTS = {
     "small": "fig1_convergence.csv",
@@ -164,6 +172,13 @@ def _run_solve(config: ExperimentConfig, outdir: Path) -> tuple[list[str], list[
     width = int(params["block_size"])
     excitations = int(params["excitations"])
     max_iter = params["max_iter"]
+    if max_iter is None and spec.dim > SATURATING_SOLVE_DIM_CAP:
+        raise ValueError(
+            f"solve on {spec.length} sites (dimension {spec.dim}) saturates by "
+            f"default, which needs a basis of {spec.dim**2 * 8} bytes and "
+            f"O(dim**3) work; set solve.max_iter (the saturating default is kept "
+            f"only up to {SATURATING_SOLVE_DIM_CAP} states)"
+        )
     max_iter = spec.dim if max_iter is None else int(max_iter)
     rng = np.random.default_rng(config.seed)
     if width == 1:

@@ -1,9 +1,32 @@
-"""Shared pytest wiring: acceptance criteria report lines.
+"""Shared pytest wiring: the hypothesis profile and acceptance criteria
+report lines.
+
+Property tests run under one derandomized hypothesis profile with no
+example database, so every run draws the same examples. Hypothesis still
+caches the constants it reads from local source files under its home
+directory; that home is a per-session temporary directory, so no run
+writes a ``.hypothesis/`` directory into the tree.
 
 test_acceptance.py registers one line per criterion through
 ``record_criterion``; the hook below reprints them as a summary section at
 the end of every run, so the pass/fail lines are visible without ``-s``.
 """
+
+import tempfile
+
+from hypothesis import configuration, settings
+
+settings.register_profile(
+    "tier1", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    configuration.set_hypothesis_home_dir(home.name)
+
 
 CRITERION_LINES: list[str] = []
 

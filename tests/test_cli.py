@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import time
 
 import pytest
 
@@ -340,6 +341,34 @@ class TestErrorHandling:
         assert captured.out.startswith("error: ")
         assert "bytes" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_saturating_default_refused_above_cap(self, tmp_path, capsys):
+        # L = 12 would run a 4096-expansion saturation (about 70 s)
+        path = solve_config(tmp_path, length=12)
+        started = time.perf_counter()
+        assert cli.main(["--config", path]) == 1
+        assert time.perf_counter() - started < 1.0
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        for fragment in ("12 sites", "dimension 4096", f"{4096**2 * 8} bytes",
+                         "solve.max_iter"):
+            assert fragment in out
+        assert not (tmp_path / "out" / "solve_spectrum.csv").exists()
+
+    def test_explicit_max_iter_above_cap(self, tmp_path, capsys):
+        path = solve_config(tmp_path, length=12, max_iter=40)
+        assert cli.main(["--config", path]) == 0
+        assert capsys.readouterr().out.startswith("ground energy ")
+
+    @pytest.mark.parametrize("block_size", [1, 2])
+    def test_explicit_saturating_max_iter_reaches_basis_guard(
+            self, tmp_path, capsys, block_size):
+        path = solve_config(tmp_path, length=20, block_size=block_size,
+                            max_iter=2**20)
+        assert cli.main(["--config", path]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert "Krylov basis" in out and "bytes" in out
 
     def test_config_file_not_mutated(self, tmp_path, capsys):
         path = solve_config(tmp_path)

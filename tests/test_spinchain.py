@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
 from blocklanczos import spinchain as sc
@@ -43,6 +45,52 @@ def per_site_dense_matrix(spec):
                 + kron_chain(spec.length, {i: _SY, j: _SY})
             )
     return mat
+
+
+def bit_arithmetic_apply(spec, amps):
+    """Reference kernel: per-term basis-index bit arithmetic and fancy indexing."""
+    dim = spec.dim
+    out = spec.constant * amps if spec.constant != 0.0 else np.zeros_like(amps)
+    idx = np.arange(dim, dtype=np.int64)
+    for term in spec.terms:
+        i, j = term.site, term.site + 1
+        if term.kind == sc.ZZ_KIND:
+            zz = (((idx >> i) & 1) * 2 - 1) * (((idx >> j) & 1) * 2 - 1)
+            weight = (0.25 * term.coefficient) * zz
+            out += weight[:, None] * amps if amps.ndim == 2 else weight * amps
+        else:
+            differ = np.nonzero((((idx >> i) ^ (idx >> j)) & 1).astype(bool))[0]
+            flipped = differ ^ ((1 << i) | (1 << j))
+            # flipping is a bijection on `differ`, so no index repeats here
+            out[flipped] += (0.5 * term.coefficient) * amps[differ]
+    return out
+
+
+def random_terms_spec(length, rng, constant):
+    """Random kinds and sites (repeats allowed) in random order."""
+    terms = tuple(
+        sc.CouplingTerm(rng.choice(sc.TERM_KINDS), int(rng.integers(length - 1)),
+                        rng.normal())
+        for _ in range(int(rng.integers(0, 3 * length)) if length > 1 else 0)
+    )
+    return sc.HamiltonianSpec(length, terms, constant=constant)
+
+
+def layouts(x, rng):
+    """``x`` as C-ordered, F-ordered, transposed-row-buffer and strided arrays
+    holding the same values."""
+    yield "C", x
+    if x.ndim == 1:
+        wide = np.repeat(x, 2)
+        yield "strided", wide[::2]
+        return
+    yield "F", np.asfortranarray(x)
+    rows = np.empty((x.shape[1] + 3, x.shape[0]), dtype=x.dtype)
+    rows[: x.shape[1]] = x.T
+    yield "row-buffer-T", rows[: x.shape[1]].T  # as scalar.lanczos_run returns
+    wide = rng.standard_normal((x.shape[0], 2 * x.shape[1])).astype(x.dtype)
+    wide[:, ::2] = x
+    yield "column-strided", wide[:, ::2]
 
 
 def random_xxz(length, rng, j_z_scale=1.0):
@@ -238,6 +286,89 @@ class TestApplyHamiltonian:
         spec = sc.HamiltonianSpec(2, sc.build_xxz(2, 1.0, 1.0).terms, constant=3.0)
         vals = sc.eigenvalues(spec)
         assert np.allclose(np.sort(vals), np.array([-0.75, 0.25, 0.25, 0.25]) + 3.0)
+
+
+class TestBondViewKernel:
+    @pytest.mark.parametrize("length", range(1, 11))
+    def test_bit_identical_to_bit_arithmetic_reference(self, length):
+        rng = np.random.default_rng(200 + length)
+        dim = 2**length
+        specs = [random_terms_spec(length, rng, constant) for constant in
+                 (0.0, 0.0, rng.normal(), rng.normal())]
+        for spec in specs:
+            for shape in ((dim,), (dim, 1), (dim, 2), (dim, 4)):
+                for complex_values in (False, True):
+                    x = rng.standard_normal(shape)
+                    if complex_values:
+                        x = x + 1j * rng.standard_normal(shape)
+                    expected = bit_arithmetic_apply(spec, x)
+                    for name, amps in layouts(x, rng):
+                        before = amps.copy()
+                        got = sc.apply_to_array(spec, amps)
+                        case = (spec, shape, complex_values, name)
+                        assert got.dtype == expected.dtype, case
+                        assert np.array_equal(got, expected), case
+                        assert np.array_equal(amps, before), case
+
+
+@st.composite
+def chain_specs(draw, max_length=8):
+    """Random specs with coefficients 0 or of magnitude 1/8..4, so that
+    scaling by 2**m stays exact; at most 24 terms."""
+    length = draw(st.integers(1, max_length))
+    coefficient = st.one_of(
+        st.just(0.0),
+        st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]),
+                  st.floats(0.125, 4.0)),
+    )
+    terms = []
+    if length > 1:
+        terms = draw(st.lists(
+            st.builds(sc.CouplingTerm, st.sampled_from(sc.TERM_KINDS),
+                      st.integers(0, length - 2), coefficient),
+            max_size=24))
+    return sc.HamiltonianSpec(length, tuple(terms), draw(coefficient))
+
+
+def complex_columns(spec, seed, width):
+    rng = np.random.default_rng(seed)
+    shape = (spec.dim, width)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+COLUMNS = (st.integers(0, 2**32 - 1), st.integers(1, 4))
+
+
+class TestKernelProperties:
+    @given(chain_specs(), *COLUMNS)
+    def test_global_spin_flip_commutes_exactly(self, spec, seed, width):
+        # reversing the basis index flips every spin, which H commutes with
+        v = complex_columns(spec, seed, width)
+        assert np.array_equal(sc.apply_to_array(spec, v[::-1]),
+                              sc.apply_to_array(spec, v)[::-1])
+
+    @given(chain_specs(), *COLUMNS, st.integers(-8, 8))
+    def test_power_of_two_scaling_is_exact(self, spec, seed, width, m):
+        scale = 2.0**m
+        scaled = sc.HamiltonianSpec(
+            spec.length,
+            tuple(sc.CouplingTerm(t.kind, t.site, scale * t.coefficient)
+                  for t in spec.terms),
+            scale * spec.constant,
+        )
+        v = complex_columns(spec, seed, width)
+        assert np.array_equal(sc.apply_to_array(scaled, v),
+                              scale * sc.apply_to_array(spec, v))
+
+    @given(chain_specs(), *COLUMNS, st.data())
+    def test_term_order_moves_output_at_round_off(self, spec, seed, width, data):
+        shuffled = sc.HamiltonianSpec(
+            spec.length, tuple(data.draw(st.permutations(spec.terms))), spec.constant)
+        v = complex_columns(spec, seed, width)
+        scale = sum(abs(t.coefficient) for t in spec.terms) + abs(spec.constant)
+        bound = 1e-14 * scale * np.max(np.abs(v))
+        diff = sc.apply_to_array(shuffled, v) - sc.apply_to_array(spec, v)
+        assert np.max(np.abs(diff)) <= bound
 
 
 class TestExactDiagonalize:
