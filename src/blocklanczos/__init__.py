@@ -4,10 +4,10 @@ Subpackages by role:
 
 * :mod:`blocklanczos.spinchain` - chain Hamiltonians, matrix-free application,
   dense exact-diagonalization oracle, analytic XY cross-check.
-* :mod:`blocklanczos.scalar` - single-vector Lanczos recursion with full
-  reorthogonalization, tridiagonal eigensolve, eigenstate reconstruction.
-* :mod:`blocklanczos.block` - block Lanczos with deflation, block-tridiagonal
-  assembly, multi-excitation reconstruction.
+* :mod:`blocklanczos.scalar` - the Hermitian Lanczos recursion body and its
+  width-1 front end, tridiagonal eigensolve, eigenstate reconstruction.
+* :mod:`blocklanczos.block` - the body's width-d front end with deflation,
+  block-tridiagonal assembly, multi-excitation reconstruction.
 * :mod:`blocklanczos.nonhermitian` - two-sided biorthogonal block Lanczos for
   general square operators.
 * :mod:`blocklanczos.incremental` - interaction-ramping protocol: append bond

@@ -8,8 +8,11 @@ triangular solve. Residual columns whose norm drops below the deflation
 tolerance are removed and the block narrows; coupling blocks then become
 rectangular and the assembly handles ragged widths.
 
-A run with d equal starting eigenvectors of the operator terminates after a
-single block; a run with d = 1 reproduces the scalar recursion exactly.
+The recursion itself is the Hermitian body in :mod:`blocklanczos.scalar`,
+which stores the Krylov vectors as the rows of one ``(cap, dim)`` buffer;
+:func:`block_lanczos_run` is its width-d front end, so a run with d = 1 is
+the scalar recursion by construction. A run with d starting eigenvectors
+of the operator terminates after a single block.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ import numpy as np
 from blocklanczos import spinchain, textio
 from blocklanczos.scalar import (
     EigenpairReconstruction,
-    allocate_basis,
+    _hermitian_recursion,
     reconstruct_state,
-    working_array,
 )
 from blocklanczos.spinchain import HamiltonianSpec, StateVector
 
@@ -166,41 +168,6 @@ class ExtractionCounter:
         return sum(self.counts)
 
 
-def _gram_schmidt_factor(
-    residual: np.ndarray, deflation_tol: float
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Factor residual = Q_new @ B with orthonormal Q_new, echelon B.
-
-    Columns are orthogonalized left to right (two passes); a column whose
-    remainder falls below ``deflation_tol`` is deflated: its projection
-    coefficients stay in B but it contributes no new basis column. Returns
-    (Q_new or None when fully deflated, B of shape (kept, cols)).
-    """
-    dim, cols = residual.shape
-    kept: list[np.ndarray] = []
-    b_cols: list[np.ndarray] = []
-    for j in range(cols):
-        r = residual[:, j].copy()
-        proj = np.zeros(cols, dtype=residual.dtype)
-        for _ in range(2):
-            for i, q in enumerate(kept):
-                c = np.vdot(q, r)
-                r -= c * q
-                proj[i] += c
-        nrm = float(np.linalg.norm(r))
-        col = proj.copy()
-        if nrm < deflation_tol:
-            b_cols.append(col)  # dependent direction: keep projections only
-            continue
-        col[len(kept)] = nrm
-        b_cols.append(col)
-        kept.append(r / nrm)
-    b = np.column_stack(b_cols)[: len(kept), :] if kept else np.empty((0, cols))
-    if not kept:
-        return None, b
-    return np.column_stack(kept), b
-
-
 def block_lanczos_run(
     spec: HamiltonianSpec,
     start: np.ndarray,
@@ -213,10 +180,9 @@ def block_lanczos_run(
     ``start`` is a ``(dim, width)`` array with orthonormal columns. Each
     expansion applies H to the whole block, subtracts the diagonal and
     previous-coupling projections, re-orthogonalizes against every stored
-    column (two passes), then factors the remainder into an orthonormal
-    block times an upper-triangular coupling block. Fully deflated
-    remainders terminate the run cleanly: the Krylov space has become
-    invariant.
+    vector (two passes), then factors the remainder into an orthonormal
+    block times an upper-triangular coupling block. A fully deflated
+    remainder ends the run: the Krylov space has become invariant.
 
     Returns the coefficients and the basis as one ``(dim, coeffs.dimension)``
     array whose columns are the Krylov vectors, block after block; it is
@@ -240,42 +206,14 @@ def block_lanczos_run(
     if defect > 1e-8:
         raise ValueError(f"start block not orthonormal: Gram defect {defect:.3e}")
 
-    psi = np.ascontiguousarray(working_array(start))
-    # columns are Krylov vectors; each block is written once into its slot
-    basis = allocate_basis((dim, min((max_iter + 1) * width, dim)), psi.dtype)
-    basis[:, :width] = psi
-    hi = width
-    prev: np.ndarray | None = None
-    a_blocks: list[np.ndarray] = []
-    b_blocks: list[np.ndarray] = []
-
-    for n in range(max_iter + 1):
-        h_psi = spinchain.apply_to_array(spec, psi)
-        a = psi.conj().T @ h_psi
-        a = 0.5 * (a + a.conj().T)  # exact Hermiticity, kills roundoff skew
-        a_blocks.append(a)
-        if counter is not None:
-            counter.record(f"A{n}", a.shape[0], a.shape[1])
-        if n == max_iter or hi >= dim:
-            break
-        residual = h_psi - psi @ a
-        if prev is not None:
-            residual -= prev @ b_blocks[n - 1].conj().T
-        stacked = basis[:, :hi]
-        for _ in range(2):
-            residual -= stacked @ (stacked.conj().T @ residual)
-        q_new, b = _gram_schmidt_factor(residual, deflation_tol)
-        if q_new is None:
-            break  # invariant subspace: clean termination
-        if counter is not None:
-            counter.record(f"B{n + 1}", b.shape[0], b.shape[1])
-        b_blocks.append(b)
-        prev, psi = psi, q_new
-        basis[:, hi : hi + q_new.shape[1]] = q_new
-        hi += q_new.shape[1]
-
-    coeffs = BlockCoefficients(tuple(a_blocks), tuple(b_blocks))
-    return coeffs, basis[:, :hi]
+    a_blocks, b_blocks, basis = _hermitian_recursion(
+        spec, start, max_iter, deflation_tol)
+    if counter is not None:
+        counter.record("A0", *a_blocks[0].shape)
+        for n, b in enumerate(b_blocks, start=1):
+            counter.record(f"B{n}", *b.shape)
+            counter.record(f"A{n}", *a_blocks[n].shape)
+    return BlockCoefficients(tuple(a_blocks), tuple(b_blocks)), basis
 
 
 def _assemble(

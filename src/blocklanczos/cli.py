@@ -148,15 +148,44 @@ def apply_override(data: dict[str, Any], assignment: str) -> None:
     target[parts[-1]] = value
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
+# JSON types of the parameters whose default is null
+_NULLABLE_TYPES = {"max_iter": int, "j_z": float, "lanczos_per_step": int,
+                   "start_pattern": str}
+
+
+def _has_type(value: Any, kind: type) -> bool:
+    """JSON typing: true/false is no number, and an integer is a number."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _require(params: dict[str, Any], allowed: dict[str, Any],
              command: str) -> dict[str, Any]:
-    """Merge defaults with params, rejecting unknown keys."""
-    for key in params:
+    """Merge defaults with params, rejecting unknown keys and values of the
+    wrong JSON type: the type of the default, a non-empty list of the
+    default's item type, or, for a null default, null or its listed type."""
+    for key, value in params.items():
         if key not in allowed:
             raise ConfigError(
                 f"command {command!r}: unknown parameter {key!r} "
                 f"(expected one of {sorted(allowed)})"
             )
+        default = allowed[key]
+        if isinstance(default, list):
+            kind = type(default[0])
+            ok = isinstance(value, list) and value != [] and all(
+                _has_type(item, kind) for item in value)
+            expected = f"a non-empty list, each item {_TYPE_NAMES[kind]}"
+        else:
+            kind = type(default) if default is not None else _NULLABLE_TYPES[key]
+            ok = _has_type(value, kind) or (default is None and value is None)
+            expected = _TYPE_NAMES[kind] + (" or null" if default is None else "")
+        if not ok:
+            raise ConfigError(f"command {command!r}: parameter {key!r} must be "
+                              f"{expected}, got {json.dumps(value)}")
     merged = dict(allowed)
     merged.update(params)
     return merged
@@ -167,10 +196,9 @@ def _run_solve(config: ExperimentConfig, outdir: Path) -> tuple[list[str], list[
         "length": 2, "j_xy": 1.0, "j_z": 1.0, "block_size": 1,
         "max_iter": None, "excitations": 1,
     }, "solve")
-    spec = spinchain.build_xxz(int(params["length"]), float(params["j_xy"]),
+    spec = spinchain.build_xxz(params["length"], float(params["j_xy"]),
                                float(params["j_z"]))
-    width = int(params["block_size"])
-    excitations = int(params["excitations"])
+    width = params["block_size"]
     max_iter = params["max_iter"]
     if max_iter is None and spec.dim > SATURATING_SOLVE_DIM_CAP:
         raise ValueError(
@@ -179,7 +207,7 @@ def _run_solve(config: ExperimentConfig, outdir: Path) -> tuple[list[str], list[
             f"O(dim**3) work; set solve.max_iter (the saturating default is kept "
             f"only up to {SATURATING_SOLVE_DIM_CAP} states)"
         )
-    max_iter = spec.dim if max_iter is None else int(max_iter)
+    max_iter = spec.dim if max_iter is None else max_iter
     rng = np.random.default_rng(config.seed)
     if width == 1:
         start = spinchain.random_state_vector(spec.length, rng)
@@ -189,7 +217,7 @@ def _run_solve(config: ExperimentConfig, outdir: Path) -> tuple[list[str], list[
         start = block.random_orthonormal_block(spec.length, width, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=max_iter)
         recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-    energies = sorted(rec.energy for rec in recs)[:max(excitations, 1)]
+    energies = sorted(rec.energy for rec in recs)[:max(params["excitations"], 1)]
     artifact = "solve_spectrum.csv"
     textio.write_csv(outdir / artifact, ("index", "energy"), enumerate(energies))
     lines = [f"ground energy {energies[0]!r}"]
@@ -214,21 +242,21 @@ def _run_incremental(config: ExperimentConfig,
     stock = incremental.default_config(scenario)
     j_z = stock.j_z if params["j_z"] is None else float(params["j_z"])
     per_step = (stock.lanczos_per_step if params["lanczos_per_step"] is None
-                else int(params["lanczos_per_step"]))
+                else params["lanczos_per_step"])
     start = None
     if params["start_pattern"] is not None:
-        start = spinchain.ProductState.from_string(str(params["start_pattern"]))
+        start = spinchain.ProductState.from_string(params["start_pattern"])
     elif scenario == "random-start":
         start = incremental.alternating_spin_start()
     scenario_config = incremental.ScenarioConfig(
         scenario=scenario,
-        length=int(params["length"]),
+        length=params["length"],
         j_xy=float(params["j_xy"]),
         j_z=j_z,
         lanczos_per_step=per_step,
-        dlambda_fractions=int(params["dlambda_fractions"]),
+        dlambda_fractions=params["dlambda_fractions"],
         start_state=start,
-        descending_order=bool(params["descending_order"]),
+        descending_order=params["descending_order"],
     )
     record = incremental.run_incremental(scenario_config)
     artifact = SCENARIO_ARTIFACTS[scenario]
@@ -248,10 +276,10 @@ def _run_noise_sweep(config: ExperimentConfig,
         "etas": [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1], "trials": 32,
     }, "noise-sweep")
     rows = noise.mae_sweep(
-        int(params["block_size"]),
-        [int(c) for c in params["block_counts"]],
+        params["block_size"],
+        params["block_counts"],
         [float(e) for e in params["etas"]],
-        trials=int(params["trials"]),
+        trials=params["trials"],
         base_seed=config.seed,
     )
     summary = noise.summarize_sweep(rows)
@@ -275,10 +303,9 @@ def _run_nonhermitian_demo(config: ExperimentConfig,
     params = _require(config.parameters, {
         "dimension": 64, "width": 2, "max_iter": None,
     }, "nonhermitian-demo")
-    dim = int(params["dimension"])
-    width = int(params["width"])
-    max_iter = params["max_iter"]
-    max_iter = 2 * dim if max_iter is None else int(max_iter)
+    dim = params["dimension"]
+    width = params["width"]
+    max_iter = 2 * dim if params["max_iter"] is None else params["max_iter"]
     rng = np.random.default_rng(config.seed)
     mat = rng.standard_normal((dim, dim))
     op = nonhermitian.GeneralOperator.from_matrix(mat)
@@ -307,8 +334,8 @@ def _run_cost_table(config: ExperimentConfig,
     rows = []
     lines = []
     for q in params["q_values"]:
-        sweep = noise.cost_sweep(int(q))
-        rows.extend((int(q), group, cost) for group, cost in sweep)
+        sweep = noise.cost_sweep(q)
+        rows.extend((q, group, cost) for group, cost in sweep)
         best_group, best_cost = min(sweep, key=lambda item: item[1])
         lines.append(f"q={q}: best group size {best_group} (cost {best_cost!r})")
     textio.write_csv(outdir / "cost_table.csv", ("q", "group_size", "cost"), rows)

@@ -1,10 +1,12 @@
-"""Single-vector Lanczos recursion in exact-arithmetic emulation.
+"""Hermitian Lanczos recursion in exact-arithmetic emulation.
 
-Builds an orthonormal Krylov basis of a Hermitian chain Hamiltonian with the
-three-term recurrence, re-orthogonalizing every new vector against the whole
-basis so that the classical floating-point loss of orthogonality cannot
-contaminate the coefficients. The projected operator is tridiagonal; its
-eigenpairs give Ritz energies and reconstruction weights for excited states.
+One private body advances d orthonormal Krylov vectors per step,
+re-orthogonalizing against the whole basis (two passes) so that the
+floating-point loss of orthogonality cannot contaminate the coefficients.
+It keeps the basis as the rows of one C-order ``(cap, dim)`` buffer.
+:func:`lanczos_run` is its width-1 run, whose tridiagonal eigenpairs give
+Ritz energies and reconstruction weights for excited states;
+:func:`blocklanczos.block.block_lanczos_run` is its width-d run.
 """
 
 from __future__ import annotations
@@ -116,13 +118,6 @@ class EigenpairReconstruction:
         object.__setattr__(self, "energy", float(self.energy))
 
 
-def working_array(amps: np.ndarray) -> np.ndarray:
-    """The amplitudes as float64 when purely real, else as complex128."""
-    if np.all(np.imag(amps) == 0.0):
-        return np.asarray(np.real(amps), dtype=np.float64)
-    return np.asarray(amps, dtype=np.complex128)
-
-
 def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
     """Uninitialized Krylov basis buffer.
 
@@ -144,6 +139,76 @@ def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
         ) from err
 
 
+def _gram_schmidt_factor(
+    residual: np.ndarray, rows: np.ndarray, deflation_tol: float
+) -> np.ndarray:
+    """Factor residual = Q_new @ B: writes the orthonormal columns of Q_new
+    to the leading rows of ``rows`` and returns the echelon B, (kept, cols).
+
+    Columns are orthogonalized left to right (two passes); a column whose
+    remainder falls below ``deflation_tol`` is deflated: its projection
+    coefficients stay in B but it adds no row. No rows: all deflated.
+    """
+    cols = residual.shape[1]
+    b = np.zeros((cols, cols), dtype=residual.dtype)
+    kept = 0
+    for j in range(cols):
+        r = residual[:, j].copy()
+        for _ in range(2):
+            for i in range(kept):
+                c = np.vdot(rows[i], r)
+                r -= c * rows[i]
+                b[i, j] += c
+        nrm = float(np.linalg.norm(r))
+        if nrm >= deflation_tol:  # else a dependent direction: projections only
+            b[kept, j] = nrm
+            rows[kept] = r / nrm
+            kept += 1
+    return b[:kept]
+
+
+def _hermitian_recursion(
+    spec: HamiltonianSpec, start: np.ndarray, max_iter: int, tol: float
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Up to ``max_iter`` expansions from the orthonormal ``(dim, width)``
+    ``start``: the Hermitized diagonal blocks, the coupling blocks and the
+    ``(dim, k)`` basis, Krylov vectors as columns, float64 for a real start.
+    A remainder that deflates below ``tol`` ends the run (invariant space).
+    """
+    real = np.all(np.imag(start) == 0.0)
+    psi = np.ascontiguousarray(np.real(start) if real else start,
+                               dtype=np.float64 if real else np.complex128)
+    dim, width = psi.shape
+    basis = allocate_basis((min((max_iter + 1) * width, dim), dim), psi.dtype)
+    basis[:width] = psi.T
+    hi = width
+    a_blocks: list[np.ndarray] = []
+    b_blocks: list[np.ndarray] = []
+
+    for n in range(max_iter + 1):
+        h_psi = spinchain.apply_to_array(spec, psi)
+        a = psi.conj().T @ h_psi
+        a = 0.5 * (a + a.conj().T)  # exact Hermiticity, kills roundoff skew
+        a_blocks.append(a)
+        if n == max_iter or hi >= dim:
+            break
+        # np.dot scales by a 1x1 block as by a scalar, @ runs a slow gemv
+        residual = h_psi - np.dot(psi, a)
+        if n > 0:
+            residual -= np.dot(prev, b_blocks[n - 1].conj().T)
+        stack, dual = basis[:hi], basis[:hi].conj()
+        for _ in range(2):
+            residual -= ((dual @ residual).T @ stack).T
+        b = _gram_schmidt_factor(residual, basis[hi:], tol)
+        if b.shape[0] == 0:
+            break  # invariant subspace: clean termination
+        b_blocks.append(b)
+        prev, psi = psi, basis[hi : hi + b.shape[0]].T
+        hi += b.shape[0]
+
+    return a_blocks, b_blocks, basis[:hi].T
+
+
 def lanczos_run(
     spec: HamiltonianSpec,
     start: StateVector,
@@ -152,11 +217,11 @@ def lanczos_run(
 ) -> tuple[TridiagonalCoefficients, np.ndarray]:
     """Run the three-term recursion from ``start`` for up to ``max_iter`` expansions.
 
-    Each expansion applies H once, subtracts the projections onto the two
-    previous vectors, then re-orthogonalizes against the entire basis (two
-    passes) before normalizing. Stops early when the residual norm falls
-    below ``breakdown_tol``: the Krylov space has become invariant. The
-    realized expansion count is ``len(coeffs.betas)``.
+    The width-1 run of the shared recursion: each expansion applies H once,
+    subtracts the projections onto the two previous vectors, re-orthogonalizes
+    against the entire basis (two passes) and normalizes. It stops early when
+    the residual norm falls below ``breakdown_tol``: the Krylov space has
+    become invariant. The realized expansion count is ``len(coeffs.betas)``.
 
     Returns the coefficient table and the orthonormal basis as a
     ``(dim, len(coeffs.alphas))`` array whose columns are the Krylov
@@ -168,40 +233,15 @@ def lanczos_run(
         raise ValueError(f"start has {start.length} sites but spec has {spec.length}")
     start.require_normalized(1e-10)
 
-    dim = spec.dim
-    v0 = working_array(start.amplitudes)
-    cap = min(max_iter + 1, dim)
-    # rows are Krylov vectors: keeps the reorthogonalization BLAS-contiguous
-    basis = allocate_basis((cap, dim), v0.dtype)
-    basis[0] = v0
-    alphas: list[float] = []
-    betas: list[float] = []
-
-    for n in range(cap):
-        hv = spinchain.apply_to_array(spec, basis[n])
-        alphas.append(float(np.real(np.vdot(basis[n], hv))))
-        if n == max_iter or n + 1 == dim:
-            break
-        w = hv - alphas[n] * basis[n]
-        if n > 0:
-            w -= betas[n - 1] * basis[n - 1]
-        for _ in range(2):
-            w -= basis[: n + 1].T @ (basis[: n + 1].conj() @ w)
-        beta = float(np.linalg.norm(w))
-        if beta < breakdown_tol:
-            break
-        betas.append(beta)
-        basis[n + 1] = w / beta
-
-    kept = len(alphas)
-    coeffs = TridiagonalCoefficients(np.array(alphas), np.array(betas))
-    return coeffs, basis[:kept].T
+    a_blocks, b_blocks, basis = _hermitian_recursion(
+        spec, start.amplitudes[:, None], max_iter, breakdown_tol)
+    # 1x1 blocks: the Hermitized A is exactly real, B is the residual norm
+    alphas, betas = (np.array(blocks).real.ravel() for blocks in (a_blocks, b_blocks))
+    return TridiagonalCoefficients(alphas, betas), basis
 
 
 def ritz_values(coeffs: TridiagonalCoefficients) -> np.ndarray:
     """Ascending eigenvalues of the projected tridiagonal operator."""
-    if coeffs.size == 1:
-        return coeffs.alphas.copy()
     return sla.eigh_tridiagonal(coeffs.alphas, coeffs.betas, eigvals_only=True)
 
 
@@ -213,13 +253,7 @@ def tridiagonal_eigensolve(
     The weight vectors are the orthonormal eigenvectors of the tridiagonal
     matrix expressed in the Krylov basis.
     """
-    if coeffs.size == 0:  # unreachable through the type, kept as a guard
-        raise ValueError("no coefficients to diagonalize")
-    if coeffs.size == 1:
-        values = coeffs.alphas.copy()
-        vectors = np.ones((1, 1))
-    else:
-        values, vectors = sla.eigh_tridiagonal(coeffs.alphas, coeffs.betas)
+    values, vectors = sla.eigh_tridiagonal(coeffs.alphas, coeffs.betas)
     return [
         EigenpairReconstruction(g, vectors[:, g], float(values[g]))
         for g in range(values.size)

@@ -370,6 +370,26 @@ class TestErrorHandling:
         assert out.startswith("error: ")
         assert "Krylov basis" in out and "bytes" in out
 
+    @pytest.mark.parametrize("command, assignment", [
+        ("solve", "length=null"),
+        ("solve", "length=[1]"),
+        ("solve", "excitations=null"),
+        ("noise-sweep", "etas=5"),
+        ("noise-sweep", "block_counts=[]"),
+    ])
+    def test_wrong_parameter_type_is_config_error(self, tmp_path, capsys,
+                                                  command, assignment):
+        path = write_config(tmp_path / "config.json", {
+            "command": command, "output_dir": str(tmp_path / "out")})
+        assert cli.main(["--config", path,
+                         "--set", f"{command}.{assignment}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("config error: ")
+        parameter = assignment.partition("=")[0]
+        assert f"command {command!r}" in captured.out
+        assert f"parameter {parameter!r}" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_config_file_not_mutated(self, tmp_path, capsys):
         path = solve_config(tmp_path)
         before = open(path, "rb").read()

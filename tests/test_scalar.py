@@ -76,6 +76,11 @@ class TestLanczosRun:
         assert coeffs.betas.size == 0
         assert coeffs.alphas[0] == pytest.approx(vals[0], abs=1e-10)
         assert basis.shape[1] == 1
+        # a size-1 table solves to its single entry with unit weight, exactly
+        assert np.array_equal(scalar.ritz_values(coeffs), coeffs.alphas)
+        (rec,) = scalar.tridiagonal_eigensolve(coeffs)
+        assert rec.energy == coeffs.alphas[0]
+        assert np.array_equal(rec.gammas, [1.0])
 
     def test_two_site_hand_values(self):
         spec = sc.build_xxz(2, 1.0, 1.0)
@@ -250,3 +255,63 @@ class TestResidualNorm:
         e = np.real(v.inner(sc.apply_hamiltonian(spec, v)))
         r = scalar.residual_norm(spec, v, float(e))
         assert 0.0 <= r <= np.max(np.abs(sc.eigenvalues(spec))) * 2
+
+
+def textbook_lanczos(spec, start, max_iter, breakdown_tol=1e-10):
+    """Reference three-term recursion: one vector per step, two full
+    reorthogonalization passes, Krylov vectors as the rows of one buffer.
+    Returns (alphas, betas, basis) with the vectors as basis columns."""
+    dim = spec.dim
+    v0 = start.amplitudes
+    if np.all(v0.imag == 0.0):
+        v0 = v0.real.astype(np.float64)
+    cap = min(max_iter + 1, dim)
+    basis = np.empty((cap, dim), dtype=v0.dtype)
+    basis[0] = v0
+    alphas, betas = [], []
+    for n in range(cap):
+        hv = sc.apply_to_array(spec, basis[n])
+        alphas.append(float(np.real(np.vdot(basis[n], hv))))
+        if n == max_iter or n + 1 == dim:
+            break
+        w = hv - alphas[n] * basis[n]
+        if n > 0:
+            w -= betas[n - 1] * basis[n - 1]
+        for _ in range(2):
+            w -= basis[: n + 1].T @ (basis[: n + 1].conj() @ w)
+        beta = float(np.linalg.norm(w))
+        if beta < breakdown_tol:
+            break
+        betas.append(beta)
+        basis[n + 1] = w / beta
+    return np.array(alphas), np.array(betas), basis[: len(alphas)].T
+
+
+def operator_scale(spec):
+    """Norm bound of a chain: |constant| + sum 0.5|c| (XX+YY) or 0.25|c| (ZZ)."""
+    return abs(spec.constant) + sum(
+        (0.25 if term.kind == sc.ZZ_KIND else 0.5) * abs(term.coefficient)
+        for term in spec.terms
+    )
+
+
+class TestTextbookReference:
+    @pytest.mark.parametrize("complex_start", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("length", range(3, 9))
+    def test_run_matches_textbook_recursion(self, length, complex_start):
+        # budgeted runs: two formulations of one recursion agree to
+        # round-off only until a Ritz value converges (see criterion 6)
+        rng = np.random.default_rng(1000 + length)
+        for _ in range(3):
+            spec = sc.build_xxz(length, rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
+            start = sc.random_state_vector(length, rng, complex_amplitudes=complex_start)
+            max_iter = min(16, spec.dim // 2)
+            alphas, betas, basis = textbook_lanczos(spec, start, max_iter)
+            coeffs, got_basis = scalar.lanczos_run(spec, start, max_iter)
+            bound = 1e-12 * operator_scale(spec)
+            assert coeffs.alphas.shape == alphas.shape
+            assert coeffs.betas.shape == betas.shape
+            assert np.max(np.abs(coeffs.alphas - alphas)) <= bound
+            assert np.max(np.abs(coeffs.betas - betas), initial=0.0) <= bound
+            assert got_basis.dtype == basis.dtype
+            assert np.max(np.abs(got_basis - basis)) <= 1e-12
