@@ -6,7 +6,8 @@ real diagonal. The triangular gauge makes the coupling block invertible
 whenever no deflation occurs, so the recursion step amounts to a stable
 triangular solve. Residual columns whose norm drops below the deflation
 tolerance are removed and the block narrows; coupling blocks then become
-rectangular and the assembly handles ragged widths.
+rectangular and the assembly handles ragged widths. The assembly is a
+plain dense ndarray, Hermitian by construction.
 
 The recursion itself is the Hermitian body in :mod:`blocklanczos.scalar`,
 which stores the Krylov vectors as the rows of one ``(cap, dim)`` buffer;
@@ -63,9 +64,9 @@ class BlockCoefficients:
     ``a_blocks[n]`` is the Hermitian diagonal block of iteration n;
     ``b_blocks[n]`` couples iteration n to n+1 and, in the gauge produced by
     :func:`block_lanczos_run`, is upper-triangular (upper-trapezoidal after
-    deflation) with non-negative real diagonal. Only Hermiticity and length
-    consistency are validated so that externally perturbed coefficient sets
-    remain representable.
+    deflation) with non-negative real diagonal. Only Hermiticity (within
+    1e-12) and shape consistency are validated, so the perturbed and
+    synthetic coefficient sets of :mod:`blocklanczos.noise` use this type too.
     """
 
     a_blocks: tuple[np.ndarray, ...]
@@ -83,8 +84,8 @@ class BlockCoefficients:
         for n, a in enumerate(a_blocks):
             if a.shape[0] != a.shape[1]:
                 raise ValueError(f"diagonal block {n} is not square: {a.shape}")
-            if np.max(np.abs(a - a.conj().T)) > 1e-10:
-                raise ValueError(f"diagonal block {n} is not Hermitian within 1e-10")
+            if np.max(np.abs(a - a.conj().T)) > 1e-12:
+                raise ValueError(f"diagonal block {n} is not Hermitian within 1e-12")
         for n, b in enumerate(b_blocks):
             expected = (a_blocks[n + 1].shape[0], a_blocks[n].shape[0])
             if b.shape != expected:
@@ -125,29 +126,6 @@ class BlockCoefficients:
     def load(cls, path: str | Path) -> BlockCoefficients:
         groups = textio.read_named_sections(path, ("A", "B"))
         return cls(tuple(groups["A"]), tuple(groups["B"]))
-
-
-@dataclass(frozen=True, eq=False)
-class BlockTridiagonalMatrix:
-    """Dense Hermitian assembly of the projected operator."""
-
-    matrix: np.ndarray
-    widths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"assembly must be square, got {mat.shape}")
-        if sum(self.widths) != mat.shape[0]:
-            raise ValueError("block widths do not sum to the matrix dimension")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValueError("assembly is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "widths", tuple(self.widths))
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -242,24 +220,23 @@ def _assemble(
     return mat
 
 
-def assemble_block_tridiagonal(coeffs: BlockCoefficients) -> BlockTridiagonalMatrix:
+def assemble_block_tridiagonal(coeffs: BlockCoefficients) -> np.ndarray:
     """Dense assembly: diagonal blocks on the diagonal, couplings below,
-    conjugate-transposed couplings above, exact zeros elsewhere."""
+    conjugate-transposed couplings above, exact zeros elsewhere. Hermitian
+    up to the diagonal blocks' skew, which ``BlockCoefficients`` bounds."""
     upper = tuple(b.conj().T for b in coeffs.b_blocks)
-    return BlockTridiagonalMatrix(
-        _assemble(coeffs.a_blocks, coeffs.b_blocks, upper), coeffs.widths
-    )
+    return _assemble(coeffs.a_blocks, coeffs.b_blocks, upper)
 
 
 def block_ritz_values(coeffs: BlockCoefficients) -> np.ndarray:
     """Ascending eigenvalues of the assembled projected operator."""
-    return np.linalg.eigvalsh(assemble_block_tridiagonal(coeffs).matrix)
+    return np.linalg.eigvalsh(assemble_block_tridiagonal(coeffs))
 
 
-def block_eigensolve(mat: BlockTridiagonalMatrix) -> list[EigenpairReconstruction]:
-    """All eigenpairs of the assembly, ascending; weights indexed in
+def block_eigensolve(mat: np.ndarray) -> list[EigenpairReconstruction]:
+    """All eigenpairs of an assembly, ascending; weights indexed in
     (block, column) flattened assembly order."""
-    values, vectors = np.linalg.eigh(mat.matrix)
+    values, vectors = np.linalg.eigh(mat)
     return [
         EigenpairReconstruction(g, vectors[:, g], float(values[g]))
         for g in range(values.size)

@@ -153,6 +153,25 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
 # JSON types of the parameters whose default is null
 _NULLABLE_TYPES = {"max_iter": int, "j_z": float, "lanczos_per_step": int,
                    "start_pattern": str}
+# the values a string parameter may take
+_CHOICES = {"scenario": incremental.SCENARIOS}
+
+# Every parameter of each command with its default: ``run`` merges the
+# config's values into these, and refuses bad ones, before it creates the
+# output directory.
+_DEFAULTS: dict[str, dict[str, Any]] = {
+    "solve": {"length": 2, "j_xy": 1.0, "j_z": 1.0, "block_size": 1,
+              "max_iter": None, "excitations": 1},
+    "incremental": {"scenario": "small", "length": 10, "j_xy": 1.0,
+                    "j_z": None, "lanczos_per_step": None,
+                    "dlambda_fractions": 1, "start_pattern": None,
+                    "descending_order": False},
+    "noise-sweep": {"block_size": 20, "block_counts": list(range(4, 21)),
+                    "etas": [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1],
+                    "trials": 32},
+    "nonhermitian-demo": {"dimension": 64, "width": 2, "max_iter": None},
+    "cost-table": {"q_values": [4, 40]},
+}
 
 
 def _has_type(value: Any, kind: type) -> bool:
@@ -162,11 +181,12 @@ def _has_type(value: Any, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _require(params: dict[str, Any], allowed: dict[str, Any],
-             command: str) -> dict[str, Any]:
-    """Merge defaults with params, rejecting unknown keys and values of the
-    wrong JSON type: the type of the default, a non-empty list of the
-    default's item type, or, for a null default, null or its listed type."""
+def _require(params: dict[str, Any], command: str) -> dict[str, Any]:
+    """Merge the command's defaults with params, rejecting unknown keys and
+    values of the wrong JSON type: the type of the default, a non-empty list
+    of the default's item type, or, for a null default, null or its listed
+    type. A parameter listed in ``_CHOICES`` must also be one of its choices."""
+    allowed = _DEFAULTS[command]
     for key, value in params.items():
         if key not in allowed:
             raise ConfigError(
@@ -183,6 +203,9 @@ def _require(params: dict[str, Any], allowed: dict[str, Any],
             kind = type(default) if default is not None else _NULLABLE_TYPES[key]
             ok = _has_type(value, kind) or (default is None and value is None)
             expected = _TYPE_NAMES[kind] + (" or null" if default is None else "")
+        if ok and key in _CHOICES:
+            ok = value in _CHOICES[key]
+            expected = f"one of {json.dumps(list(_CHOICES[key]))}"
         if not ok:
             raise ConfigError(f"command {command!r}: parameter {key!r} must be "
                               f"{expected}, got {json.dumps(value)}")
@@ -191,11 +214,8 @@ def _require(params: dict[str, Any], allowed: dict[str, Any],
     return merged
 
 
-def _run_solve(config: ExperimentConfig, outdir: Path) -> tuple[list[str], list[str]]:
-    params = _require(config.parameters, {
-        "length": 2, "j_xy": 1.0, "j_z": 1.0, "block_size": 1,
-        "max_iter": None, "excitations": 1,
-    }, "solve")
+def _run_solve(config: ExperimentConfig, params: dict[str, Any],
+               outdir: Path) -> tuple[list[str], list[str]]:
     spec = spinchain.build_xxz(params["length"], float(params["j_xy"]),
                                float(params["j_z"]))
     width = params["block_size"]
@@ -226,19 +246,9 @@ def _run_solve(config: ExperimentConfig, outdir: Path) -> tuple[list[str], list[
     return lines, [artifact]
 
 
-def _run_incremental(config: ExperimentConfig,
+def _run_incremental(config: ExperimentConfig, params: dict[str, Any],
                      outdir: Path) -> tuple[list[str], list[str]]:
-    params = _require(config.parameters, {
-        "scenario": "small", "length": 10, "j_xy": 1.0, "j_z": None,
-        "lanczos_per_step": None, "dlambda_fractions": 1,
-        "start_pattern": None, "descending_order": False,
-    }, "incremental")
     scenario = params["scenario"]
-    if scenario not in incremental.SCENARIOS:
-        raise ConfigError(
-            f"command 'incremental': scenario must be one of "
-            f"{incremental.SCENARIOS}, got {scenario!r}"
-        )
     stock = incremental.default_config(scenario)
     j_z = stock.j_z if params["j_z"] is None else float(params["j_z"])
     per_step = (stock.lanczos_per_step if params["lanczos_per_step"] is None
@@ -269,12 +279,8 @@ def _run_incremental(config: ExperimentConfig,
     return lines, [artifact]
 
 
-def _run_noise_sweep(config: ExperimentConfig,
+def _run_noise_sweep(config: ExperimentConfig, params: dict[str, Any],
                      outdir: Path) -> tuple[list[str], list[str]]:
-    params = _require(config.parameters, {
-        "block_size": 20, "block_counts": list(range(4, 21)),
-        "etas": [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1], "trials": 32,
-    }, "noise-sweep")
     rows = noise.mae_sweep(
         params["block_size"],
         params["block_counts"],
@@ -298,11 +304,8 @@ def _run_noise_sweep(config: ExperimentConfig,
     return lines, ["noise_sweep.csv", "noise_summary.csv", "slope_report.txt"]
 
 
-def _run_nonhermitian_demo(config: ExperimentConfig,
+def _run_nonhermitian_demo(config: ExperimentConfig, params: dict[str, Any],
                            outdir: Path) -> tuple[list[str], list[str]]:
-    params = _require(config.parameters, {
-        "dimension": 64, "width": 2, "max_iter": None,
-    }, "nonhermitian-demo")
     dim = params["dimension"]
     width = params["width"]
     max_iter = 2 * dim if params["max_iter"] is None else params["max_iter"]
@@ -328,9 +331,8 @@ def _run_nonhermitian_demo(config: ExperimentConfig,
     return lines, ["nonhermitian_spectrum.csv", "nonhermitian_coefficients.txt"]
 
 
-def _run_cost_table(config: ExperimentConfig,
+def _run_cost_table(config: ExperimentConfig, params: dict[str, Any],
                     outdir: Path) -> tuple[list[str], list[str]]:
-    params = _require(config.parameters, {"q_values": [4, 40]}, "cost-table")
     rows = []
     lines = []
     for q in params["q_values"]:
@@ -365,10 +367,11 @@ def run(config_path: str | Path, overrides: Sequence[str] = (),
         if seed is not None:
             data["seed"] = seed
         config = ExperimentConfig.from_dict(data, str(config_path))
+        params = _require(config.parameters, config.command)
         outdir = Path(config.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        lines, artifacts = _RUNNERS[config.command](config, outdir)
+        lines, artifacts = _RUNNERS[config.command](config, params, outdir)
         elapsed = time.perf_counter() - started
         manifest = {
             "command": config.command,

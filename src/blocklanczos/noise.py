@@ -1,8 +1,9 @@
 """Coefficient-noise error propagation and sampling-cost models.
 
-Synthetic block tridiagonal problems (entries uniform on [0, 1], diagonal
-blocks symmetrized) stand in for recursion output; Gaussian noise of width
-eta perturbs every stored coefficient entry, and the mean absolute error
+Synthetic problems stand in for recursion output: ``BlockCoefficients``
+with entries uniform on [0, 1] and symmetrized diagonal blocks. Gaussian
+noise of width eta perturbs every stored coefficient entry, both sets go
+through the recursion's own block assembly, and the mean absolute error
 between the sorted clean and perturbed spectra measures the damage. A
 bernoulli shot-count sampler models estimating a coefficient as a success
 probability, and a small cost formula scores grouped operator application
@@ -37,97 +38,54 @@ class NoiseModel:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
 
 
-@dataclass(frozen=True, eq=False)
-class SyntheticBlockProblem:
+def synthetic_problem(block_size: int, block_count: int,
+                      seed: int) -> block.BlockCoefficients:
     """Random block tridiagonal coefficients mimicking recursion output.
 
-    block_size 1 is the scalar case; diagonal blocks are symmetrized so the
-    assembly stays Hermitian with a real spectrum.
+    Entries are drawn uniformly from [0, 1], diagonal blocks first; the
+    diagonal blocks are symmetrized so the assembly has a real spectrum.
+    block_size 1 is the scalar case.
     """
-
-    block_size: int
-    block_count: int
-    a_blocks: tuple[np.ndarray, ...]
-    b_blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if self.block_size < 1 or self.block_count < 1:
-            raise ValueError("block_size and block_count must be >= 1")
-        a = tuple(np.atleast_2d(np.asarray(m, dtype=np.float64))
-                  for m in self.a_blocks)
-        b = tuple(np.atleast_2d(np.asarray(m, dtype=np.float64))
-                  for m in self.b_blocks)
-        if len(a) != self.block_count or len(b) != self.block_count - 1:
-            raise ValueError(
-                f"expected {self.block_count} diagonal and "
-                f"{self.block_count - 1} coupling blocks, got {len(a)}, {len(b)}"
-            )
-        d = self.block_size
-        for m in (*a, *b):
-            if m.shape != (d, d):
-                raise ValueError(f"blocks must be {d}x{d}, got {m.shape}")
-        for n, m in enumerate(a):
-            if np.max(np.abs(m - m.T)) > 1e-12:
-                raise ValueError(f"diagonal block {n} is not symmetric")
-        object.__setattr__(self, "a_blocks", a)
-        object.__setattr__(self, "b_blocks", b)
-
-    @property
-    def dimension(self) -> int:
-        return self.block_size * self.block_count
-
-    @classmethod
-    def generate(cls, block_size: int, block_count: int,
-                 seed: int) -> SyntheticBlockProblem:
-        """Draw entries uniformly from [0, 1]; symmetrize the diagonal blocks."""
-        rng = np.random.default_rng(seed)
-        d = block_size
-        a_blocks = []
-        for _ in range(block_count):
-            raw = rng.uniform(0.0, 1.0, size=(d, d))
-            a_blocks.append((raw + raw.T) / 2.0)
-        b_blocks = [rng.uniform(0.0, 1.0, size=(d, d))
-                    for _ in range(block_count - 1)]
-        return cls(block_size, block_count, tuple(a_blocks), tuple(b_blocks))
-
-
-def clean_assembly(problem: SyntheticBlockProblem) -> np.ndarray:
-    coeffs = block.BlockCoefficients(problem.a_blocks, problem.b_blocks)
-    return block.assemble_block_tridiagonal(coeffs).matrix
+    if block_size < 1 or block_count < 1:
+        raise ValueError("block_size and block_count must be >= 1")
+    rng = np.random.default_rng(seed)
+    d = block_size
+    a_blocks = []
+    for _ in range(block_count):
+        raw = rng.uniform(0.0, 1.0, size=(d, d))
+        a_blocks.append((raw + raw.T) / 2.0)
+    b_blocks = [rng.uniform(0.0, 1.0, size=(d, d))
+                for _ in range(block_count - 1)]
+    return block.BlockCoefficients(tuple(a_blocks), tuple(b_blocks))
 
 
 def perturb_coefficients(
-    problem: SyntheticBlockProblem, noise: NoiseModel
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Add Gaussian(0, eta) noise entrywise; diagonal-block noise is
-    symmetrized so the perturbed assembly stays Hermitian. eta = 0 returns
-    the coefficients unchanged, bit for bit."""
+    problem: block.BlockCoefficients, noise: NoiseModel
+) -> block.BlockCoefficients:
+    """Add Gaussian(0, eta) noise entrywise, diagonal blocks first;
+    diagonal-block noise is symmetrized so the perturbed assembly stays
+    Hermitian. eta = 0 returns ``problem`` itself."""
     if noise.eta == 0.0:
-        return problem.a_blocks, problem.b_blocks
+        return problem
     rng = np.random.default_rng(noise.seed)
-    d = problem.block_size
     a_noisy = []
     for a in problem.a_blocks:
-        g = noise.eta * rng.standard_normal((d, d))
+        g = noise.eta * rng.standard_normal(a.shape)
         a_noisy.append(a + (g + g.T) / 2.0)
-    b_noisy = [b + noise.eta * rng.standard_normal((d, d))
+    b_noisy = [b + noise.eta * rng.standard_normal(b.shape)
                for b in problem.b_blocks]
-    return tuple(a_noisy), tuple(b_noisy)
+    return block.BlockCoefficients(tuple(a_noisy), tuple(b_noisy))
 
 
 def perturbed_assemblies(
-    problem: SyntheticBlockProblem, noise: NoiseModel
+    problem: block.BlockCoefficients, noise: NoiseModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """(clean, noisy) Hermitian assemblies for the same problem."""
-    clean = clean_assembly(problem)
-    a_noisy, b_noisy = perturb_coefficients(problem, noise)
-    noisy = block.assemble_block_tridiagonal(
-        block.BlockCoefficients(a_noisy, b_noisy)
-    ).matrix
-    return clean, noisy
+    return (block.assemble_block_tridiagonal(problem),
+            block.assemble_block_tridiagonal(perturb_coefficients(problem, noise)))
 
 
-def perturb_and_mae(problem: SyntheticBlockProblem, noise: NoiseModel) -> float:
+def perturb_and_mae(problem: block.BlockCoefficients, noise: NoiseModel) -> float:
     """Mean absolute eigenvalue error between clean and perturbed spectra,
     paired in sorted order."""
     clean, noisy = perturbed_assemblies(problem, noise)
@@ -180,6 +138,8 @@ def oaa_cost(model: CostModel) -> float:
 
 def cost_sweep(q: int) -> list[tuple[int, float]]:
     """oaa_cost for every group size 1..q."""
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
     return [(d, oaa_cost(CostModel(q, d))) for d in range(1, q + 1)]
 
 
@@ -223,7 +183,7 @@ def mae_sweep(
     for count in block_counts:
         for trial in range(trials):
             seed = trial_seed(base_seed, block_size, count, trial)
-            problem = SyntheticBlockProblem.generate(block_size, count, seed)
+            problem = synthetic_problem(block_size, count, seed)
             for eta_index, eta in enumerate(etas):
                 noise = NoiseModel(eta, noise_seed(seed, eta_index))
                 rows.append(SweepRow(
@@ -336,19 +296,14 @@ def sampled_energy_errors(
         errors = []
         for trial in range(trials):
             seed = trial_seed(base_seed, 1, block_count, trial)
-            problem = SyntheticBlockProblem.generate(1, block_count, seed)
-            clean = clean_assembly(problem)
-            exact = float(np.linalg.eigvalsh(clean)[0])
-            sample_rng_seed = noise_seed(seed, shots_index)
-            rng = np.random.default_rng(sample_rng_seed)
-            sampled = clean.copy()
-            for i in range(block_count):
-                sampled[i, i] = rng.binomial(shots, clean[i, i]) / shots
-            for i in range(block_count - 1):
-                est = rng.binomial(shots, clean[i, i + 1]) / shots
-                sampled[i, i + 1] = est
-                sampled[i + 1, i] = est
-            energy = float(np.linalg.eigvalsh(sampled)[0])
+            problem = synthetic_problem(1, block_count, seed)
+            exact = float(block.block_ritz_values(problem)[0])
+            rng = np.random.default_rng(noise_seed(seed, shots_index))
+            sampled = block.BlockCoefficients(
+                tuple(rng.binomial(shots, a) / shots for a in problem.a_blocks),
+                tuple(rng.binomial(shots, b) / shots for b in problem.b_blocks),
+            )
+            energy = float(block.block_ritz_values(sampled)[0])
             errors.append(abs(energy - exact))
         results.append((int(shots), float(np.mean(errors))))
     return results

@@ -1,5 +1,10 @@
-"""Shared pytest wiring: the hypothesis profile and acceptance criteria
-report lines.
+"""Shared pytest wiring: the BLAS thread pin, the hypothesis profile and
+acceptance criteria report lines.
+
+OpenBLAS, OpenMP and MKL are pinned to one thread before anything imports
+numpy, so results and timings do not depend on the core count or on other
+load; numpy already loaded would make the pin silently void, so that
+stops the run.
 
 Property tests run under one derandomized hypothesis profile with no
 example database, so every run draws the same examples. Hypothesis still
@@ -12,9 +17,19 @@ test_acceptance.py registers one line per criterion through
 the end of every run, so the pass/fail lines are visible without ``-s``.
 """
 
+import os
+import sys
 import tempfile
 
-from hypothesis import configuration, settings
+if "numpy" in sys.modules:
+    raise RuntimeError(
+        "numpy was imported before tests/conftest.py could pin the BLAS "
+        "thread count to 1"
+    )
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+from hypothesis import configuration, settings  # noqa: E402
 
 settings.register_profile(
     "tier1", derandomize=True, database=None, deadline=None, max_examples=100

@@ -165,7 +165,7 @@ def test_criterion_06_width_one_block_matches_scalar():
         assert depth >= 2
         for k in range(depth + 1):
             got = np.sort(np.linalg.eigvalsh(
-                block.assemble_block_tridiagonal(b_coeffs.prefix(k)).matrix))
+                block.assemble_block_tridiagonal(b_coeffs.prefix(k))))
             want = scalar.ritz_values(s_coeffs.prefix(k))
             worst = max(worst, float(np.max(np.abs(got - want))))
             compared += 1
@@ -254,7 +254,7 @@ def test_criterion_08_two_sided_recovers_general_spectra():
         for k in range(min(two.iterations, one.iterations) + 1):
             got = np.sort(nonhermitian.t_eigenvalues(two.prefix(k)).real)
             want = np.sort(np.linalg.eigvalsh(
-                block.assemble_block_tridiagonal(one.prefix(k)).matrix))
+                block.assemble_block_tridiagonal(one.prefix(k))))
             worst_hermitian = max(worst_hermitian,
                                   float(np.max(np.abs(got - want))))
     ok = (worst_spectrum < 1e-6 and worst_defect < 1e-8

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, strategies as st
 
 from blocklanczos import block, scalar, spinchain as sc
 
@@ -39,6 +40,10 @@ class TestBlockCoefficients:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             block.BlockCoefficients((bad,), ())
+        # skew above 1e-12 is refused: the assembly copies A blocks verbatim
+        slight = np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            block.BlockCoefficients((slight,), ())
 
     def test_shape_consistency(self):
         a0 = np.eye(2)
@@ -227,8 +232,8 @@ class TestAssembly:
     def test_single_block(self):
         a0 = np.array([[1.0, 0.5], [0.5, 2.0]])
         mat = block.assemble_block_tridiagonal(block.BlockCoefficients((a0,), ()))
-        assert np.array_equal(mat.matrix, a0)
-        assert mat.dimension == 2
+        assert np.array_equal(mat, a0)
+        assert mat.shape == (2, 2)
 
     def test_scalar_assembly_matches_tridiagonal(self):
         rng = np.random.default_rng(3)
@@ -236,26 +241,36 @@ class TestAssembly:
         v = sc.random_state_vector(4, rng)
         coeffs_s, _ = scalar.lanczos_run(spec, v, max_iter=6)
         coeffs_b, _ = block.block_lanczos_run(spec, v.amplitudes[:, None], max_iter=6)
-        assembled = block.assemble_block_tridiagonal(coeffs_b).matrix
+        assembled = block.assemble_block_tridiagonal(coeffs_b)
         assert np.max(np.abs(assembled - coeffs_s.matrix())) < 1e-10
 
-    def test_band_structure_and_hermiticity(self):
-        rng = np.random.default_rng(19)
-        a_blocks, b_blocks = [], []
-        for n in range(6):
-            a = rng.standard_normal((3, 3))
-            a_blocks.append(0.5 * (a + a.T))
-            if n:
-                b_blocks.append(np.triu(rng.standard_normal((3, 3))))
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_band_structure_and_hermiticity(self, widths, complex_entries, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(rows, cols):
+            m = rng.standard_normal((rows, cols))
+            return m + 1j * rng.standard_normal((rows, cols)) if complex_entries else m
+
+        a_blocks = []
+        for w in widths:
+            a = draw(w, w)
+            a_blocks.append(0.5 * (a + a.conj().T))
+        b_blocks = [np.triu(draw(w1, w0)) for w0, w1 in zip(widths, widths[1:])]
         coeffs = block.BlockCoefficients(tuple(a_blocks), tuple(b_blocks))
-        mat = block.assemble_block_tridiagonal(coeffs).matrix
-        assert np.max(np.abs(mat - mat.T)) == 0.0
+        mat = block.assemble_block_tridiagonal(coeffs)
+        assert mat.shape == (sum(widths),) * 2
+        assert np.array_equal(mat, mat.conj().T)
         # blocks beyond the tridiagonal band are exactly zero
-        for i in range(6):
-            for j in range(6):
+        offsets = np.concatenate([[0], np.cumsum(widths)])
+        for i in range(len(widths)):
+            for j in range(len(widths)):
+                sub = mat[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]]
                 if abs(i - j) >= 2:
-                    sub = mat[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
                     assert np.all(sub == 0.0)
+                elif i == j + 1:
+                    assert np.array_equal(sub, b_blocks[j])
         dense_vals = np.linalg.eigvalsh(mat)
         assert np.max(np.abs(block.block_ritz_values(coeffs) - dense_vals)) < 1e-12
 
@@ -265,7 +280,7 @@ class TestAssembly:
         b1 = np.arange(6.0).reshape(2, 3)
         mat = block.assemble_block_tridiagonal(
             block.BlockCoefficients((a0, a1), (b1,))
-        ).matrix
+        )
         assert mat.shape == (5, 5)
         assert np.array_equal(mat[3:, :3], b1)
         assert np.array_equal(mat[:3, 3:], b1.T)

@@ -157,6 +157,7 @@ class TestIncrementalCommand:
         })
         assert cli.main(["--config", path]) == 2
         assert "sideways" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
 
 class TestNoiseSweepCommand:
@@ -218,6 +219,16 @@ class TestCostTableCommand:
         assert len(rows) == 5
         assert float(rows[1][2]) == 4.0  # group size 1 applies all 4 singly
         assert abs(float(rows[4][2]) - 4.0 * 2 ** 0.5) < 1e-12
+
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_nonpositive_q_exit_1(self, tmp_path, capsys, q):
+        path = write_config(tmp_path / "config.json", {
+            "command": "cost-table",
+            "output_dir": str(tmp_path / "out"),
+            "cost-table": {"q_values": [4, q]},
+        })
+        assert cli.main(["--config", path]) == 1
+        assert capsys.readouterr().out == f"error: q must be >= 1, got {q}\n"
 
 
 class TestManifest:
@@ -321,6 +332,7 @@ class TestErrorHandling:
         path = solve_config(tmp_path, typo_field=3)
         assert cli.main(["--config", str(path)]) == 2
         assert "typo_field" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
     def test_module_error_exit_1(self, tmp_path, capsys):
         # length above the exact-reference cap trips a module ValueError
@@ -389,6 +401,7 @@ class TestErrorHandling:
         assert f"command {command!r}" in captured.out
         assert f"parameter {parameter!r}" in captured.out
         assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_not_mutated(self, tmp_path, capsys):
         path = solve_config(tmp_path)

@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from blocklanczos import noise
+from blocklanczos import block
 from blocklanczos.textio import write_csv
 from blocklanczos.noise import (
     CostModel,
@@ -13,7 +13,6 @@ from blocklanczos.noise import (
     NoiseModel,
     SUMMARY_HEADER,
     SWEEP_HEADER,
-    SyntheticBlockProblem,
     cost_sweep,
     fit_loglog_slope,
     fit_summary,
@@ -27,6 +26,7 @@ from blocklanczos.noise import (
     sampled_energy_errors,
     slope_report,
     summarize_sweep,
+    synthetic_problem,
 )
 
 import reference_values as ref
@@ -42,8 +42,11 @@ class TestNoiseModel:
 
 
 class TestSyntheticBlockProblem:
+    """synthetic_problem draws BlockCoefficients; BlockCoefficients
+    validates them."""
+
     def test_generate_shapes_and_ranges(self):
-        problem = SyntheticBlockProblem.generate(3, 5, seed=0)
+        problem = synthetic_problem(3, 5, seed=0)
         assert len(problem.a_blocks) == 5
         assert len(problem.b_blocks) == 4
         assert problem.dimension == 15
@@ -55,8 +58,8 @@ class TestSyntheticBlockProblem:
             assert np.all((b >= 0.0) & (b <= 1.0))
 
     def test_generate_reproducible(self):
-        one = SyntheticBlockProblem.generate(2, 4, seed=42)
-        two = SyntheticBlockProblem.generate(2, 4, seed=42)
+        one = synthetic_problem(2, 4, seed=42)
+        two = synthetic_problem(2, 4, seed=42)
         for x, y in zip(one.a_blocks + one.b_blocks,
                         two.a_blocks + two.b_blocks):
             assert np.array_equal(x, y)
@@ -64,50 +67,51 @@ class TestSyntheticBlockProblem:
     def test_validation(self):
         eye = np.eye(2)
         with pytest.raises(ValueError):
-            SyntheticBlockProblem(2, 2, (eye,), (eye,))
+            block.BlockCoefficients((eye,), (eye,))
         with pytest.raises(ValueError):
-            SyntheticBlockProblem(2, 1, (np.array([[0.0, 1.0], [0.0, 0.0]]),), ())
+            block.BlockCoefficients((np.array([[0.0, 1.0], [0.0, 0.0]]),), ())
         with pytest.raises(ValueError):
-            SyntheticBlockProblem(2, 1, (np.eye(3),), ())
+            block.BlockCoefficients((eye, eye), (np.eye(3),))
         with pytest.raises(ValueError):
-            SyntheticBlockProblem(0, 1, (), ())
+            synthetic_problem(0, 1, seed=0)
 
     def test_scalar_case(self):
-        problem = SyntheticBlockProblem.generate(1, 6, seed=3)
+        problem = synthetic_problem(1, 6, seed=3)
         assert problem.dimension == 6
-        assert noise.clean_assembly(problem).shape == (6, 6)
+        assert block.assemble_block_tridiagonal(problem).shape == (6, 6)
 
 
 class TestPerturbCoefficients:
     def test_zero_eta_bit_identical(self):
-        problem = SyntheticBlockProblem.generate(2, 4, seed=1)
-        a_noisy, b_noisy = perturb_coefficients(problem, NoiseModel(0.0, 99))
-        assert a_noisy is problem.a_blocks
-        assert b_noisy is problem.b_blocks
+        problem = synthetic_problem(2, 4, seed=1)
+        assert perturb_coefficients(problem, NoiseModel(0.0, 99)) is problem
 
     def test_diagonal_noise_symmetrized(self):
-        problem = SyntheticBlockProblem.generate(4, 3, seed=2)
-        a_noisy, b_noisy = perturb_coefficients(problem, NoiseModel(1e-2, 5))
-        for a in a_noisy:
+        problem = synthetic_problem(4, 3, seed=2)
+        noisy = perturb_coefficients(problem, NoiseModel(1e-2, 5))
+        for a in noisy.a_blocks:
             assert np.max(np.abs(a - a.T)) < 1e-15
         # coupling-noise is left general
         asym = [np.max(np.abs((b1 - b0) - (b1 - b0).T))
-                for b0, b1 in zip(problem.b_blocks, b_noisy)]
+                for b0, b1 in zip(problem.b_blocks, noisy.b_blocks)]
         assert max(asym) > 0.0
+        mat = block.assemble_block_tridiagonal(noisy)
+        assert np.array_equal(mat, mat.T)
 
     def test_seeded_determinism(self):
-        problem = SyntheticBlockProblem.generate(2, 5, seed=3)
+        problem = synthetic_problem(2, 5, seed=3)
         first = perturb_coefficients(problem, NoiseModel(1e-3, 11))
         second = perturb_coefficients(problem, NoiseModel(1e-3, 11))
-        for x, y in zip(first[0] + first[1], second[0] + second[1]):
+        for x, y in zip(first.a_blocks + first.b_blocks,
+                        second.a_blocks + second.b_blocks):
             assert np.array_equal(x, y)
         other = perturb_coefficients(problem, NoiseModel(1e-3, 12))
-        assert not np.array_equal(first[0][0], other[0][0])
+        assert not np.array_equal(first.a_blocks[0], other.a_blocks[0])
 
     def test_noise_scale_tracks_eta(self):
-        problem = SyntheticBlockProblem.generate(3, 10, seed=4)
+        problem = synthetic_problem(3, 10, seed=4)
         for eta in (1e-4, 1e-2):
-            _, b_noisy = perturb_coefficients(problem, NoiseModel(eta, 6))
+            b_noisy = perturb_coefficients(problem, NoiseModel(eta, 6)).b_blocks
             deltas = np.concatenate([
                 (b1 - b0).ravel() for b0, b1 in zip(problem.b_blocks, b_noisy)
             ])
@@ -116,16 +120,16 @@ class TestPerturbCoefficients:
 
 class TestPerturbAndMae:
     def test_zero_eta_gives_exact_zero(self):
-        problem = SyntheticBlockProblem.generate(4, 6, seed=5)
+        problem = synthetic_problem(4, 6, seed=5)
         assert perturb_and_mae(problem, NoiseModel(0.0, 0)) == 0.0
 
     def test_deterministic(self):
-        problem = SyntheticBlockProblem.generate(2, 6, seed=6)
+        problem = synthetic_problem(2, 6, seed=6)
         model = NoiseModel(1e-3, 13)
         assert perturb_and_mae(problem, model) == perturb_and_mae(problem, model)
 
     def test_matches_sorted_pairing_reimplementation(self):
-        problem = SyntheticBlockProblem.generate(3, 4, seed=7)
+        problem = synthetic_problem(3, 4, seed=7)
         model = NoiseModel(1e-2, 14)
         clean, noisy = perturbed_assemblies(problem, model)
         expected = np.mean(np.abs(
@@ -138,7 +142,7 @@ class TestPerturbAndMae:
     def test_weyl_bound(self, seed):
         # Sorted-pair eigenvalue error never exceeds the spectral norm of
         # the Hermitian perturbation.
-        problem = SyntheticBlockProblem.generate(3, 5, seed=seed)
+        problem = synthetic_problem(3, 5, seed=seed)
         model = NoiseModel(1e-2, seed + 100)
         clean, noisy = perturbed_assemblies(problem, model)
         mae = perturb_and_mae(problem, model)
@@ -188,6 +192,9 @@ class TestCostModel:
             CostModel(4, 0)
         with pytest.raises(ValueError):
             CostModel(4, 5)
+        for q in (0, -3):
+            with pytest.raises(ValueError, match=f"q must be >= 1, got {q}"):
+                cost_sweep(q)
 
     def test_single_group_value(self):
         assert oaa_cost(CostModel(4, 1)) == 4.0

@@ -206,7 +206,7 @@ class TestAssembleT:
         q, _ = np.linalg.qr(rng.standard_normal((32, 2)))
         coeffs, _ = two_sided_block_run(op, q, q.copy(), max_iter=6)
         herm = block.BlockCoefficients(coeffs.a_blocks, coeffs.b_blocks)
-        herm_mat = block.assemble_block_tridiagonal(herm).matrix
+        herm_mat = block.assemble_block_tridiagonal(herm)
         assert np.max(np.abs(assemble_t(coeffs) - herm_mat)) < 1e-12
 
 
@@ -315,7 +315,7 @@ class TestTwoSidedRun:
             got = np.sort(t_eigenvalues(two.prefix(k)).real)
             want = np.sort(
                 np.linalg.eigvalsh(
-                    block.assemble_block_tridiagonal(one.prefix(k)).matrix
+                    block.assemble_block_tridiagonal(one.prefix(k))
                 )
             )
             assert np.max(np.abs(got - want)) < 1e-8
