@@ -64,8 +64,8 @@ class BlockCoefficients:
     ``a_blocks[n]`` is the Hermitian diagonal block of iteration n;
     ``b_blocks[n]`` couples iteration n to n+1 and, in the gauge produced by
     :func:`block_lanczos_run`, is upper-triangular (upper-trapezoidal after
-    deflation) with non-negative real diagonal. Only Hermiticity (within
-    1e-12) and shape consistency are validated, so the perturbed and
+    deflation) with non-negative real diagonal. Only finiteness, Hermiticity
+    (within 1e-12) and shape consistency are validated, so the perturbed and
     synthetic coefficient sets of :mod:`blocklanczos.noise` use this type too.
     """
 
@@ -84,7 +84,10 @@ class BlockCoefficients:
         for n, a in enumerate(a_blocks):
             if a.shape[0] != a.shape[1]:
                 raise ValueError(f"diagonal block {n} is not square: {a.shape}")
-            if np.max(np.abs(a - a.conj().T)) > 1e-12:
+            # NaN-safe: a non-finite entry makes the skew NaN (inf - inf)
+            if not np.max(np.abs(a - a.conj().T)) <= 1e-12:
+                if not np.isfinite(a).all():
+                    raise ValueError(f"diagonal block {n} has a non-finite entry")
                 raise ValueError(f"diagonal block {n} is not Hermitian within 1e-12")
         for n, b in enumerate(b_blocks):
             expected = (a_blocks[n + 1].shape[0], a_blocks[n].shape[0])
@@ -92,6 +95,8 @@ class BlockCoefficients:
                 raise ValueError(
                     f"coupling block {n} has shape {b.shape}, expected {expected}"
                 )
+            if not np.isfinite(b).all():
+                raise ValueError(f"coupling block {n} has a non-finite entry")
         object.__setattr__(self, "a_blocks", a_blocks)
         object.__setattr__(self, "b_blocks", b_blocks)
 

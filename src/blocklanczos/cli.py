@@ -355,7 +355,13 @@ _RUNNERS = {
 
 def run(config_path: str | Path, overrides: Sequence[str] = (),
         output_dir: str | None = None, seed: int | None = None) -> int:
-    """Execute one experiment; returns a process exit status."""
+    """Execute one experiment; returns a process exit status.
+
+    A refused run (status 1 or 2) removes the output directory, and any
+    parents, that it created and left empty; a directory that existed
+    before the run is never touched.
+    """
+    created: list[Path] = []
     try:
         data = load_config_file(config_path)
         if not isinstance(data, dict):
@@ -369,6 +375,7 @@ def run(config_path: str | Path, overrides: Sequence[str] = (),
         config = ExperimentConfig.from_dict(data, str(config_path))
         params = _require(config.parameters, config.command)
         outdir = Path(config.output_dir)
+        created = [p for p in (outdir, *outdir.parents) if not p.exists()]
         outdir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
         lines, artifacts = _RUNNERS[config.command](config, params, outdir)
@@ -393,10 +400,16 @@ def run(config_path: str | Path, overrides: Sequence[str] = (),
         return 0
     except ConfigError as err:
         print(f"config error: {err}")
-        return 2
+        status = 2
     except (ValueError, nonhermitian.SeriousBreakdownError) as err:
         print(f"error: {err}")
-        return 1
+        status = 1
+    for path in created:  # deepest first; stops at the first non-empty one
+        try:
+            path.rmdir()
+        except OSError:
+            break
+    return status
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -5,6 +5,8 @@ with entries uniform on [0, 1] and symmetrized diagonal blocks. Gaussian
 noise of width eta perturbs every stored coefficient entry, both sets go
 through the recursion's own block assembly, and the mean absolute error
 between the sorted clean and perturbed spectra measures the damage. A
+sweep solves each problem's clean spectrum once and reuses it for every
+eta; eta = 0 costs no eigensolve, since its error is exactly 0. A
 bernoulli shot-count sampler models estimating a coefficient as a success
 probability, and a small cost formula scores grouped operator application
 by auxiliary-register count.
@@ -34,8 +36,8 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self) -> None:
-        if not self.eta >= 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
 
 
 def synthetic_problem(block_size: int, block_count: int,
@@ -85,12 +87,20 @@ def perturbed_assemblies(
             block.assemble_block_tridiagonal(perturb_coefficients(problem, noise)))
 
 
-def perturb_and_mae(problem: block.BlockCoefficients, noise: NoiseModel) -> float:
+def perturb_and_mae(problem: block.BlockCoefficients, noise: NoiseModel,
+                    reference: np.ndarray | None = None) -> float:
     """Mean absolute eigenvalue error between clean and perturbed spectra,
-    paired in sorted order."""
-    clean, noisy = perturbed_assemblies(problem, noise)
-    reference = np.linalg.eigvalsh(clean)
-    perturbed = np.linalg.eigvalsh(noisy)
+    paired in sorted order.
+
+    ``reference`` is the clean spectrum, ``block.block_ritz_values(problem)``
+    when omitted; a caller perturbing one problem many times passes it in so
+    it is solved once. eta = 0 returns exactly 0.0 without an eigensolve.
+    """
+    if noise.eta == 0.0:
+        return 0.0
+    if reference is None:
+        reference = block.block_ritz_values(problem)
+    perturbed = block.block_ritz_values(perturb_coefficients(problem, noise))
     return float(np.mean(np.abs(perturbed - reference)))
 
 
@@ -173,9 +183,9 @@ def mae_sweep(
 ) -> list[SweepRow]:
     """MAE of every (block_count, eta, trial) grid point.
 
-    One synthetic problem is drawn per (block_count, trial); every eta
-    perturbs that same problem with its own noise stream, so the eta trend
-    is measured on common ground.
+    One synthetic problem is drawn per (block_count, trial) and its clean
+    spectrum solved once; every eta perturbs that same problem with its own
+    noise stream, so the eta trend is measured on common ground.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -184,11 +194,12 @@ def mae_sweep(
         for trial in range(trials):
             seed = trial_seed(base_seed, block_size, count, trial)
             problem = synthetic_problem(block_size, count, seed)
+            reference = block.block_ritz_values(problem)
             for eta_index, eta in enumerate(etas):
                 noise = NoiseModel(eta, noise_seed(seed, eta_index))
                 rows.append(SweepRow(
                     block_size, count, float(eta), seed,
-                    perturb_and_mae(problem, noise),
+                    perturb_and_mae(problem, noise, reference),
                 ))
     return rows
 
@@ -285,19 +296,22 @@ def sampled_energy_errors(
 ) -> list[tuple[int, float]]:
     """Ground-energy error when every scalar coefficient is shot-sampled.
 
-    Each trial draws a scalar (block_size 1) synthetic problem whose
-    coefficients lie in [0, 1] and therefore double as success
-    probabilities; every coefficient is replaced by a Bernoulli estimate at
-    the given shot count and the tridiagonal ground value is compared with
-    the exact one. Returns (shots, mean absolute error) pairs.
+    Each trial draws a scalar (block_size 1) synthetic problem, and solves
+    its exact ground value, once for all shot counts. The coefficients lie
+    in [0, 1] and therefore double as success probabilities; every
+    coefficient is replaced by a Bernoulli estimate at the given shot count
+    and the tridiagonal ground value is compared with the exact one.
+    Returns (shots, mean absolute error) pairs.
     """
+    problems = []
+    for trial in range(trials):
+        seed = trial_seed(base_seed, 1, block_count, trial)
+        problem = synthetic_problem(1, block_count, seed)
+        problems.append((seed, problem, float(block.block_ritz_values(problem)[0])))
     results = []
     for shots_index, shots in enumerate(shots_list):
         errors = []
-        for trial in range(trials):
-            seed = trial_seed(base_seed, 1, block_count, trial)
-            problem = synthetic_problem(1, block_count, seed)
-            exact = float(block.block_ritz_values(problem)[0])
+        for seed, problem, exact in problems:
             rng = np.random.default_rng(noise_seed(seed, shots_index))
             sampled = block.BlockCoefficients(
                 tuple(rng.binomial(shots, a) / shots for a in problem.a_blocks),

@@ -12,6 +12,9 @@ caches the constants it reads from local source files under its home
 directory; that home is a per-session temporary directory, so no run
 writes a ``.hypothesis/`` directory into the tree.
 
+The ``eigvalsh_calls`` fixture counts ``np.linalg.eigvalsh`` calls, so a
+test can pin how many dense eigensolves a routine makes.
+
 test_acceptance.py registers one line per criterion through
 ``record_criterion``; the hook below reprints them as a summary section at
 the end of every run, so the pass/fail lines are visible without ``-s``.
@@ -29,6 +32,7 @@ if "numpy" in sys.modules:
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
+import pytest  # noqa: E402
 from hypothesis import configuration, settings  # noqa: E402
 
 settings.register_profile(
@@ -41,6 +45,22 @@ def pytest_configure(config):
     home = tempfile.TemporaryDirectory(prefix="hypothesis-")
     config.add_cleanup(home.cleanup)
     configuration.set_hypothesis_home_dir(home.name)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """A list that gains one entry per ``np.linalg.eigvalsh`` call."""
+    import numpy as np
+
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
 
 
 CRITERION_LINES: list[str] = []

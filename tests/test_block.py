@@ -45,6 +45,18 @@ class TestBlockCoefficients:
         with pytest.raises(ValueError, match="Hermitian"):
             block.BlockCoefficients((slight,), ())
 
+    def test_non_finite_entries_refused(self):
+        # a NaN or inf entry makes the skew NaN, which the bound must refuse
+        for bad in (np.array([[0.0, np.nan], [1.0, 0.0]]), np.diag([np.inf, 0.0])):
+            with pytest.raises(ValueError,
+                               match="diagonal block 0 has a non-finite entry"):
+                block.BlockCoefficients((bad,), ())
+        eye = np.eye(2)
+        inf_b = np.array([[1.0, -np.inf], [0.0, 1.0]])
+        with pytest.raises(ValueError,
+                           match="coupling block 1 has a non-finite entry"):
+            block.BlockCoefficients((eye, eye, eye), (eye, inf_b))
+
     def test_shape_consistency(self):
         a0 = np.eye(2)
         a1 = np.eye(2)

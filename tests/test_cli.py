@@ -229,6 +229,7 @@ class TestCostTableCommand:
         })
         assert cli.main(["--config", path]) == 1
         assert capsys.readouterr().out == f"error: q must be >= 1, got {q}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestManifest:
@@ -365,7 +366,7 @@ class TestErrorHandling:
         for fragment in ("12 sites", "dimension 4096", f"{4096**2 * 8} bytes",
                          "solve.max_iter"):
             assert fragment in out
-        assert not (tmp_path / "out" / "solve_spectrum.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_explicit_max_iter_above_cap(self, tmp_path, capsys):
         path = solve_config(tmp_path, length=12, max_iter=40)
@@ -402,6 +403,49 @@ class TestErrorHandling:
         assert f"parameter {parameter!r}" in captured.out
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("etas, fragment", [
+        ("[1e308,1e-3]", "has a non-finite entry"),
+        ("[1e-3,Infinity]", "eta must be finite and >= 0, got inf"),
+        ("[NaN]", "eta must be finite and >= 0, got nan"),
+    ])
+    def test_non_finite_noise_refused(self, tmp_path, capsys, etas, fragment):
+        # 1e308 * N(0, 1) overflows, so the noisy coefficients hold inf/NaN
+        path = write_config(tmp_path / "config.json", {
+            "command": "noise-sweep",
+            "output_dir": str(tmp_path / "out"),
+            "noise-sweep": {"block_size": 4, "block_counts": [4], "trials": 1},
+        })
+        assert cli.main(["--config", path,
+                         "--set", f"noise-sweep.etas={etas}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error: ")
+        assert fragment in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_refusal_removes_created_parents(self, tmp_path, capsys):
+        path = write_config(tmp_path / "config.json", {
+            "command": "cost-table",
+            "output_dir": str(tmp_path / "a" / "b" / "out"),
+            "cost-table": {"q_values": [0]},
+        })
+        assert cli.main(["--config", path]) == 1
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("keep", [[], ["notes.txt"]])
+    def test_refusal_keeps_existing_directory(self, tmp_path, capsys, keep):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        for name in keep:
+            (outdir / name).write_text("kept\n")
+        path = write_config(tmp_path / "config.json", {
+            "command": "cost-table",
+            "output_dir": str(outdir / "sub"),
+            "cost-table": {"q_values": [0]},
+        })
+        assert cli.main(["--config", path]) == 1
+        assert sorted(os.listdir(outdir)) == keep
 
     def test_config_file_not_mutated(self, tmp_path, capsys):
         path = solve_config(tmp_path)

@@ -13,11 +13,13 @@ from blocklanczos.noise import (
     NoiseModel,
     SUMMARY_HEADER,
     SWEEP_HEADER,
+    SweepRow,
     cost_sweep,
     fit_loglog_slope,
     fit_summary,
     load_sweep_csv,
     mae_sweep,
+    noise_seed,
     oaa_cost,
     perturb_and_mae,
     perturb_coefficients,
@@ -27,6 +29,7 @@ from blocklanczos.noise import (
     slope_report,
     summarize_sweep,
     synthetic_problem,
+    trial_seed,
 )
 
 import reference_values as ref
@@ -39,6 +42,11 @@ class TestNoiseModel:
 
     def test_zero_eta_allowed(self):
         assert NoiseModel(0.0, 7).eta == 0.0
+
+    @pytest.mark.parametrize("eta", [np.inf, np.nan])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            NoiseModel(eta, 0)
 
 
 class TestSyntheticBlockProblem:
@@ -119,9 +127,19 @@ class TestPerturbCoefficients:
 
 
 class TestPerturbAndMae:
-    def test_zero_eta_gives_exact_zero(self):
+    def test_zero_eta_gives_exact_zero(self, eigvalsh_calls):
         problem = synthetic_problem(4, 6, seed=5)
         assert perturb_and_mae(problem, NoiseModel(0.0, 0)) == 0.0
+        assert eigvalsh_calls == []
+
+    def test_given_reference_skips_clean_solve(self, eigvalsh_calls):
+        problem = synthetic_problem(3, 4, seed=8)
+        model = NoiseModel(1e-3, 15)
+        reference = block.block_ritz_values(problem)
+        given = perturb_and_mae(problem, model, reference)
+        assert len(eigvalsh_calls) == 2
+        assert given == perturb_and_mae(problem, model)
+        assert len(eigvalsh_calls) == 4
 
     def test_deterministic(self):
         problem = synthetic_problem(2, 6, seed=6)
@@ -211,7 +229,37 @@ class TestCostModel:
         assert 1 < best_group < 40
 
 
+def per_eta_sweep(block_size, block_counts, etas, trials, base_seed):
+    """The sweep with the clean problem assembled and solved again next to
+    every noisy one, eta = 0 included: the reference for ``mae_sweep``."""
+    rows = []
+    for count in block_counts:
+        for trial in range(trials):
+            seed = trial_seed(base_seed, block_size, count, trial)
+            problem = synthetic_problem(block_size, count, seed)
+            for eta_index, eta in enumerate(etas):
+                model = NoiseModel(eta, noise_seed(seed, eta_index))
+                clean, noisy = perturbed_assemblies(problem, model)
+                mae = float(np.mean(np.abs(
+                    np.linalg.eigvalsh(noisy) - np.linalg.eigvalsh(clean))))
+                rows.append(SweepRow(block_size, count, float(eta), seed, mae))
+    return rows
+
+
+# eta = 0 twice and a repeated positive eta, each with its own noise stream
+SWEEP_ETAS = [0.0, 1e-4, 1e-2, 1e-4, 0.0]
+
+
 class TestSweep:
+    def test_matches_per_eta_reference(self):
+        rows = mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
+        assert rows == per_eta_sweep(4, [3, 5], SWEEP_ETAS, 3, 7)
+
+    def test_one_clean_solve_per_problem(self, eigvalsh_calls):
+        mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
+        positive = sum(eta > 0.0 for eta in SWEEP_ETAS)
+        assert len(eigvalsh_calls) == 2 * 3 * (1 + positive)
+
     def test_row_grid(self):
         rows = mae_sweep(2, [3, 4], [0.0, 1e-3], trials=2, base_seed=1)
         assert len(rows) == 2 * 2 * 2
@@ -293,3 +341,24 @@ class TestSampledEnergyErrors:
         assert sampled_energy_errors([1000], trials=4) == sampled_energy_errors(
             [1000], trials=4
         )
+
+    def test_matches_per_shots_reference(self, eigvalsh_calls):
+        # reference: redraw and re-solve every trial's problem per shot count
+        shots_list, trials, count = [10, 1000, 10**5], 4, 6
+        expected = []
+        for shots_index, shots in enumerate(shots_list):
+            errors = []
+            for trial in range(trials):
+                seed = trial_seed(0, 1, count, trial)
+                problem = synthetic_problem(1, count, seed)
+                exact = float(block.block_ritz_values(problem)[0])
+                rng = np.random.default_rng(noise_seed(seed, shots_index))
+                sampled = block.BlockCoefficients(
+                    tuple(rng.binomial(shots, a) / shots for a in problem.a_blocks),
+                    tuple(rng.binomial(shots, b) / shots for b in problem.b_blocks),
+                )
+                errors.append(abs(float(block.block_ritz_values(sampled)[0]) - exact))
+            expected.append((shots, float(np.mean(errors))))
+        eigvalsh_calls.clear()
+        assert sampled_energy_errors(shots_list, trials, count) == expected
+        assert len(eigvalsh_calls) == trials * (1 + len(shots_list))
