@@ -81,14 +81,16 @@ class BlockCoefficients:
             raise ValueError(
                 f"expected {len(a_blocks) - 1} coupling blocks, got {len(b_blocks)}"
             )
-        for n, a in enumerate(a_blocks):
-            if a.shape[0] != a.shape[1]:
-                raise ValueError(f"diagonal block {n} is not square: {a.shape}")
-            # NaN-safe: a non-finite entry makes the skew NaN (inf - inf)
-            if not np.max(np.abs(a - a.conj().T)) <= 1e-12:
-                if not np.isfinite(a).all():
-                    raise ValueError(f"diagonal block {n} has a non-finite entry")
-                raise ValueError(f"diagonal block {n} is not Hermitian within 1e-12")
+        # NaN-safe: a non-finite entry makes the skew NaN (inf - inf); numpy's
+        # warnings about it are silenced, since the refusals name the fault
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, a in enumerate(a_blocks):
+                if a.shape[0] != a.shape[1]:
+                    raise ValueError(f"diagonal block {n} is not square: {a.shape}")
+                if not np.max(np.abs(a - a.conj().T)) <= 1e-12:
+                    if not np.isfinite(a).all():
+                        raise ValueError(f"diagonal block {n} has a non-finite entry")
+                    raise ValueError(f"diagonal block {n} is not Hermitian within 1e-12")
         for n, b in enumerate(b_blocks):
             expected = (a_blocks[n + 1].shape[0], a_blocks[n].shape[0])
             if b.shape != expected:

@@ -374,6 +374,8 @@ def run(config_path: str | Path, overrides: Sequence[str] = (),
             data["seed"] = seed
         config = ExperimentConfig.from_dict(data, str(config_path))
         params = _require(config.parameters, config.command)
+        if config.command == "noise-sweep":
+            noise.check_fittable_etas(params["etas"])
         outdir = Path(config.output_dir)
         created = [p for p in (outdir, *outdir.parents) if not p.exists()]
         outdir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from blocklanczos import block
 
@@ -71,11 +70,13 @@ def perturb_coefficients(
         return problem
     rng = np.random.default_rng(noise.seed)
     a_noisy = []
-    for a in problem.a_blocks:
-        g = noise.eta * rng.standard_normal(a.shape)
-        a_noisy.append(a + (g + g.T) / 2.0)
-    b_noisy = [b + noise.eta * rng.standard_normal(b.shape)
-               for b in problem.b_blocks]
+    # a huge eta overflows to inf/NaN; BlockCoefficients refuses those by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in problem.a_blocks:
+            g = noise.eta * rng.standard_normal(a.shape)
+            a_noisy.append(a + (g + g.T) / 2.0)
+        b_noisy = [b + noise.eta * rng.standard_normal(b.shape)
+                   for b in problem.b_blocks]
     return block.BlockCoefficients(tuple(a_noisy), tuple(b_noisy))
 
 
@@ -240,6 +241,9 @@ def summarize_sweep(rows: list[SweepRow]) -> list[SummaryRow]:
     ]
 
 
+_TOO_FEW_FIT_POINTS = "need at least two positive-eta points to fit"
+
+
 @dataclass(frozen=True)
 class FitResult:
     slope: float
@@ -251,17 +255,28 @@ def fit_loglog_slope(etas: np.ndarray, maes: np.ndarray) -> FitResult:
     """Least-squares slope of log10(mae) against log10(eta).
 
     Zero etas (exact points) carry no scaling information and are excluded.
+    The arithmetic is ``scipy.stats.linregress``'s, so the fit matches it
+    bit for bit: identical etas raise ``ValueError``, and constant maes give
+    slope 0 and ``r_squared`` NaN.
     """
     etas = np.asarray(etas, dtype=np.float64)
     maes = np.asarray(maes, dtype=np.float64)
     keep = etas > 0.0
     if np.count_nonzero(keep) < 2:
-        raise ValueError("need at least two positive-eta points to fit")
+        raise ValueError(_TOO_FEW_FIT_POINTS)
     if np.any(maes[keep] <= 0.0):
         raise ValueError("positive-eta points must have positive mae")
-    fit = stats.linregress(np.log10(etas[keep]), np.log10(maes[keep]))
-    return FitResult(float(fit.slope), float(fit.intercept),
-                     float(fit.rvalue) ** 2)
+    x, y = np.log10(etas[keep]), np.log10(maes[keep])
+    if np.amax(x) == np.amin(x):
+        raise ValueError("cannot fit a slope: all positive etas are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0.0 else 0.0
+    else:
+        r = float(np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0))
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    return FitResult(float(slope), float(intercept), r**2)
 
 
 def fit_summary(rows: list[SummaryRow]) -> dict[tuple[int, int], FitResult]:
@@ -276,6 +291,16 @@ def fit_summary(rows: list[SummaryRow]) -> dict[tuple[int, int], FitResult]:
         )
         for key, group in grouped.items()
     }
+
+
+def check_fittable_etas(etas: list[float]) -> None:
+    """Refuse, before any eigensolve, an eta list whose sweep cannot be
+    fitted: every eta must be a valid ``NoiseModel`` width, and at least two
+    distinct ones positive (the summary merges repeated etas)."""
+    for eta in etas:
+        NoiseModel(float(eta), 0)
+    if len({float(eta) for eta in etas if eta > 0.0}) < 2:
+        raise ValueError(_TOO_FEW_FIT_POINTS)
 
 
 def slope_report(fits: dict[tuple[int, int], FitResult]) -> str:

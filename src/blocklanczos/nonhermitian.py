@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from blocklanczos import textio
 from blocklanczos.block import _assemble
@@ -303,6 +302,9 @@ def two_sided_block_run(
 def match_spectra(computed: np.ndarray, reference: np.ndarray) -> float:
     """Largest paired distance under the pairing of two complex multisets
     that minimizes the summed distance. Lengths must agree."""
+    # deferred: only spectrum matching loads scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     computed = np.asarray(computed, dtype=np.complex128).ravel()
     reference = np.asarray(reference, dtype=np.complex128).ravel()
     if computed.size != reference.size:

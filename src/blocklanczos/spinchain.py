@@ -29,10 +29,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FLIP_KIND = "XX+YY"
 ZZ_KIND = "ZZ"
@@ -310,6 +312,8 @@ def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
     not strided views of the basis bits, so the two routes cross-validate
     each other.
     """
+    import scipy.sparse as sp  # deferred: only the oracle loads scipy.sparse
+
     mat = spec.constant * sp.identity(spec.dim, dtype=np.complex128, format="csr")
     for term in spec.terms:  # in spec order
         pair = _ZZ_PAIR if term.kind == ZZ_KIND else _FLIP_PAIR
@@ -355,6 +359,8 @@ def _lowest_eigenpair(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
     from a fixed-seed vector so that earlier ARPACK calls cannot change it.
     A spec whose terms are all zero is ``constant * I`` (ARPACK rejects the
     zero matrix): it gets ``constant`` and basis state 0, as dense eigh does."""
+    from scipy.sparse.linalg import eigsh  # deferred, as in sparse_matrix
+
     mat = _oracle_matrix(spec)
     if not any(term.coefficient for term in spec.terms):
         return spec.constant, np.eye(1, spec.dim)[0]

@@ -3,11 +3,23 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import blocklanczos
 from blocklanczos import cli, spinchain
+
+
+def fresh_python(*args, **kwargs):
+    """Run a new interpreter that imports this checkout's package."""
+    src = str(Path(blocklanczos.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 def write_config(path, data):
@@ -404,6 +416,7 @@ class TestErrorHandling:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("etas, fragment", [
         ("[1e308,1e-3]", "has a non-finite entry"),
         ("[1e-3,Infinity]", "eta must be finite and >= 0, got inf"),
@@ -422,6 +435,30 @@ class TestErrorHandling:
         assert captured.out.startswith("error: ")
         assert fragment in captured.out
         assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_noise_prints_only_the_error(self, tmp_path):
+        path = write_config(tmp_path / "config.json", {
+            "command": "noise-sweep",
+            "output_dir": str(tmp_path / "out"),
+            "noise-sweep": {"block_size": 4, "block_counts": [4], "trials": 1,
+                            "etas": [1e308, 1e-3]},
+        })
+        result = fresh_python("-m", "blocklanczos", "--config", path,
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        assert result.returncode == 1
+        assert result.stdout == "error: diagonal block 0 has a non-finite entry\n"
+
+    @pytest.mark.parametrize("etas", ["[0.0,1e-3]", "[1e-3]", "[1e-3,1e-3,0]"])
+    def test_unfittable_noise_sweep_refused_before_sweeping(
+            self, tmp_path, capsys, eigvalsh_calls, etas):
+        path = write_config(tmp_path / "config.json", {
+            "command": "noise-sweep", "output_dir": str(tmp_path / "out")})
+        assert cli.main(["--config", path,
+                         "--set", f"noise-sweep.etas={etas}"]) == 1
+        assert capsys.readouterr().out == (
+            "error: need at least two positive-eta points to fit\n")
+        assert eigvalsh_calls == []
         assert not (tmp_path / "out").exists()
 
     def test_refusal_removes_created_parents(self, tmp_path, capsys):
@@ -461,3 +498,21 @@ class TestErrorHandling:
         assert cli.main(["--config", path]) == 0
         new_entries = set(os.listdir(tmp_path)) - entries_before
         assert new_entries == {"out"}
+
+
+def test_import_leaves_optional_scipy_unloaded():
+    script = """
+import sys
+import blocklanczos, blocklanczos.cli
+print([m for m in ("scipy.stats", "scipy.sparse", "scipy.optimize")
+       if m in sys.modules])
+from blocklanczos import nonhermitian, spinchain
+print(spinchain.ground_energy(spinchain.build_xxz(4, 1.0, 1.0)).hex())
+print(nonhermitian.match_spectra([1.0, 2j, 3.0], [3.0, 1.0, 2j]))
+"""
+    result = fresh_python("-c", script, capture_output=True, check=True)
+    loaded, energy, mismatch = result.stdout.splitlines()
+    assert loaded == "[]"
+    exact = spinchain.eigenvalues(spinchain.build_xxz(4, 1.0, 1.0))[0]
+    assert float.fromhex(energy) == pytest.approx(exact, abs=1e-12)
+    assert float(mismatch) == 0.0

@@ -1,9 +1,12 @@
 """Tests for coefficient-noise propagation and sampling models."""
 
+import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, strategies as st
 
 from blocklanczos import block
 from blocklanczos.textio import write_csv
@@ -310,6 +313,28 @@ class TestFit:
             fit_loglog_slope(np.array([0.0, 1e-3]), np.array([0.0, 1e-3]))
         with pytest.raises(ValueError):
             fit_loglog_slope(np.array([1e-4, 1e-3]), np.array([0.0, 1e-3]))
+        with pytest.raises(ValueError, match="identical"):
+            fit_loglog_slope(np.array([1e-3, 1e-3]), np.array([1e-3, 2e-3]))
+
+    @given(st.lists(st.tuples(st.floats(1e-12, 1e3), st.floats(1e-12, 1e3)),
+                    min_size=2, max_size=8,
+                    unique_by=lambda point: np.log10(point[0])))
+    def test_matches_linregress_exactly(self, points):
+        etas, maes = map(np.array, zip(*points))
+        reference = scipy.stats.linregress(np.log10(etas), np.log10(maes))
+        fit = fit_loglog_slope(etas, maes)
+        assert np.array_equal(
+            [fit.slope, fit.intercept, fit.r_squared],
+            [reference.slope, reference.intercept, float(reference.rvalue) ** 2],
+            equal_nan=True)
+
+    def test_constant_maes_fit_flat_without_warning(self):
+        etas = np.array([1e-4, 1e-3, 1e-2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_loglog_slope(etas, np.full(3, 1e-3))
+        assert fit.slope == 0.0
+        assert np.isnan(fit.r_squared)
 
     def test_fit_summary_and_report(self):
         rows = mae_sweep(2, [3, 5], [1e-4, 1e-3, 1e-2], trials=8, base_seed=6)
