@@ -28,8 +28,6 @@ from blocklanczos.spinchain import (
     CouplingTerm,
     HamiltonianSpec,
     ProductState,
-    StateVector,
-    apply_hamiltonian,
     build_xxz,
     exact_diagonalize,
     xy_analytic_ground_energy,
@@ -41,8 +39,6 @@ __all__ = [
     "CouplingTerm",
     "HamiltonianSpec",
     "ProductState",
-    "StateVector",
-    "apply_hamiltonian",
     "block_lanczos_run",
     "build_xxz",
     "exact_diagonalize",

@@ -24,12 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from blocklanczos import spinchain, textio
-from blocklanczos.scalar import (
-    EigenpairReconstruction,
-    _hermitian_recursion,
-    reconstruct_state,
-)
-from blocklanczos.spinchain import HamiltonianSpec, StateVector
+from blocklanczos.scalar import _hermitian_recursion, reconstruct_state
+from blocklanczos.spinchain import HamiltonianSpec
 
 DEFAULT_DEFLATION_TOL = 1e-10
 
@@ -51,10 +47,9 @@ def random_orthonormal_block(
 def eigenvector_start(spec: HamiltonianSpec, width: int) -> np.ndarray:
     """The ``width`` lowest exact eigenvectors as columns, the default
     starting block."""
-    _, vecs = spinchain.exact_diagonalize(spec)
-    if width > len(vecs):
-        raise ValueError(f"width {width} exceeds Hilbert-space dimension {len(vecs)}")
-    return np.column_stack([v.amplitudes for v in vecs[:width]])
+    if width > spec.dim:
+        raise ValueError(f"width {width} exceeds Hilbert-space dimension {spec.dim}")
+    return spinchain.exact_diagonalize(spec)[1][:, :width]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +183,7 @@ def block_lanczos_run(
     if dim != spec.dim:
         raise ValueError(f"start has dimension {dim} but spec has {spec.dim}")
     defect = float(np.max(np.abs(start.conj().T @ start - np.eye(width))))
-    if defect > 1e-8:
+    if not defect <= 1e-8:  # NaN-safe: a non-finite start is refused here
         raise ValueError(f"start block not orthonormal: Gram defect {defect:.3e}")
 
     a_blocks, b_blocks, basis = _hermitian_recursion(
@@ -240,26 +235,21 @@ def block_ritz_values(coeffs: BlockCoefficients) -> np.ndarray:
     return np.linalg.eigvalsh(assemble_block_tridiagonal(coeffs))
 
 
-def block_eigensolve(mat: np.ndarray) -> list[EigenpairReconstruction]:
-    """All eigenpairs of an assembly, ascending; weights indexed in
-    (block, column) flattened assembly order."""
-    values, vectors = np.linalg.eigh(mat)
-    return [
-        EigenpairReconstruction(g, vectors[:, g], float(values[g]))
-        for g in range(values.size)
-    ]
+def block_eigensolve(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of an assembly: ascending values and the weight
+    vectors as columns, rows in (block, column) flattened assembly order."""
+    return np.linalg.eigh(mat)
 
 
 def reconstruct_excitations(
-    basis: np.ndarray,
-    recs: list[EigenpairReconstruction],
-    count: int,
-) -> list[StateVector]:
+    basis: np.ndarray, vectors: np.ndarray, count: int
+) -> np.ndarray:
     """The ``count`` lowest states reconstructed from a ``(dim, k)`` block
-    Krylov basis, each normalized."""
+    Krylov basis and the ascending weight columns of :func:`block_eigensolve`:
+    a ``(dim, count)`` array of normalized columns."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if count > len(recs):
-        raise ValueError(f"requested {count} states but only {len(recs)} pairs exist")
-    ordered = sorted(recs, key=lambda r: r.energy)[:count]
-    return [reconstruct_state(basis, rec) for rec in ordered]
+    if count > vectors.shape[1]:
+        raise ValueError(
+            f"requested {count} states but only {vectors.shape[1]} pairs exist")
+    return np.column_stack([reconstruct_state(basis, w) for w in vectors.T[:count]])

@@ -220,6 +220,9 @@ def _run_solve(config: ExperimentConfig, params: dict[str, Any],
                                float(params["j_z"]))
     width = params["block_size"]
     max_iter = params["max_iter"]
+    count = params["excitations"]
+    if count < 1:
+        raise ValueError(f"excitations must be >= 1, got {count}")
     if max_iter is None and spec.dim > SATURATING_SOLVE_DIM_CAP:
         raise ValueError(
             f"solve on {spec.length} sites (dimension {spec.dim}) saturates by "
@@ -231,13 +234,13 @@ def _run_solve(config: ExperimentConfig, params: dict[str, Any],
     rng = np.random.default_rng(config.seed)
     if width == 1:
         start = spinchain.random_state_vector(spec.length, rng)
-        coeffs, basis = scalar.lanczos_run(spec, start, max_iter=max_iter)
-        recs = scalar.tridiagonal_eigensolve(coeffs)
+        coeffs, _ = scalar.lanczos_run(spec, start, max_iter=max_iter)
+        values, _ = scalar.tridiagonal_eigensolve(coeffs)
     else:
         start = block.random_orthonormal_block(spec.length, width, rng)
-        coeffs, basis = block.block_lanczos_run(spec, start, max_iter=max_iter)
-        recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-    energies = sorted(rec.energy for rec in recs)[:max(params["excitations"], 1)]
+        coeffs, _ = block.block_lanczos_run(spec, start, max_iter=max_iter)
+        values, _ = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
+    energies = values[:count].tolist()
     artifact = "solve_spectrum.csv"
     textio.write_csv(outdir / artifact, ("index", "energy"), enumerate(energies))
     lines = [f"ground energy {energies[0]!r}"]

@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from blocklanczos import scalar, spinchain
-from blocklanczos.spinchain import (
-    CouplingTerm,
-    HamiltonianSpec,
-    ProductState,
-    StateVector,
-    ZZ_KIND,
-)
+from blocklanczos.spinchain import CouplingTerm, HamiltonianSpec, ProductState, ZZ_KIND
 
 SCENARIOS = ("small", "large", "random-start")
 CSV_HEADER = ("terms_added", "lambda_fraction", "energy", "delta_vs_exact",
@@ -204,11 +198,10 @@ class ConvergenceRecord:
         return cls(tuple(rows))
 
 
-def _initial_state(config: ScenarioConfig, base: HamiltonianSpec) -> StateVector:
+def _initial_state(config: ScenarioConfig, base: HamiltonianSpec) -> np.ndarray:
     if config.start_state is not None:
         return config.start_state.to_state_vector()
-    _, ground = spinchain.ground_state(base)
-    return ground
+    return spinchain.ground_state(base)[1]
 
 
 def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
@@ -224,7 +217,8 @@ def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
             f"got {config.length}"
         )
     ramp = build_ramp(config)
-    current = _initial_state(config, ramp.base).normalized()
+    current = _initial_state(config, ramp.base)
+    current = current / np.linalg.norm(current)
     rows: list[ConvergenceRow] = []
     count = config.dlambda_fractions
     for term_index in range(len(ramp.additions)):
@@ -238,14 +232,15 @@ def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
             coeffs, basis = scalar.lanczos_run(
                 working, current, max_iter=config.lanczos_per_step
             )
-            ground = scalar.tridiagonal_eigensolve(coeffs)[0]
-            current = scalar.reconstruct_state(basis, ground)
+            values, vectors = scalar.tridiagonal_eigensolve(coeffs)
+            energy = float(values[0])
+            current = scalar.reconstruct_state(basis, vectors[:, 0])
             exact = spinchain.ground_energy(working)
             rows.append(ConvergenceRow(
                 terms_added=terms_added,
                 lambda_fraction=fraction,
-                energy=ground.energy,
-                delta_vs_exact=ground.energy - exact,
+                energy=energy,
+                delta_vs_exact=energy - exact,
                 lanczos_iters=len(coeffs.betas),
             ))
     return ConvergenceRecord(tuple(rows))

@@ -51,21 +51,17 @@ class SeriousBreakdownError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GeneralOperator:
-    """A square operator given by its action and its transpose action.
+    """A square operator given by its action ``apply`` and its transpose
+    action ``apply_transpose``, both called on a ``(dim,)`` or ``(dim, k)``
+    array.
 
     The two actions must be mutually consistent under the plain (non
     conjugating) pairing: u . (M v) == (M^T u) . v.
     """
 
     dimension: int
-    action: Callable[[np.ndarray], np.ndarray]
-    transpose_action: Callable[[np.ndarray], np.ndarray]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.action(v)
-
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return self.transpose_action(v)
+    apply: Callable[[np.ndarray], np.ndarray]
+    apply_transpose: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> GeneralOperator:
@@ -237,9 +233,10 @@ def two_sided_block_run(
             f"start blocks have dimension {right.shape[0]}, operator {op.dimension}"
         )
     width = right.shape[1]
-    pairing = left.T @ right
-    if np.max(np.abs(pairing - np.eye(width))) > 1e-10:
-        raise ValueError("start pair is not biorthonormal: left^T right != I")
+    defect = float(np.max(np.abs(left.T @ right - np.eye(width))))
+    if not defect <= 1e-10:  # NaN-safe: a non-finite start is refused here
+        raise ValueError(
+            f"start pair is not biorthonormal: left^T right != I, defect {defect:.3e}")
 
     dim = op.dimension
     # The first product fixes the bases' dtype: a complex operator makes

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from blocklanczos import spinchain, textio
-from blocklanczos.spinchain import HamiltonianSpec, StateVector
+from blocklanczos.spinchain import HamiltonianSpec
 
 DEFAULT_BREAKDOWN_TOL = 1e-10
 
@@ -98,26 +98,6 @@ class TridiagonalCoefficients:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class EigenpairReconstruction:
-    """One Ritz pair: energy plus the weights of the Krylov vectors.
-
-    ``excitation_index`` is the position in ascending energy order
-    (0 = ground). The weight vector is normalized.
-    """
-
-    excitation_index: int
-    gammas: np.ndarray
-    energy: float
-
-    def __post_init__(self) -> None:
-        gammas = np.atleast_1d(np.asarray(self.gammas))
-        if abs(np.sum(np.abs(gammas) ** 2) - 1.0) > 1e-10:
-            raise ValueError("reconstruction weights must have unit norm")
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "energy", float(self.energy))
-
-
 def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
     """Uninitialized Krylov basis buffer.
 
@@ -172,12 +152,12 @@ def _hermitian_recursion(
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Up to ``max_iter`` expansions from the orthonormal ``(dim, width)``
     ``start``: the Hermitized diagonal blocks, the coupling blocks and the
-    ``(dim, k)`` basis, Krylov vectors as columns, float64 for a real start.
+    ``(dim, k)`` basis, Krylov vectors as columns. The basis is float64 for
+    a real start and complex128 for a complex one.
     A remainder that deflates below ``tol`` ends the run (invariant space).
     """
-    real = np.all(np.imag(start) == 0.0)
-    psi = np.ascontiguousarray(np.real(start) if real else start,
-                               dtype=np.float64 if real else np.complex128)
+    psi = np.ascontiguousarray(
+        start, dtype=np.complex128 if np.iscomplexobj(start) else np.float64)
     dim, width = psi.shape
     basis = allocate_basis((min((max_iter + 1) * width, dim), dim), psi.dtype)
     basis[:width] = psi.T
@@ -211,11 +191,12 @@ def _hermitian_recursion(
 
 def lanczos_run(
     spec: HamiltonianSpec,
-    start: StateVector,
+    start: np.ndarray,
     max_iter: int,
     breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
 ) -> tuple[TridiagonalCoefficients, np.ndarray]:
-    """Run the three-term recursion from ``start`` for up to ``max_iter`` expansions.
+    """Run the three-term recursion from the normalized ``(dim,)`` ``start``
+    for up to ``max_iter`` expansions.
 
     The width-1 run of the shared recursion: each expansion applies H once,
     subtracts the projections onto the two previous vectors, re-orthogonalizes
@@ -229,12 +210,15 @@ def lanczos_run(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if spec.length != start.length:
-        raise ValueError(f"start has {start.length} sites but spec has {spec.length}")
-    start.require_normalized(1e-10)
+    start = np.asarray(start)
+    if start.shape != (spec.dim,):
+        raise ValueError(f"start of shape {start.shape} is not ({spec.dim},)")
+    norm = float(np.linalg.norm(start))
+    if not abs(norm - 1.0) <= 1e-10:  # NaN-safe: a NaN norm is refused
+        raise ValueError(f"start not normalized: |v| = {norm!r}")
 
     a_blocks, b_blocks, basis = _hermitian_recursion(
-        spec, start.amplitudes[:, None], max_iter, breakdown_tol)
+        spec, start[:, None], max_iter, breakdown_tol)
     # 1x1 blocks: the Hermitized A is exactly real, B is the residual norm
     alphas, betas = (np.array(blocks).real.ravel() for blocks in (a_blocks, b_blocks))
     return TridiagonalCoefficients(alphas, betas), basis
@@ -247,35 +231,25 @@ def ritz_values(coeffs: TridiagonalCoefficients) -> np.ndarray:
 
 def tridiagonal_eigensolve(
     coeffs: TridiagonalCoefficients,
-) -> list[EigenpairReconstruction]:
-    """All Ritz pairs in ascending energy order.
-
-    The weight vectors are the orthonormal eigenvectors of the tridiagonal
-    matrix expressed in the Krylov basis.
-    """
-    values, vectors = sla.eigh_tridiagonal(coeffs.alphas, coeffs.betas)
-    return [
-        EigenpairReconstruction(g, vectors[:, g], float(values[g]))
-        for g in range(values.size)
-    ]
+) -> tuple[np.ndarray, np.ndarray]:
+    """All Ritz pairs: ascending values and the orthonormal weight vectors
+    as columns, the tridiagonal eigenvectors in the Krylov basis."""
+    return sla.eigh_tridiagonal(coeffs.alphas, coeffs.betas)
 
 
-def reconstruct_state(basis: np.ndarray, rec: EigenpairReconstruction) -> StateVector:
+def reconstruct_state(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Combine the columns of a ``(dim, k)`` Krylov basis with the Ritz
-    weights; returns a normalized state."""
+    weights; returns the normalized ``(dim,)`` state."""
     dim, size = basis.shape
-    if len(rec.gammas) > size:
-        raise ValueError(
-            f"{len(rec.gammas)} weights exceed the {size}-vector basis"
-        )
+    if len(weights) > size:
+        raise ValueError(f"{len(weights)} weights exceed the {size}-vector basis")
     # summed column by column, in order, so results do not depend on BLAS
-    amps = np.zeros(dim, dtype=np.result_type(basis, rec.gammas))
-    for gamma, column in zip(rec.gammas, basis.T):
+    amps = np.zeros(dim, dtype=np.result_type(basis, weights))
+    for gamma, column in zip(weights, basis.T):
         amps += gamma * column
-    return StateVector(dim.bit_length() - 1, amps).normalized()
+    return amps / np.linalg.norm(amps)
 
 
-def residual_norm(spec: HamiltonianSpec, v: StateVector, energy: float) -> float:
+def residual_norm(spec: HamiltonianSpec, v: np.ndarray, energy: float) -> float:
     """|| H v - energy * v ||, the Ritz-quality diagnostic (v normalized)."""
-    hv = spinchain.apply_to_array(spec, v.amplitudes)
-    return float(np.linalg.norm(hv - energy * v.amplitudes))
+    return float(np.linalg.norm(spinchain.apply_to_array(spec, v) - energy * v))

@@ -52,60 +52,6 @@ _ZZ_PAIR = np.kron(_SZ, _SZ)
 _FLIP_PAIR = np.kron(_SX, _SX) + np.kron(_SY, _SY)
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Complex amplitudes over the 2**length spin-configuration basis.
-
-    Parameters
-    ----------
-    length : int
-        Number of lattice sites L.
-    amplitudes : ndarray
-        Array of 2**L complex amplitudes, indexed by the bit-encoded
-        configuration (bit i = spin at site i, 1 = up).
-    """
-
-    length: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.length,):
-            raise ValueError(
-                f"amplitude array of shape {np.shape(self.amplitudes)} does not "
-                f"match 2**{self.length} basis states"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: StateVector) -> complex:
-        """<self|other> with conjugation on the left argument."""
-        if other.length != self.length:
-            raise ValueError("site counts differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def normalized(self) -> StateVector:
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.length, self.amplitudes / n)
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
-    def require_normalized(self, tol: float = 1e-12) -> None:
-        if not self.is_normalized(tol):
-            raise ValueError(f"state not normalized: |v| = {self.norm()!r}")
-
-
 @dataclass(frozen=True)
 class CouplingTerm:
     """One nearest-neighbour bond: ``kind`` coupling sites (site, site+1)."""
@@ -236,10 +182,11 @@ class ProductState:
         ups = sum(1 for s in self.pattern if s == "u")
         return 0.5 * ups - 0.5 * (len(self.pattern) - ups)
 
-    def to_state_vector(self) -> StateVector:
-        amps = np.zeros(2 ** len(self.pattern), dtype=np.complex128)
+    def to_state_vector(self) -> np.ndarray:
+        """The basis state as a real ``(2**length,)`` array."""
+        amps = np.zeros(2 ** len(self.pattern))
         amps[self.basis_index()] = 1.0
-        return StateVector(len(self.pattern), amps)
+        return amps
 
     def __str__(self) -> str:
         return "".join("↑" if s == "u" else "↓" for s in self.pattern)
@@ -297,13 +244,6 @@ def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_hamiltonian(spec: HamiltonianSpec, v: StateVector) -> StateVector:
-    """Return H|v> computed matrix-free; linear and Hermitian by construction."""
-    if v.length != spec.length:
-        raise ValueError(f"state has {v.length} sites but spec has {spec.length}")
-    return StateVector(spec.length, apply_to_array(spec, v.amplitudes))
-
-
 def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
     """Sparse 2**L x 2**L assembly from explicit Kronecker products.
 
@@ -338,15 +278,14 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     return _oracle_matrix(spec).toarray().astype(np.complex128)
 
 
-def exact_diagonalize(spec: HamiltonianSpec) -> tuple[np.ndarray, list[StateVector]]:
-    """Full dense spectrum: (ascending eigenvalues, orthonormal eigenvectors).
+def exact_diagonalize(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Full dense spectrum: ascending eigenvalues and the ``(dim, dim)``
+    array of orthonormal eigenvector columns, float64 for a real spec.
 
     The reference oracle for every solver in this package. Capped at
     ``DENSE_SITE_CAP`` sites.
     """
-    values, vectors = np.linalg.eigh(_oracle_matrix(spec).toarray())
-    states = [StateVector(spec.length, vectors[:, k]) for k in range(vectors.shape[1])]
-    return values, states
+    return np.linalg.eigh(_oracle_matrix(spec).toarray())
 
 
 def eigenvalues(spec: HamiltonianSpec) -> np.ndarray:
@@ -354,8 +293,10 @@ def eigenvalues(spec: HamiltonianSpec) -> np.ndarray:
     return np.linalg.eigvalsh(_oracle_matrix(spec).toarray())
 
 
-def _lowest_eigenpair(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
-    """ARPACK's implicitly restarted Lanczos on the sparse assembly, started
+def ground_state(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair: the energy and the normalized ``(dim,)`` state.
+
+    ARPACK's implicitly restarted Lanczos on the sparse assembly, started
     from a fixed-seed vector so that earlier ARPACK calls cannot change it.
     A spec whose terms are all zero is ``constant * I`` (ARPACK rejects the
     zero matrix): it gets ``constant`` and basis state 0, as dense eigh does."""
@@ -370,14 +311,8 @@ def _lowest_eigenpair(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
 
 
 def ground_energy(spec: HamiltonianSpec) -> float:
-    """Lowest eigenvalue; see :func:`_lowest_eigenpair`."""
-    return _lowest_eigenpair(spec)[0]
-
-
-def ground_state(spec: HamiltonianSpec) -> tuple[float, StateVector]:
-    """Lowest eigenpair; see :func:`_lowest_eigenpair`."""
-    energy, amps = _lowest_eigenpair(spec)
-    return energy, StateVector(spec.length, amps)
+    """Lowest eigenvalue; see :func:`ground_state`."""
+    return ground_state(spec)[0]
 
 
 def xy_analytic_ground_energy(length: int, j_xy: float) -> float:
@@ -400,10 +335,11 @@ def xy_analytic_ground_energy(length: int, j_xy: float) -> float:
 
 def random_state_vector(
     length: int, rng: np.random.Generator, complex_amplitudes: bool = False
-) -> StateVector:
-    """Normalized random state, Gaussian amplitudes (real unless requested)."""
+) -> np.ndarray:
+    """Normalized random ``(2**length,)`` state, Gaussian amplitudes (real
+    unless requested)."""
     dim = 2**length
     amps = rng.standard_normal(dim)
     if complex_amplitudes:
         amps = amps + 1j * rng.standard_normal(dim)
-    return StateVector(length, amps).normalized()
+    return amps / np.linalg.norm(amps)

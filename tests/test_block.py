@@ -23,7 +23,7 @@ class TestBlockVector:
     def test_mixed_lengths_rejected(self):
         a = sc.random_state_vector(2, np.random.default_rng(1))
         with pytest.raises(ValueError, match="dimension"):
-            block.block_lanczos_run(heisenberg(3), a.amplitudes[:, None], max_iter=2)
+            block.block_lanczos_run(heisenberg(3), a[:, None], max_iter=2)
 
     def test_require_orthonormal(self):
         q = block.random_orthonormal_block(3, 2, np.random.default_rng(3))
@@ -113,7 +113,7 @@ class TestBlockLanczosRun:
         spec = sc.build_xxz(6, 1.0, 0.8)
         v = sc.random_state_vector(6, rng)
         coeffs_s, _ = scalar.lanczos_run(spec, v, max_iter=20)
-        coeffs_b, _ = block.block_lanczos_run(spec, v.amplitudes[:, None], max_iter=20)
+        coeffs_b, _ = block.block_lanczos_run(spec, v[:, None], max_iter=20)
         assert len(coeffs_b.a_blocks) == coeffs_s.alphas.size
         for i, a in enumerate(coeffs_b.a_blocks):
             assert a[0, 0] == pytest.approx(coeffs_s.alphas[i], abs=1e-10)
@@ -125,7 +125,7 @@ class TestBlockLanczosRun:
         spec = heisenberg(5)
         v = sc.random_state_vector(5, rng)
         coeffs_s, _ = scalar.lanczos_run(spec, v, max_iter=12)
-        coeffs_b, _ = block.block_lanczos_run(spec, v.amplitudes[:, None], max_iter=12)
+        coeffs_b, _ = block.block_lanczos_run(spec, v[:, None], max_iter=12)
         for k in range(min(coeffs_s.iterations, coeffs_b.iterations) + 1):
             rv_s = scalar.ritz_values(coeffs_s.prefix(k))
             rv_b = block.block_ritz_values(coeffs_b.prefix(k))
@@ -190,7 +190,7 @@ class TestBlockLanczosRun:
         rng = np.random.default_rng(2)
         spec = heisenberg(4)
         _, vecs = sc.exact_diagonalize(spec)
-        g = vecs[0].amplitudes.real
+        g = vecs[:, 0]
         r = rng.standard_normal(16)
         r -= (g @ r) * g
         r /= np.linalg.norm(r)
@@ -230,8 +230,19 @@ class TestBlockLanczosRun:
         v = sc.random_state_vector(3, np.random.default_rng(1))
         with pytest.raises(ValueError, match="orthonormal"):
             block.block_lanczos_run(
-                spec, np.column_stack([v.amplitudes, v.amplitudes]), max_iter=2
+                spec, np.column_stack([v, v]), max_iter=2
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, bad, monkeypatch):
+        spec = heisenberg(3)
+        start = block.random_orthonormal_block(3, 2, np.random.default_rng(0))
+        start[4, 1] = bad
+        calls = []
+        monkeypatch.setattr(sc, "apply_to_array", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="start block not orthonormal"):
+            block.block_lanczos_run(spec, start, max_iter=2)
+        assert calls == []  # refused before the first H @ v
 
     def test_bad_max_iter(self):
         spec = heisenberg(3)
@@ -252,7 +263,7 @@ class TestAssembly:
         spec = heisenberg(4)
         v = sc.random_state_vector(4, rng)
         coeffs_s, _ = scalar.lanczos_run(spec, v, max_iter=6)
-        coeffs_b, _ = block.block_lanczos_run(spec, v.amplitudes[:, None], max_iter=6)
+        coeffs_b, _ = block.block_lanczos_run(spec, v[:, None], max_iter=6)
         assembled = block.assemble_block_tridiagonal(coeffs_b)
         assert np.max(np.abs(assembled - coeffs_s.matrix())) < 1e-10
 
@@ -301,15 +312,16 @@ class TestAssembly:
 class TestEigensolveAndReconstruction:
     def test_identity_assembly(self):
         coeffs = block.BlockCoefficients((np.eye(2), np.eye(2)), (np.zeros((2, 2)),))
-        recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        assert [r.energy for r in recs] == pytest.approx([1.0] * 4)
+        values, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
+        assert values == pytest.approx([1.0] * 4)
+        assert np.allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
 
     def test_two_site_reduction(self):
         spec = heisenberg(2)
         start = sc.ProductState.from_string("ud").to_state_vector()
-        coeffs, _ = block.block_lanczos_run(spec, start.amplitudes[:, None], max_iter=5)
-        recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        assert [r.energy for r in recs] == pytest.approx([-0.75, 0.25], abs=1e-12)
+        coeffs, _ = block.block_lanczos_run(spec, start[:, None], max_iter=5)
+        values, _ = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
+        assert values == pytest.approx([-0.75, 0.25], abs=1e-12)
 
     def test_xy_two_lowest(self):
         rng = np.random.default_rng(7)
@@ -325,10 +337,11 @@ class TestEigensolveAndReconstruction:
         spec = heisenberg(6)
         start = block.random_orthonormal_block(6, 2, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=25)
-        recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        ground = block.reconstruct_excitations(basis, recs, 1)[0]
+        _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
+        states = block.reconstruct_excitations(basis, vectors, 1)
+        assert states.shape == (spec.dim, 1) and states.dtype == np.float64
         _, vecs = sc.exact_diagonalize(spec)
-        assert abs(ground.inner(vecs[0])) > 1.0 - 1e-8
+        assert abs(np.vdot(states[:, 0], vecs[:, 0])) > 1.0 - 1e-8
 
     def test_degenerate_pair_subspace(self):
         # ferromagnetic bonds, no flips: twofold degenerate aligned ground pair
@@ -336,13 +349,11 @@ class TestEigensolveAndReconstruction:
         spec = sc.build_xxz(3, 0.0, -1.0)
         start = block.random_orthonormal_block(3, 2, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=10)
-        recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(basis, recs, 2)
+        _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
+        states = block.reconstruct_excitations(basis, vectors, 2)
         vals, vecs = sc.exact_diagonalize(spec)
         assert vals[0] == pytest.approx(vals[1], abs=1e-12)
-        ed_span = np.column_stack([vecs[0].amplitudes, vecs[1].amplitudes])
-        rec_span = np.column_stack([s.amplitudes for s in states])
-        angles = sla.subspace_angles(rec_span, ed_span)
+        angles = sla.subspace_angles(states, vecs[:, :2])
         assert np.max(angles) < 1e-4
 
     def test_full_spectrum_tiny_system(self):
@@ -350,11 +361,11 @@ class TestEigensolveAndReconstruction:
         spec = heisenberg(3)
         start = block.random_orthonormal_block(3, 8, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=3)
-        recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(basis, recs, 8)
+        _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
+        states = block.reconstruct_excitations(basis, vectors, 8)
         ed = sc.eigenvalues(spec)
-        for state, energy in zip(states, ed):
-            rayleigh = np.real(state.inner(sc.apply_hamiltonian(spec, state)))
+        for state, energy in zip(states.T, ed):
+            rayleigh = np.vdot(state, sc.apply_to_array(spec, state)).real
             assert rayleigh == pytest.approx(float(energy), abs=1e-8)
 
     def test_pairwise_orthogonality(self):
@@ -362,17 +373,17 @@ class TestEigensolveAndReconstruction:
         spec = heisenberg(5)
         start = block.random_orthonormal_block(5, 3, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=10)
-        recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(basis, recs, 5)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert abs(states[i].inner(states[j])) < 1e-8
+        _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
+        states = block.reconstruct_excitations(basis, vectors, 5)
+        assert np.max(np.abs(states.conj().T @ states - np.eye(5))) < 1e-8
 
     def test_count_bounds(self):
         rng = np.random.default_rng(1)
         spec = heisenberg(3)
         start = block.random_orthonormal_block(3, 2, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=2)
-        recs = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        with pytest.raises(ValueError):
-            block.reconstruct_excitations(basis, recs, len(recs) + 1)
+        _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
+        with pytest.raises(ValueError, match="pairs exist"):
+            block.reconstruct_excitations(basis, vectors, vectors.shape[1] + 1)
+        with pytest.raises(ValueError, match="count"):
+            block.reconstruct_excitations(basis, vectors, 0)

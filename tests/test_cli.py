@@ -125,6 +125,24 @@ class TestSolveCommand:
         exact = spinchain.eigenvalues(spinchain.build_xxz(4, 1.0, 1.0))[0]
         assert abs(energy - exact) < 1e-8
 
+    @pytest.mark.parametrize("block_size", [1, 2])
+    @pytest.mark.parametrize("excitations", [0, -5])
+    def test_nonpositive_excitations_exit_1(self, tmp_path, capsys, excitations,
+                                            block_size):
+        path = solve_config(tmp_path, length=4, block_size=block_size)
+        status = cli.main(["--config", path,
+                           "--set", f"solve.excitations={excitations}"])
+        assert status == 1
+        assert capsys.readouterr().out == (
+            f"error: excitations must be >= 1, got {excitations}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_excitations_count_is_kept(self, tmp_path, capsys):
+        path = solve_config(tmp_path, length=3, excitations=3)
+        assert cli.main(["--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["ground", "excited", "excited"]
+
 
 class TestIncrementalCommand:
     def test_small_scenario_artifact(self, tmp_path, capsys):

@@ -40,10 +40,10 @@ class TestAlternatingSpinStart:
 
     def test_single_unit_amplitude(self):
         sv = alternating_spin_start().to_state_vector()
-        nonzero = np.nonzero(sv.amplitudes)[0]
+        nonzero = np.nonzero(sv)[0]
         # up sites 0, 1, 5, 8, 9 set bits 1 + 2 + 32 + 256 + 512
         assert list(nonzero) == [803]
-        assert sv.amplitudes[803] == 1.0 + 0.0j
+        assert sv[803] == 1.0
 
 
 class TestRampSchedule:
@@ -224,6 +224,6 @@ class TestRunIncremental:
         energies = []
         for iters in (1, 2, 3):
             coeffs, _ = scalar.lanczos_run(working, seed, max_iter=iters)
-            energies.append(scalar.tridiagonal_eigensolve(coeffs)[0].energy)
+            energies.append(scalar.tridiagonal_eigensolve(coeffs)[0][0])
         assert energies[1] <= energies[0] + 1e-12
         assert energies[2] <= energies[1] + 1e-12

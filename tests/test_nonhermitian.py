@@ -233,6 +233,18 @@ class TestTwoSidedRun:
         with pytest.raises(ValueError):
             two_sided_block_run(op, bad, bad, max_iter=3)
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_non_finite_start_rejected(self, side):
+        calls = []
+        op = GeneralOperator(4, lambda v: calls.append(v) or v,
+                             lambda v: calls.append(v) or v)
+        good, bad = unit_column(4), unit_column(4)
+        bad[2, 0] = np.nan
+        right, left = (bad, good) if side == "right" else (good, bad)
+        with pytest.raises(ValueError, match="start pair is not biorthonormal"):
+            two_sided_block_run(op, right, left, max_iter=3)
+        assert calls == []  # refused before the first operator product
+
     def test_bad_max_iter_rejected(self):
         op = GeneralOperator.from_matrix(np.eye(4))
         e1 = unit_column(4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from blocklanczos import scalar, spinchain as sc, textio
 
@@ -71,16 +72,16 @@ class TestLanczosRun:
     def test_eigenvector_start_terminates_first_step(self):
         spec = sc.build_xxz(4, 1.0, 1.0)
         vals, vecs = sc.exact_diagonalize(spec)
-        coeffs, basis = scalar.lanczos_run(spec, vecs[0].normalized(), max_iter=5)
+        coeffs, basis = scalar.lanczos_run(spec, vecs[:, 0], max_iter=5)
         assert coeffs.alphas.size == 1
         assert coeffs.betas.size == 0
         assert coeffs.alphas[0] == pytest.approx(vals[0], abs=1e-10)
         assert basis.shape[1] == 1
         # a size-1 table solves to its single entry with unit weight, exactly
         assert np.array_equal(scalar.ritz_values(coeffs), coeffs.alphas)
-        (rec,) = scalar.tridiagonal_eigensolve(coeffs)
-        assert rec.energy == coeffs.alphas[0]
-        assert np.array_equal(rec.gammas, [1.0])
+        values, vectors = scalar.tridiagonal_eigensolve(coeffs)
+        assert np.array_equal(values, coeffs.alphas)
+        assert np.array_equal(vectors, [[1.0]])
 
     def test_two_site_hand_values(self):
         spec = sc.build_xxz(2, 1.0, 1.0)
@@ -146,17 +147,35 @@ class TestLanczosRun:
 
     def test_non_normalized_start_rejected(self):
         spec = sc.build_xxz(3, 1.0, 0.0)
-        bad = sc.StateVector(3, np.full(8, 0.5))
         with pytest.raises(ValueError, match="normalized"):
-            scalar.lanczos_run(spec, bad, max_iter=3)
+            scalar.lanczos_run(spec, np.full(8, 0.5), max_iter=3)
         with pytest.raises(ValueError, match="max_iter"):
             scalar.lanczos_run(spec, sc.random_state_vector(3, np.random.default_rng(0)), max_iter=0)
 
     def test_length_mismatch_rejected(self):
         spec = sc.build_xxz(3, 1.0, 0.0)
         start = sc.random_state_vector(4, np.random.default_rng(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shape"):
             scalar.lanczos_run(spec, start, max_iter=2)
+        with pytest.raises(ValueError, match="shape"):
+            scalar.lanczos_run(spec, np.eye(8)[:, :1], max_iter=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, bad):
+        spec = sc.build_xxz(3, 1.0, 1.0)
+        start = np.eye(8)[0]
+        start[3] = bad
+        with pytest.raises(ValueError, match="start not normalized"):
+            scalar.lanczos_run(spec, start, max_iter=2)
+
+    @pytest.mark.parametrize("complex_start", [False, True], ids=["real", "complex"])
+    def test_basis_dtype_follows_start_dtype(self, complex_start):
+        spec = sc.build_xxz(4, 1.0, 1.0)
+        start = sc.random_state_vector(4, np.random.default_rng(5))
+        if complex_start:  # complex dtype, zero imaginary part
+            start = start.astype(np.complex128)
+        _, basis = scalar.lanczos_run(spec, start, max_iter=4)
+        assert basis.dtype == (np.complex128 if complex_start else np.float64)
 
 
 class TestTridiagonalEigensolve:
@@ -164,56 +183,50 @@ class TestTridiagonalEigensolve:
         coeffs = scalar.TridiagonalCoefficients(
             np.array([-0.25, -0.25]), np.array([0.5])
         )
-        recs = scalar.tridiagonal_eigensolve(coeffs)
-        assert [r.energy for r in recs] == pytest.approx([-0.75, 0.25], abs=1e-12)
-        ground = recs[0].gammas
+        values, vectors = scalar.tridiagonal_eigensolve(coeffs)
+        assert values == pytest.approx([-0.75, 0.25], abs=1e-12)
+        ground = vectors[:, 0]
         expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
         sign = np.sign(ground[0]) or 1.0
         assert sign * ground == pytest.approx(expected, abs=1e-12)
-        assert recs[0].excitation_index == 0
 
     def test_single_entry(self):
-        recs = scalar.tridiagonal_eigensolve(
+        values, vectors = scalar.tridiagonal_eigensolve(
             scalar.TridiagonalCoefficients(np.array([1.75]), np.array([]))
         )
-        assert len(recs) == 1
-        assert recs[0].energy == 1.75
-        assert np.array_equal(recs[0].gammas, [1.0])
+        assert np.array_equal(values, [1.75])
+        assert np.array_equal(vectors, [[1.0]])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
         coeffs = scalar.TridiagonalCoefficients(
             rng.standard_normal(8), np.abs(rng.standard_normal(7))
         )
-        recs = scalar.tridiagonal_eigensolve(coeffs)
+        values, vectors = scalar.tridiagonal_eigensolve(coeffs)
         dense_vals = np.linalg.eigvalsh(coeffs.matrix())
-        assert [r.energy for r in recs] == pytest.approx(list(dense_vals), abs=1e-12)
-
-    def test_weights_normalized(self):
-        with pytest.raises(ValueError):
-            scalar.EigenpairReconstruction(0, np.array([1.0, 1.0]), 0.0)
+        assert values == pytest.approx(dense_vals, abs=1e-12)
+        assert np.allclose(vectors.T @ vectors, np.eye(8), atol=1e-12)
 
 
 class TestReconstructState:
     def test_identity_reconstruction(self):
         v = sc.random_state_vector(3, np.random.default_rng(2))
-        basis = v.amplitudes[:, None]
-        rec = scalar.EigenpairReconstruction(0, np.array([1.0]), 0.0)
-        out = scalar.reconstruct_state(basis, rec)
-        assert np.allclose(out.amplitudes, v.amplitudes)
+        out = scalar.reconstruct_state(v[:, None], np.array([1.0]))
+        assert np.allclose(out, v)
 
     def test_two_site_singlet(self):
         spec = sc.build_xxz(2, 1.0, 1.0)
         start = sc.ProductState.from_string("ud").to_state_vector()
         coeffs, basis = scalar.lanczos_run(spec, start, max_iter=5)
-        recs = scalar.tridiagonal_eigensolve(coeffs)
-        ground = scalar.reconstruct_state(basis, recs[0])
-        singlet = np.zeros(4, dtype=np.complex128)
+        _, vectors = scalar.tridiagonal_eigensolve(coeffs)
+        ground = scalar.reconstruct_state(basis, vectors[:, 0])
+        assert ground.dtype == np.float64
+        singlet = np.zeros(4)
         singlet[0b01] = 1.0 / np.sqrt(2.0)
         singlet[0b10] = -1.0 / np.sqrt(2.0)
-        overlap = abs(np.vdot(singlet, ground.amplitudes))
+        overlap = abs(np.vdot(singlet, ground))
         assert overlap == pytest.approx(1.0, abs=1e-12)
-        rayleigh = np.real(ground.inner(sc.apply_hamiltonian(spec, ground)))
+        rayleigh = np.vdot(ground, sc.apply_to_array(spec, ground)).real
         assert rayleigh == pytest.approx(HEISENBERG2_GROUND_ENERGY, abs=1e-12)
 
     def test_first_excited_rayleigh(self):
@@ -221,29 +234,27 @@ class TestReconstructState:
         spec = sc.build_xxz(10, 1.0, 1.0)
         start = sc.random_state_vector(10, rng)
         coeffs, basis = scalar.lanczos_run(spec, start, max_iter=30)
-        recs = scalar.tridiagonal_eigensolve(coeffs)
-        state = scalar.reconstruct_state(basis, recs[1])
-        rayleigh = np.real(state.inner(sc.apply_hamiltonian(spec, state)))
+        _, vectors = scalar.tridiagonal_eigensolve(coeffs)
+        state = scalar.reconstruct_state(basis, vectors[:, 1])
+        rayleigh = np.vdot(state, sc.apply_to_array(spec, state)).real
         assert rayleigh == pytest.approx(sc.eigenvalues(spec)[1], abs=1e-6)
 
     def test_weight_count_exceeding_basis(self):
         v = sc.random_state_vector(2, np.random.default_rng(4))
-        basis = v.amplitudes[:, None]
-        rec = scalar.EigenpairReconstruction(0, np.array([1.0, 0.0]), 0.0)
-        with pytest.raises(ValueError):
-            scalar.reconstruct_state(basis, rec)
+        with pytest.raises(ValueError, match="exceed"):
+            scalar.reconstruct_state(v[:, None], np.array([1.0, 0.0]))
 
 
 class TestResidualNorm:
     def test_exact_eigenpair(self):
         spec = sc.build_xxz(4, 1.0, 0.3)
         vals, vecs = sc.exact_diagonalize(spec)
-        assert scalar.residual_norm(spec, vecs[0].normalized(), float(vals[0])) < 1e-10
+        assert scalar.residual_norm(spec, vecs[:, 0], float(vals[0])) < 1e-10
 
     def test_two_level_mixture(self):
         spec = sc.build_xxz(4, 1.0, 0.3)
         vals, vecs = sc.exact_diagonalize(spec)
-        mix = sc.StateVector(4, (vecs[0].amplitudes + vecs[-1].amplitudes) / np.sqrt(2.0))
+        mix = (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2.0)
         mid = float(vals[0] + vals[-1]) / 2.0
         expected = abs(float(vals[-1] - vals[0])) / 2.0
         assert scalar.residual_norm(spec, mix, mid) == pytest.approx(expected, abs=1e-10)
@@ -252,7 +263,7 @@ class TestResidualNorm:
         rng = np.random.default_rng(9)
         spec = sc.build_xxz(5, 1.0, 1.0)
         v = sc.random_state_vector(5, rng)
-        e = np.real(v.inner(sc.apply_hamiltonian(spec, v)))
+        e = np.vdot(v, sc.apply_to_array(spec, v)).real
         r = scalar.residual_norm(spec, v, float(e))
         assert 0.0 <= r <= np.max(np.abs(sc.eigenvalues(spec))) * 2
 
@@ -262,9 +273,7 @@ def textbook_lanczos(spec, start, max_iter, breakdown_tol=1e-10):
     reorthogonalization passes, Krylov vectors as the rows of one buffer.
     Returns (alphas, betas, basis) with the vectors as basis columns."""
     dim = spec.dim
-    v0 = start.amplitudes
-    if np.all(v0.imag == 0.0):
-        v0 = v0.real.astype(np.float64)
+    v0 = start
     cap = min(max_iter + 1, dim)
     basis = np.empty((cap, dim), dtype=v0.dtype)
     basis[0] = v0
@@ -315,3 +324,50 @@ class TestTextbookReference:
             assert np.max(np.abs(coeffs.betas - betas), initial=0.0) <= bound
             assert got_basis.dtype == basis.dtype
             assert np.max(np.abs(got_basis - basis)) <= 1e-12
+
+
+def random_xxz_chain(length, rng):
+    """Both bond kinds on every link with random-sign coefficients of
+    magnitude 0.1..2, plus a constant in [-3, 3]."""
+    terms = [
+        sc.CouplingTerm(kind, site, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
+        for site in range(length - 1) for kind in sc.TERM_KINDS
+    ]
+    return sc.HamiltonianSpec(length, tuple(terms), constant=rng.uniform(-3.0, 3.0))
+
+
+class TestSolverInvariance:
+    """The recursion sees the operator only through H @ v, so symmetries of
+    the chain leave its coefficients unchanged up to round-off."""
+
+    CHAINS = (st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 8),
+              st.booleans())
+
+    @staticmethod
+    def assert_same_run(got, want, spec):
+        bound = 1e-12 * operator_scale(spec)
+        assert got.iterations == want.iterations
+        assert np.max(np.abs(got.alphas - want.alphas)) <= bound
+        assert np.max(np.abs(got.betas - want.betas), initial=0.0) <= bound
+
+    @given(*CHAINS)
+    def test_global_spin_flip_of_start(self, length, seed, max_iter, complex_start):
+        # reversing the basis index flips every spin, which H commutes with
+        rng = np.random.default_rng(seed)
+        spec = random_xxz_chain(length, rng)
+        start = sc.random_state_vector(length, rng, complex_amplitudes=complex_start)
+        want, _ = scalar.lanczos_run(spec, start, max_iter)
+        got, _ = scalar.lanczos_run(spec, start[::-1], max_iter)
+        self.assert_same_run(got, want, spec)
+
+    @given(*CHAINS)
+    def test_term_order(self, length, seed, max_iter, complex_start):
+        rng = np.random.default_rng(seed)
+        spec = random_xxz_chain(length, rng)
+        order = rng.permutation(len(spec.terms))
+        shuffled = sc.HamiltonianSpec(
+            length, tuple(spec.terms[k] for k in order), spec.constant)
+        start = sc.random_state_vector(length, rng, complex_amplitudes=complex_start)
+        want, _ = scalar.lanczos_run(spec, start, max_iter)
+        got, _ = scalar.lanczos_run(shuffled, start, max_iter)
+        self.assert_same_run(got, want, spec)
