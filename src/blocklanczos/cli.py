@@ -12,8 +12,9 @@ manifest alone.
 Commands and their artifacts:
 
 * ``solve`` - ground (and optionally excited) energies of one chain;
-  writes ``solve_spectrum.csv`` and prints the ground energy. An omitted
-  ``max_iter`` runs to saturation, allowed up to
+  writes ``solve_spectrum.csv`` and prints the ground energy, with a note
+  when the Krylov space holds fewer energies than ``excitations`` asks for.
+  An omitted ``max_iter`` runs to saturation, allowed up to
   ``SATURATING_SOLVE_DIM_CAP`` states.
 * ``incremental`` - ramping trajectory; writes ``fig1_convergence.csv``
   (small scenario), ``fig2_convergence.csv`` (large) or
@@ -246,6 +247,10 @@ def _run_solve(config: ExperimentConfig, params: dict[str, Any],
     lines = [f"ground energy {energies[0]!r}"]
     for i, energy in enumerate(energies[1:], start=1):
         lines.append(f"excited {i} energy {energy!r}")
+    if len(energies) < count:
+        lines.append(f"note: solve.excitations asked for {count} energies, found "
+                     f"{len(energies)} (the Krylov space of this run has "
+                     f"dimension {len(values)})")
     return lines, [artifact]
 
 

@@ -209,7 +209,9 @@ def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
 
     Each slice runs ``lanczos_per_step`` Krylov expansions seeded with the
     previous step's reconstructed ground state; delta_vs_exact compares
-    against exact diagonalization of the current partial Hamiltonian.
+    against exact diagonalization of the current partial Hamiltonian. The
+    oracle builds each distinct bond once per call and releases them on
+    return, so every call costs what a fresh run costs.
     """
     if config.length > spinchain.DENSE_SITE_CAP:
         raise ValueError(
@@ -217,30 +219,31 @@ def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
             f"got {config.length}"
         )
     ramp = build_ramp(config)
-    current = _initial_state(config, ramp.base)
-    current = current / np.linalg.norm(current)
     rows: list[ConvergenceRow] = []
     count = config.dlambda_fractions
-    for term_index in range(len(ramp.additions)):
-        for slice_index in range(1, count + 1):
-            if slice_index == count:
-                working = ramp.partial(term_index + 1)
-                terms_added, fraction = term_index + 1, 1.0
-            else:
-                working = ramp.partial(term_index, slice_index)
-                terms_added, fraction = term_index, slice_index / count
-            coeffs, basis = scalar.lanczos_run(
-                working, current, max_iter=config.lanczos_per_step
-            )
-            values, vectors = scalar.tridiagonal_eigensolve(coeffs)
-            energy = float(values[0])
-            current = scalar.reconstruct_state(basis, vectors[:, 0])
-            exact = spinchain.ground_energy(working)
-            rows.append(ConvergenceRow(
-                terms_added=terms_added,
-                lambda_fraction=fraction,
-                energy=energy,
-                delta_vs_exact=energy - exact,
-                lanczos_iters=len(coeffs.betas),
-            ))
+    with spinchain._bonds_reused():
+        current = _initial_state(config, ramp.base)
+        current = current / np.linalg.norm(current)
+        for term_index in range(len(ramp.additions)):
+            for slice_index in range(1, count + 1):
+                if slice_index == count:
+                    working = ramp.partial(term_index + 1)
+                    terms_added, fraction = term_index + 1, 1.0
+                else:
+                    working = ramp.partial(term_index, slice_index)
+                    terms_added, fraction = term_index, slice_index / count
+                coeffs, basis = scalar.lanczos_run(
+                    working, current, max_iter=config.lanczos_per_step
+                )
+                values, vectors = scalar.tridiagonal_eigensolve(coeffs)
+                energy = float(values[0])
+                current = scalar.reconstruct_state(basis, vectors[:, 0])
+                exact = spinchain.ground_energy(working)
+                rows.append(ConvergenceRow(
+                    terms_added=terms_added,
+                    lambda_fraction=fraction,
+                    energy=energy,
+                    delta_vs_exact=energy - exact,
+                    lanczos_iters=len(coeffs.betas),
+                ))
     return ConvergenceRecord(tuple(rows))

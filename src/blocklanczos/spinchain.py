@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -244,31 +246,70 @@ def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     return out
 
 
+# Bonds built so far, keyed by (kind, site, length), while a
+# :func:`_bonds_reused` block is open in this thread or task; None outside one.
+_bond_cache: ContextVar[dict[tuple[str, int, int], sp.csr_matrix] | None] = (
+    ContextVar("_bond_cache", default=None))
+
+
+@contextmanager
+def _bonds_reused():
+    """Within the block, :func:`sparse_matrix` builds each distinct bond once.
+
+    The cache starts empty on entry and is dropped on exit, also when the
+    block raises, so nothing is shared between blocks and no memory outlives
+    one. ``incremental.run_incremental`` opens one per ramp.
+    """
+    token = _bond_cache.set({})
+    try:
+        yield
+    finally:
+        _bond_cache.reset(token)
+
+
+def _bond(kind: str, site: int, length: int) -> sp.csr_matrix:
+    """The unit-coefficient bond ``I (x) pair (x) I`` on sites (site, site+1)."""
+    cache = _bond_cache.get()
+    key = (kind, site, length)
+    if cache is not None and key in cache:
+        return cache[key]
+    import scipy.sparse as sp  # deferred, as in sparse_matrix
+
+    pair = _ZZ_PAIR if kind == ZZ_KIND else _FLIP_PAIR
+    above = sp.identity(2 ** (length - site - 2))
+    bond = sp.kron(sp.kron(above, pair), sp.identity(2**site), format="csr")
+    if cache is not None:
+        cache[key] = bond
+    return bond
+
+
 def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
     """Sparse 2**L x 2**L assembly from explicit Kronecker products.
 
     Deliberately independent of :func:`apply_to_array`: each bond is a
     two-site product of single-site Sx, Sy, Sz matrices between identities,
     not strided views of the basis bits, so the two routes cross-validate
-    each other.
+    each other. Inside :func:`_bonds_reused` a bond seen before is reused;
+    the sum is the same either way, bit for bit.
     """
     import scipy.sparse as sp  # deferred: only the oracle loads scipy.sparse
 
     mat = spec.constant * sp.identity(spec.dim, dtype=np.complex128, format="csr")
     for term in spec.terms:  # in spec order
-        pair = _ZZ_PAIR if term.kind == ZZ_KIND else _FLIP_PAIR
-        above = sp.identity(2 ** (spec.length - term.site - 2))
-        bond = sp.kron(sp.kron(above, pair), sp.identity(2**term.site), format="csr")
-        mat = mat + term.coefficient * bond
+        mat = mat + term.coefficient * _bond(term.kind, term.site, spec.length)
     return mat
 
 
-def _oracle_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
-    """:func:`sparse_matrix` under ``DENSE_SITE_CAP``, real when it can be."""
+def _check_dense_size(spec: HamiltonianSpec) -> None:
     if spec.length > DENSE_SITE_CAP:
         raise ValueError(
             f"dense assembly capped at {DENSE_SITE_CAP} sites, got {spec.length}"
         )
+
+
+def _oracle_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
+    """:func:`sparse_matrix` under ``DENSE_SITE_CAP``, real when it can be."""
+    _check_dense_size(spec)
     mat = sparse_matrix(spec)
     return mat if mat.data.imag.any() else mat.real
 
@@ -299,14 +340,15 @@ def ground_state(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
     ARPACK's implicitly restarted Lanczos on the sparse assembly, started
     from a fixed-seed vector so that earlier ARPACK calls cannot change it.
     A spec whose terms are all zero is ``constant * I`` (ARPACK rejects the
-    zero matrix): it gets ``constant`` and basis state 0, as dense eigh does."""
+    zero matrix): it gets ``constant`` and basis state 0, as dense eigh does,
+    without assembling the matrix."""
     from scipy.sparse.linalg import eigsh  # deferred, as in sparse_matrix
 
-    mat = _oracle_matrix(spec)
     if not any(term.coefficient for term in spec.terms):
+        _check_dense_size(spec)
         return spec.constant, np.eye(1, spec.dim)[0]
     v0 = np.random.default_rng(0).standard_normal(spec.dim)
-    vals, vecs = eigsh(mat, k=1, which="SA", v0=v0, tol=0.0)
+    vals, vecs = eigsh(_oracle_matrix(spec), k=1, which="SA", v0=v0, tol=0.0)
     return float(vals[0]), vecs[:, 0]
 
 

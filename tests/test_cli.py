@@ -143,6 +143,20 @@ class TestSolveCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["ground", "excited", "excited"]
 
+    def test_short_spectrum_noted_on_shipped_config(self, tmp_path, capsys):
+        # a random start on the 2-site chain spans the singlet and the
+        # threefold triplet: 2 distinct levels of the 4 asked for
+        config = Path(__file__).resolve().parent.parent / "configs" / "solve_2site.json"
+        assert json.loads(config.read_text())["solve"]["excitations"] == 4
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(config), "--output-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["ground", "excited", "note:"]
+        assert lines[-1] == ("note: solve.excitations asked for 4 energies, found 2 "
+                             "(the Krylov space of this run has dimension 2)")
+        with open(out / "solve_spectrum.csv") as handle:
+            assert len(list(csv.reader(handle))) == 3
+
 
 class TestIncrementalCommand:
     def test_small_scenario_artifact(self, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Tests for the incremental interaction-ramping solver."""
 
+import contextlib
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from blocklanczos import incremental, scalar, spinchain
 from blocklanczos.textio import write_csv
@@ -216,6 +218,12 @@ class TestRunIncremental:
         with pytest.raises(ValueError):
             run_incremental(ScenarioConfig("small", length=15))
 
+    def test_bond_reuse_leaves_trajectory_bit_identical(self, monkeypatch):
+        config = small_chain_config(j_z=3.0, dlambda_fractions=2)
+        reused = run_incremental(config)
+        monkeypatch.setattr(spinchain, "_bonds_reused", contextlib.nullcontext)
+        assert run_incremental(config).rows == reused.rows
+
     def test_more_iterations_never_raise_step_energy(self):
         # Variational principle within one fixed partial Hamiltonian.
         base = spinchain.build_xxz(6, 1.0, 0.0)
@@ -227,3 +235,66 @@ class TestRunIncremental:
             energies.append(scalar.tridiagonal_eigensolve(coeffs)[0][0])
         assert energies[1] <= energies[0] + 1e-12
         assert energies[2] <= energies[1] + 1e-12
+
+
+@pytest.fixture
+def kron_calls(monkeypatch):
+    """Counts every ``scipy.sparse.kron`` call made while the test runs."""
+    calls = []
+    kron = scipy.sparse.kron
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "kron", counting)
+    return calls
+
+
+class TestBondReuseScope:
+    """The oracle builds each distinct bond once per ramp, two krons each."""
+
+    LENGTH = 6
+    DISTINCT_BOND_KRONS = 2 * 2 * (LENGTH - 1)  # flip-flop and ZZ on every link
+
+    def test_each_bond_built_once_per_ramp(self, kron_calls):
+        config = small_chain_config(length=self.LENGTH)
+        ramp = build_ramp(config)
+        oracle_terms = len(ramp.base.terms) + sum(
+            len(ramp.partial(k).terms) for k in range(1, len(ramp.additions) + 1))
+        run_incremental(config)
+        assert len(kron_calls) == self.DISTINCT_BOND_KRONS
+        assert self.DISTINCT_BOND_KRONS < 2 * oracle_terms  # 20 instead of 90
+
+    def test_split_ramp_reuses_the_same_bonds(self, kron_calls):
+        # the half-strength slice is the same bond with another coefficient
+        run_incremental(small_chain_config(length=self.LENGTH, dlambda_fractions=2))
+        assert len(kron_calls) == self.DISTINCT_BOND_KRONS
+
+    def test_back_to_back_ramps_share_nothing(self, kron_calls):
+        config = small_chain_config(length=self.LENGTH)
+        run_incremental(config)
+        run_incremental(config)
+        assert len(kron_calls) == 2 * self.DISTINCT_BOND_KRONS
+        spec = spinchain.build_xxz(self.LENGTH, 1.0, 1.0)
+        spinchain.sparse_matrix(spec)
+        assert len(kron_calls) == 2 * self.DISTINCT_BOND_KRONS + 2 * len(spec.terms)
+
+    def test_raising_ramp_leaves_cache_empty(self, kron_calls, monkeypatch):
+        ground_energy = spinchain.ground_energy
+        stages = []
+
+        def fail_on_third_stage(spec):
+            stages.append(spec)
+            if len(stages) == 3:
+                raise RuntimeError("stage failed")
+            return ground_energy(spec)
+
+        monkeypatch.setattr(spinchain, "ground_energy", fail_on_third_stage)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            run_incremental(small_chain_config(length=self.LENGTH))
+        assert spinchain._bond_cache.get() is None
+        built = len(kron_calls)
+        spec = stages[-1]
+        spinchain.sparse_matrix(spec)
+        assert len(kron_calls) == built + 2 * len(spec.terms)

@@ -447,6 +447,44 @@ class TestSparseAssembly:
             oracle(sc.HamiltonianSpec(sc.DENSE_SITE_CAP + 1))
 
 
+@st.composite
+def ramp_like_specs(draw):
+    """Random chains for the bond-reuse property: random term order, repeated
+    bonds, fractional coefficients and a nonzero constant."""
+    length = draw(st.integers(2, 7))
+    coefficient = st.one_of(
+        st.floats(-5.0, 5.0, allow_nan=False),
+        st.builds(lambda c, k, n: c * k / n, st.floats(-5.0, 5.0),
+                  st.integers(1, 6), st.integers(1, 7)),
+    )
+    terms = draw(st.lists(
+        st.builds(sc.CouplingTerm, st.sampled_from(sc.TERM_KINDS),
+                  st.integers(0, length - 2), coefficient),
+        max_size=3 * length))
+    constant = draw(st.floats(-5.0, 5.0).filter(lambda c: c != 0.0))
+    return sc.HamiltonianSpec(length, tuple(terms), constant)
+
+
+def assert_same_csr(got, want):
+    """Same shape, dtype and CSR arrays, bit for bit."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestBondReuse:
+    @given(ramp_like_specs(), ramp_like_specs())
+    def test_reused_bonds_give_bit_identical_matrix(self, spec, warm):
+        fresh = sc.sparse_matrix(spec)
+        with sc._bonds_reused():
+            sc.sparse_matrix(warm)  # may leave bonds the target reuses
+            first = sc.sparse_matrix(spec)
+            again = sc.sparse_matrix(spec)  # every bond from the cache
+        assert_same_csr(first, fresh)
+        assert_same_csr(again, fresh)
+
+
 class TestGroundOracle:
     @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
     def test_energy_matches_dense_eigvalsh(self, spec):
@@ -473,6 +511,23 @@ class TestGroundOracle:
         expected = np.zeros(spec.dim)
         expected[0] = 1.0
         assert np.array_equal(state, expected)
+
+    def test_zero_spec_skips_assembly(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("the zero operator was assembled")
+
+        monkeypatch.setattr(sc, "sparse_matrix", refuse)
+        spec = sc.HamiltonianSpec(4, (sc.CouplingTerm(sc.ZZ_KIND, 0, 0.0),
+                                      sc.CouplingTerm(sc.FLIP_KIND, 2, 0.0)), 1.5)
+        energy, state = sc.ground_state(spec)
+        assert energy == 1.5
+        assert np.array_equal(state, np.eye(1, spec.dim)[0])
+
+    def test_zero_spec_above_cap_refused(self):
+        length = sc.DENSE_SITE_CAP + 1
+        spec = sc.HamiltonianSpec(length, (sc.CouplingTerm(sc.ZZ_KIND, 0, 0.0),))
+        with pytest.raises(ValueError, match="capped"):
+            sc.ground_state(spec)
 
     def test_deterministic_across_arpack_history(self):
         spec = sc.build_xxz(8, 1.0, 0.7)
