@@ -12,8 +12,8 @@ Subpackages by role:
   general square operators.
 * :mod:`blocklanczos.incremental` - interaction-ramping protocol: append bond
   terms (whole or in fractions) and re-solve with a few seeded Lanczos steps.
-* :mod:`blocklanczos.noise` - coefficient-noise error study, Bernoulli
-  sampling of expectation values, auxiliary-register cost model.
+* :mod:`blocklanczos.noise` - coefficient-noise error study, shot-sampled
+  coefficient study, auxiliary-register cost model.
 * :mod:`blocklanczos.textio` - the CSV and matrix-section text formats of
   every artifact.
 * :mod:`blocklanczos.cli` - config-driven command line runner.

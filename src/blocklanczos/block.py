@@ -19,11 +19,9 @@ of the operator terminates after a single block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from blocklanczos import spinchain, textio
 from blocklanczos.scalar import _hermitian_recursion, reconstruct_state
 from blocklanczos.spinchain import HamiltonianSpec
 
@@ -42,14 +40,6 @@ def random_orthonormal_block(
         raw = raw + 1j * rng.standard_normal((dim, width))
     q, _ = np.linalg.qr(raw)
     return q
-
-
-def eigenvector_start(spec: HamiltonianSpec, width: int) -> np.ndarray:
-    """The ``width`` lowest exact eigenvectors as columns, the default
-    starting block."""
-    if width > spec.dim:
-        raise ValueError(f"width {width} exceeds Hilbert-space dimension {spec.dim}")
-    return spinchain.exact_diagonalize(spec)[1][:, :width]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,18 +106,6 @@ class BlockCoefficients:
         return BlockCoefficients(
             self.a_blocks[: iterations + 1], self.b_blocks[:iterations]
         )
-
-    def save(self, path: str | Path) -> None:
-        sections = [("A", 0, self.a_blocks[0])]
-        for n, b in enumerate(self.b_blocks, start=1):
-            sections.append(("B", n, b))
-            sections.append(("A", n, self.a_blocks[n]))
-        textio.write_matrix_sections(path, sections, "block lanczos coefficients")
-
-    @classmethod
-    def load(cls, path: str | Path) -> BlockCoefficients:
-        groups = textio.read_named_sections(path, ("A", "B"))
-        return cls(tuple(groups["A"]), tuple(groups["B"]))
 
 
 @dataclass

@@ -232,6 +232,9 @@ def _run_solve(config: ExperimentConfig, params: dict[str, Any],
             f"only up to {SATURATING_SOLVE_DIM_CAP} states)"
         )
     max_iter = spec.dim if max_iter is None else max_iter
+    # the recursion's basis bound, applied before the start is drawn
+    scalar._check_basis_fits(
+        (min((max_iter + 1) * width, spec.dim), spec.dim), np.float64)
     rng = np.random.default_rng(config.seed)
     if width == 1:
         start = spinchain.random_state_vector(spec.length, rng)
@@ -317,6 +320,9 @@ def _run_nonhermitian_demo(config: ExperimentConfig, params: dict[str, Any],
     dim = params["dimension"]
     width = params["width"]
     max_iter = 2 * dim if params["max_iter"] is None else params["max_iter"]
+    cap = nonhermitian.DENSE_DIMENSION_CAP
+    if dim > cap:  # refused before the matrix is drawn
+        raise ValueError(f"dense backing capped at {cap}, got dimension {dim}")
     rng = np.random.default_rng(config.seed)
     mat = rng.standard_normal((dim, dim))
     op = nonhermitian.GeneralOperator.from_matrix(mat)

@@ -52,13 +52,6 @@ class RampSchedule:
                 raise ValueError("additions must pair CouplingTerm with a count")
         object.__setattr__(self, "additions", additions)
 
-    def full_target(self) -> HamiltonianSpec:
-        """The base spec with every scheduled term appended at full strength."""
-        spec = self.base
-        for term, _ in self.additions:
-            spec = spec.add_term(term)
-        return spec
-
     def partial(self, terms_done: int, slices_done: int = 0) -> HamiltonianSpec:
         """Spec after ``terms_done`` complete terms plus ``slices_done`` slices
         of the next one."""

@@ -6,18 +6,17 @@ noise of width eta perturbs every stored coefficient entry, both sets go
 through the recursion's own block assembly, and the mean absolute error
 between the sorted clean and perturbed spectra measures the damage. A
 sweep solves each problem's clean spectrum once and reuses it for every
-eta; eta = 0 costs no eigensolve, since its error is exactly 0. A
-bernoulli shot-count sampler models estimating a coefficient as a success
-probability, and a small cost formula scores grouped operator application
-by auxiliary-register count.
+eta; eta = 0 costs no eigensolve, since its error is exactly 0. The
+shot-sampling study reads every scalar coefficient as a success probability
+and replaces it with a binomial estimate at a given shot count, and a small
+cost formula scores grouped operator application by auxiliary-register
+count.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -89,42 +88,18 @@ def perturbed_assemblies(
 
 
 def perturb_and_mae(problem: block.BlockCoefficients, noise: NoiseModel,
-                    reference: np.ndarray | None = None) -> float:
+                    reference: np.ndarray) -> float:
     """Mean absolute eigenvalue error between clean and perturbed spectra,
     paired in sorted order.
 
-    ``reference`` is the clean spectrum, ``block.block_ritz_values(problem)``
-    when omitted; a caller perturbing one problem many times passes it in so
-    it is solved once. eta = 0 returns exactly 0.0 without an eigensolve.
+    ``reference`` is the clean spectrum, ``block.block_ritz_values(problem)``,
+    passed in so that a problem perturbed many times is solved once. eta = 0
+    returns exactly 0.0 without an eigensolve.
     """
     if noise.eta == 0.0:
         return 0.0
-    if reference is None:
-        reference = block.block_ritz_values(problem)
     perturbed = block.block_ritz_values(perturb_coefficients(problem, noise))
     return float(np.mean(np.abs(perturbed - reference)))
-
-
-@dataclass(frozen=True)
-class CountingSampler:
-    """Bernoulli estimation of a success probability from a shot budget."""
-
-    true_p: float
-    shots: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.true_p <= 1.0:
-            raise ValueError(f"true_p must be in [0, 1], got {self.true_p}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-
-
-def sample_expectation(sampler: CountingSampler) -> float:
-    """Fraction of successes over ``shots`` seeded Bernoulli trials."""
-    rng = np.random.default_rng(sampler.seed)
-    successes = rng.binomial(sampler.shots, sampler.true_p)
-    return float(successes) / float(sampler.shots)
 
 
 @dataclass(frozen=True)
@@ -203,18 +178,6 @@ def mae_sweep(
                     perturb_and_mae(problem, noise, reference),
                 ))
     return rows
-
-
-def load_sweep_csv(path: str | Path) -> list[SweepRow]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(SWEEP_HEADER):
-            raise ValueError(f"{path}: unexpected header {header}")
-        return [
-            SweepRow(int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4]))
-            for r in reader
-        ]
 
 
 @dataclass(frozen=True)

@@ -81,17 +81,6 @@ class GeneralOperator:
         apply = lambda v: apply_to_array(spec, v)  # noqa: E731 - trivial adapters
         return cls(spec.dim, apply, apply)
 
-    def transpose_consistency_defect(
-        self, rng: np.random.Generator, samples: int = 4
-    ) -> float:
-        """max |u.(Mv) - (M^T u).v| over random real sample pairs."""
-        worst = 0.0
-        for _ in range(samples):
-            u = rng.standard_normal(self.dimension)
-            v = rng.standard_normal(self.dimension)
-            worst = max(worst, abs(u @ self.apply(v) - self.apply_transpose(u) @ v))
-        return worst
-
 
 def biorthogonality_check(left: np.ndarray, right: np.ndarray) -> float:
     """max-abs entry of left^T right - I for equal-shape (dim, k) bases."""
@@ -222,10 +211,10 @@ def two_sided_block_run(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    right = np.atleast_2d(np.asarray(right_start, dtype=np.float64)
-                          if not np.iscomplexobj(right_start) else np.asarray(right_start))
-    left = np.atleast_2d(np.asarray(left_start, dtype=np.float64)
-                         if not np.iscomplexobj(left_start) else np.asarray(left_start))
+    right = (np.asarray(right_start, dtype=np.float64)
+             if not np.iscomplexobj(right_start) else np.asarray(right_start))
+    left = (np.asarray(left_start, dtype=np.float64)
+            if not np.iscomplexobj(left_start) else np.asarray(left_start))
     if right.ndim != 2 or right.shape != left.shape:
         raise ValueError("start blocks must be equal-shape (dimension x width) arrays")
     if right.shape[0] != op.dimension:

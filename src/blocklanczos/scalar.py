@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
 
-from blocklanczos import spinchain, textio
+from blocklanczos import spinchain
 from blocklanczos.spinchain import HamiltonianSpec
 
 DEFAULT_BREAKDOWN_TOL = 1e-10
@@ -78,24 +77,19 @@ class TridiagonalCoefficients:
             mat += np.diag(self.betas, 1) + np.diag(self.betas, -1)
         return mat
 
-    def save(self, path: str | Path) -> None:
-        """Matrix-section text: 1x1 ``A`` sections for alphas, ``B`` for betas."""
-        sections = [("A", 0, self.alphas[:1])]
-        for n in range(1, self.size):
-            sections.append(("B", n, self.betas[n - 1 : n]))
-            sections.append(("A", n, self.alphas[n : n + 1]))
-        textio.write_matrix_sections(path, sections, "lanczos coefficients")
 
-    @classmethod
-    def load(cls, path: str | Path) -> TridiagonalCoefficients:
-        groups = textio.read_named_sections(path, ("A", "B"))
-        for mat in (*groups["A"], *groups["B"]):
-            if mat.shape != (1, 1):
-                raise ValueError(f"{path}: expected 1x1 sections, got {mat.shape}")
-        return cls(
-            np.array([m[0, 0] for m in groups["A"]]),
-            np.array([m[0, 0] for m in groups["B"]]),
+def _check_basis_fits(shape: tuple[int, int], dtype: np.dtype) -> int:
+    """Bytes of a Krylov basis buffer; a buffer larger than physical memory
+    is refused with a ValueError, so callers can check before allocating."""
+    nbytes = int(shape[0]) * int(shape[1]) * np.dtype(dtype).itemsize
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise ValueError(
+            f"a Krylov basis of shape {tuple(shape)} needs {nbytes} bytes, more "
+            f"than the {physical} bytes of physical memory; lower max_iter or "
+            f"the dimension"
         )
+    return nbytes
 
 
 def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
@@ -104,13 +98,7 @@ def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
     A buffer larger than physical memory is refused before allocation, so an
     oversized request fails with a ValueError under every overcommit policy.
     """
-    nbytes = int(shape[0]) * int(shape[1]) * np.dtype(dtype).itemsize
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > physical:
-        raise ValueError(
-            f"a Krylov basis of shape {tuple(shape)} needs {nbytes} bytes, more "
-            f"than the {physical} bytes of physical memory; lower max_iter"
-        )
+    nbytes = _check_basis_fits(shape, dtype)
     try:
         return np.empty(shape, dtype=dtype)
     except MemoryError as err:

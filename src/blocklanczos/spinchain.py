@@ -25,12 +25,10 @@ Conventions (fixed and tested):
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -103,43 +101,6 @@ class HamiltonianSpec:
         """Return a new spec with ``term`` appended (order preserved)."""
         return HamiltonianSpec(self.length, self.terms + (term,), self.constant)
 
-    def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "constant": self.constant,
-            "terms": [
-                {"kind": t.kind, "site": t.site, "coefficient": t.coefficient}
-                for t in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> HamiltonianSpec:
-        try:
-            length = int(data["length"])
-            constant = float(data["constant"])
-            raw_terms = data["terms"]
-        except KeyError as exc:
-            raise ValueError(f"missing required field {exc.args[0]!r}") from exc
-        terms = []
-        for k, rec in enumerate(raw_terms):
-            try:
-                terms.append(
-                    CouplingTerm(rec["kind"], int(rec["site"]), float(rec["coefficient"]))
-                )
-            except KeyError as exc:
-                raise ValueError(
-                    f"term {k}: missing required field {exc.args[0]!r}"
-                ) from exc
-        return cls(length, tuple(terms), constant)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> HamiltonianSpec:
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 _UP_CHARS = frozenset("uU↑")
 _DOWN_CHARS = frozenset("dD↓")
@@ -180,18 +141,11 @@ class ProductState:
                 idx |= 1 << site
         return idx
 
-    def total_sz(self) -> float:
-        ups = sum(1 for s in self.pattern if s == "u")
-        return 0.5 * ups - 0.5 * (len(self.pattern) - ups)
-
     def to_state_vector(self) -> np.ndarray:
         """The basis state as a real ``(2**length,)`` array."""
         amps = np.zeros(2 ** len(self.pattern))
         amps[self.basis_index()] = 1.0
         return amps
-
-    def __str__(self) -> str:
-        return "".join("↑" if s == "u" else "↓" for s in self.pattern)
 
 
 def build_xxz(length: int, j_xy: float, j_z: float) -> HamiltonianSpec:

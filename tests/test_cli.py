@@ -8,10 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blocklanczos
 from blocklanczos import cli, spinchain
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fresh_python(*args, **kwargs):
@@ -146,7 +149,7 @@ class TestSolveCommand:
     def test_short_spectrum_noted_on_shipped_config(self, tmp_path, capsys):
         # a random start on the 2-site chain spans the singlet and the
         # threefold triplet: 2 distinct levels of the 4 asked for
-        config = Path(__file__).resolve().parent.parent / "configs" / "solve_2site.json"
+        config = ROOT / "configs" / "solve_2site.json"
         assert json.loads(config.read_text())["solve"]["excitations"] == 4
         out = tmp_path / "out"
         assert cli.main(["--config", str(config), "--output-dir", str(out)]) == 0
@@ -426,6 +429,32 @@ class TestErrorHandling:
         out = capsys.readouterr().out
         assert out.startswith("error: ")
         assert "Krylov basis" in out and "bytes" in out
+
+    @pytest.mark.parametrize("config, assignments, fragment", [
+        # a (3, 2**40) float64 basis: 26 TB
+        ("solve_2site", ["solve.length=40", "solve.max_iter=2"], "Krylov basis"),
+        # a 10**6 x 10**6 matrix: 8 TB
+        ("nonhermitian_demo", ["nonhermitian-demo.dimension=1000000"],
+         "dense backing capped at 512, got dimension 1000000"),
+    ], ids=["solve", "nonhermitian-demo"])
+    def test_oversized_input_refused_before_drawing(
+            self, tmp_path, capsys, monkeypatch, config, assignments, fragment):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("random input drawn before the size check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out = tmp_path / "out"
+        argv = ["--config", str(ROOT / "configs" / f"{config}.json"),
+                "--output-dir", str(out)]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error: ")
+        assert fragment in captured.out
+        assert len(captured.out.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, assignment", [
         ("solve", "length=null"),

@@ -1,11 +1,14 @@
 """Golden artifacts: the shipped configs still produce the same outputs.
 
 Each shipped config runs through ``cli.run`` into a temporary directory
-(the noise sweep with two trials), and every CSV and TXT artifact is
+(the noise sweep with two trials), with the lines it prints captured as
+``stdout.txt`` in the same directory, and every CSV and TXT file there is
 compared with its copy under ``tests/golden/<config>/``. Headers, words,
 integers and the echoed parameter columns ``lambda_fraction`` and ``eta``
-must match exactly. Other floats must agree within 1e-13 * max(1, |x|), the
-round-off that a change of floating-point order may cause.
+must match exactly. Other floats, also one that ends a clause of a printed
+line with a comma, must agree within 1e-13 * max(1, |x|), the round-off
+that a change of floating-point order may cause. Every config under
+``configs/`` must have golden copies.
 
 The runs happen in one fresh interpreter with one BLAS thread, the setting
 the copies were made with: the noise sweep's slope fits move by up to
@@ -13,7 +16,8 @@ the copies were made with: the noise sweep's slope fits move by up to
 results, regenerate a config's copies with
 
     OPENBLAS_NUM_THREADS=1 python3 -m blocklanczos \\
-        --config configs/<config>.json --output-dir tests/golden/<config>
+        --config configs/<config>.json --output-dir tests/golden/<config> \\
+        > tests/golden/<config>/stdout.txt
 
 (adding ``--set noise-sweep.trials=2`` for ``noise_sweep``) and delete the
 ``manifest.json`` it writes.
@@ -44,11 +48,18 @@ RUNS = {
 EXACT_COLUMNS = {"lambda_fraction", "eta"}
 FLOAT_RTOL = 1e-13
 RUN_ALL = """
-import json, sys
+import contextlib, io, json, sys
 from blocklanczos import cli
 root, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
-sys.exit(max(cli.run(f"{root}/configs/{name}.json", overrides,
-                     output_dir=f"{out}/{name}") for name, overrides in runs.items()))
+status = 0
+for name, overrides in runs.items():
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        status = max(status, cli.run(f"{root}/configs/{name}.json", overrides,
+                                     output_dir=f"{out}/{name}"))
+    with open(f"{out}/{name}/stdout.txt", "w") as handle:
+        handle.write(printed.getvalue())
+sys.exit(status)
 """
 
 
@@ -87,6 +98,8 @@ def is_float(token):
 
 
 def assert_token_matches(got, want, exact, where):
+    if want.endswith(",") and got.endswith(","):  # a float ending a clause
+        got, want = got[:-1], want[:-1]
     if exact or not is_float(want) or want.lstrip("-").isdigit():
         assert got == want, f"{where}: {got!r} vs {want!r}"
         return
@@ -109,3 +122,7 @@ def test_artifacts_match_golden(config, produced):
             for j, (got, want) in enumerate(zip(row, want_row)):
                 exact = header is not None and header[j] in EXACT_COLUMNS
                 assert_token_matches(got, want, exact, f"{name} line {i} item {j}")
+
+
+def test_every_shipped_config_has_golden_copies():
+    assert sorted(RUNS) == sorted(p.stem for p in (ROOT / "configs").glob("*.json"))

@@ -34,11 +34,13 @@ def small_chain_config(**overrides) -> ScenarioConfig:
 class TestAlternatingSpinStart:
     def test_pattern(self):
         start = alternating_spin_start()
-        assert str(start) == "↑↑↓↓↓↑↓↓↑↑"
+        assert start.pattern == tuple("uudddudduu")
         assert start.length == 10
 
     def test_total_sz_zero(self):
-        assert alternating_spin_start().total_sz() == 0.0
+        # as many up as down sites: the start lies in the S^z = 0 sector
+        pattern = alternating_spin_start().pattern
+        assert 2 * pattern.count("u") == len(pattern)
 
     def test_single_unit_amplitude(self):
         sv = alternating_spin_start().to_state_vector()
@@ -57,13 +59,13 @@ class TestRampSchedule:
     def test_full_target_equals_direct_construction(self):
         config = small_chain_config(j_z=0.8)
         ramp = build_ramp(config)
-        assert ramp.full_target() == spinchain.build_xxz(6, j_xy=1.0, j_z=0.8)
+        assert ramp.partial(len(ramp.additions)) == spinchain.build_xxz(
+            6, j_xy=1.0, j_z=0.8)
 
     def test_full_target_with_fractions_unchanged(self):
-        config = small_chain_config(j_z=0.8, dlambda_fractions=4)
-        assert build_ramp(config).full_target() == spinchain.build_xxz(
-            6, j_xy=1.0, j_z=0.8
-        )
+        ramp = build_ramp(small_chain_config(j_z=0.8, dlambda_fractions=4))
+        assert ramp.partial(len(ramp.additions)) == spinchain.build_xxz(
+            6, j_xy=1.0, j_z=0.8)
 
     def test_partial_counts_and_fraction(self):
         ramp = build_ramp(small_chain_config(j_z=2.0, dlambda_fractions=4))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blocklanczos import block, spinchain, textio
+from blocklanczos import block, spinchain
 from blocklanczos.nonhermitian import (
     GeneralOperator,
     NonHermitianBlockTridiagonal,
@@ -50,7 +50,9 @@ class TestGeneralOperator:
     def test_transpose_consistency_defect_small(self):
         rng = np.random.default_rng(1)
         op = GeneralOperator.from_matrix(rng.standard_normal((16, 16)))
-        assert op.transpose_consistency_defect(rng) < 1e-12
+        for _ in range(4):
+            u, v = rng.standard_normal((2, 16))
+            assert abs(u @ op.apply(v) - op.apply_transpose(u) @ v) < 1e-12
 
     def test_transpose_consistency_complex_plain_transpose(self):
         # The pairing never conjugates: u.(Mv) == (M^T u).v for complex u.
@@ -69,7 +71,9 @@ class TestGeneralOperator:
         v = rng.standard_normal(16)
         assert op.dimension == 16
         assert np.allclose(op.apply(v), dense @ v)
-        assert op.transpose_consistency_defect(rng) < 1e-12
+        for _ in range(4):
+            u, v = rng.standard_normal((2, 16))
+            assert abs(u @ op.apply(v) - op.apply_transpose(u) @ v) < 1e-12
 
 
 class TestBiorthogonalBlockPair:
@@ -172,10 +176,16 @@ class TestNonHermitianBlockTridiagonal:
         for got, want in zip(loaded.c_blocks, coeffs.c_blocks):
             assert np.array_equal(got, want)
 
-    def test_load_rejects_unknown_section(self, tmp_path):
+    @pytest.mark.parametrize("text, fragment", [
+        ("D 0 1 1\n1.0\n", "unexpected section 'D'"),
+        ("1.0 2.0 3.0\n", "needs 4 columns"),
+        ("A 0 1 2\n1.0\n", "section A 0 row 0 has 1 of 2 columns"),
+        ("A 0 2 2\n1.0 2.0\n", "truncated section A 0"),
+    ], ids=["unknown-section", "header-columns", "row-columns", "truncated"])
+    def test_load_rejects_malformed(self, tmp_path, text, fragment):
         path = tmp_path / "bad.txt"
-        textio.write_matrix_sections(path, [("D", 0, np.eye(2))], "stray section")
-        with pytest.raises(ValueError):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=fragment):
             NonHermitianBlockTridiagonal.load(path)
 
 
@@ -226,6 +236,12 @@ class TestTwoSidedRun:
         with pytest.raises(SeriousBreakdownError) as excinfo:
             two_sided_block_run(op, e1, e1, max_iter=5)
         assert excinfo.value.iteration == 1
+
+    def test_one_dimensional_start_rejected(self):
+        op = GeneralOperator.from_matrix(np.eye(8))
+        e1 = unit_column(8)[:, 0]
+        with pytest.raises(ValueError, match=r"equal-shape \(dimension x width\)"):
+            two_sided_block_run(op, e1, e1, max_iter=3)
 
     def test_non_biorthonormal_start_rejected(self):
         op = GeneralOperator.from_matrix(np.eye(4))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from blocklanczos import scalar, spinchain as sc, textio
+from blocklanczos import scalar, spinchain as sc
 
 from reference_values import (
     HEISENBERG2_ALPHA,
@@ -34,38 +34,6 @@ class TestTridiagonalCoefficients:
         assert np.array_equal(p.betas, [0.5])
         with pytest.raises(ValueError):
             c.prefix(3)
-
-    def test_save_load_round_trip(self, tmp_path):
-        c = scalar.TridiagonalCoefficients(
-            np.array([-0.3217, 1.0 / 3.0, 2.718281828459045]),
-            np.array([0.1234567890123456, 7.0 / 11.0]),
-        )
-        path = tmp_path / "coeffs.txt"
-        c.save(path)
-        loaded = scalar.TridiagonalCoefficients.load(path)
-        # repr round-trip must be exact
-        assert np.array_equal(loaded.alphas, c.alphas)
-        assert np.array_equal(loaded.betas, c.betas)
-
-    def test_save_load_single_entry(self, tmp_path):
-        c = scalar.TridiagonalCoefficients(np.array([2.5]), np.array([]))
-        path = tmp_path / "one.txt"
-        c.save(path)
-        loaded = scalar.TridiagonalCoefficients.load(path)
-        assert np.array_equal(loaded.alphas, [2.5])
-        assert loaded.betas.size == 0
-
-    def test_load_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1.0 2.0 3.0\n")
-        with pytest.raises(ValueError, match="columns"):
-            scalar.TridiagonalCoefficients.load(path)
-
-    def test_load_rejects_block_sections(self, tmp_path):
-        path = tmp_path / "block.txt"
-        textio.write_matrix_sections(path, [("A", 0, np.eye(2))], "not scalar")
-        with pytest.raises(ValueError, match="1x1"):
-            scalar.TridiagonalCoefficients.load(path)
 
 
 class TestLanczosRun:

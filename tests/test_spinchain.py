@@ -154,10 +154,6 @@ class TestProductState:
         assert list(nonzero) == [0b0011]
         assert v[0b0011] == 1.0
 
-    def test_total_sz(self):
-        assert sc.ProductState.from_string("uudd").total_sz() == 0.0
-        assert sc.ProductState.from_string("uuu").total_sz() == 1.5
-
     def test_bad_label(self):
         with pytest.raises(ValueError):
             sc.ProductState.from_string("ux")
@@ -197,20 +193,6 @@ class TestHamiltonianSpec:
         grown = spec.add_term(t)
         assert grown.terms[:-1] == spec.terms
         assert grown.terms[-1] == t
-
-    def test_json_round_trip(self, tmp_path):
-        spec = sc.build_xxz(5, 0.3, -1.2)
-        path = tmp_path / "spec.json"
-        spec.save(path)
-        assert sc.HamiltonianSpec.load(path) == spec
-        # field names are part of the contract
-        text = path.read_text()
-        for field in ("length", "constant", "terms", "kind", "site", "coefficient"):
-            assert f'"{field}"' in text
-
-    def test_from_dict_missing_field(self):
-        with pytest.raises(ValueError, match="constant"):
-            sc.HamiltonianSpec.from_dict({"length": 2, "terms": []})
 
 
 class TestApplyHamiltonian:
