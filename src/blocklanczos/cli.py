@@ -233,7 +233,7 @@ def _run_solve(config: ExperimentConfig, params: dict[str, Any],
         )
     max_iter = spec.dim if max_iter is None else max_iter
     # the recursion's basis bound, applied before the start is drawn
-    scalar._check_basis_fits(
+    scalar._check_fits_memory(
         (min((max_iter + 1) * width, spec.dim), spec.dim), np.float64)
     rng = np.random.default_rng(config.seed)
     if width == 1:
@@ -390,6 +390,7 @@ def run(config_path: str | Path, overrides: Sequence[str] = (),
         params = _require(config.parameters, config.command)
         if config.command == "noise-sweep":
             noise.check_fittable_etas(params["etas"])
+            noise.check_sweep_fits(params["block_size"], params["block_counts"])
         outdir = Path(config.output_dir)
         created = [p for p in (outdir, *outdir.parents) if not p.exists()]
         outdir.mkdir(parents=True, exist_ok=True)

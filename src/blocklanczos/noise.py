@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blocklanczos import block
+from blocklanczos import block, scalar
 
 SWEEP_HEADER = ("block_size", "block_count", "eta", "seed", "mae")
 SUMMARY_HEADER = ("block_size", "block_count", "eta", "mean_mae")
@@ -264,6 +264,15 @@ def check_fittable_etas(etas: list[float]) -> None:
         NoiseModel(float(eta), 0)
     if len({float(eta) for eta in etas if eta > 0.0}) < 2:
         raise ValueError(_TOO_FEW_FIT_POINTS)
+
+
+def check_sweep_fits(block_size: int, block_counts: list[int]) -> None:
+    """Refuse, before any draw, a sweep whose largest dense assembly, a
+    float64 matrix of side ``block_size * max(block_counts)``, would not fit
+    in physical memory (the bound the Krylov bases are held to)."""
+    side = block_size * max(block_counts)
+    scalar._check_fits_memory((side, side), np.float64, "a noise-sweep assembly",
+                              "noise-sweep.block_size or block_counts")
 
 
 def slope_report(fits: dict[tuple[int, int], FitResult]) -> str:

@@ -11,6 +11,7 @@ Ritz energies and reconstruction weights for excited states;
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -78,16 +79,18 @@ class TridiagonalCoefficients:
         return mat
 
 
-def _check_basis_fits(shape: tuple[int, int], dtype: np.dtype) -> int:
-    """Bytes of a Krylov basis buffer; a buffer larger than physical memory
-    is refused with a ValueError, so callers can check before allocating."""
-    nbytes = int(shape[0]) * int(shape[1]) * np.dtype(dtype).itemsize
+def _check_fits_memory(shape: tuple[int, ...], dtype: np.dtype,
+                       what: str = "a Krylov basis",
+                       remedy: str = "max_iter or the dimension") -> int:
+    """Bytes of an array of ``shape`` (a Krylov basis buffer unless ``what``
+    says otherwise); one larger than physical memory is refused with a
+    ValueError, so callers can check before allocating or drawing anything."""
+    nbytes = math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nbytes > physical:
         raise ValueError(
-            f"a Krylov basis of shape {tuple(shape)} needs {nbytes} bytes, more "
-            f"than the {physical} bytes of physical memory; lower max_iter or "
-            f"the dimension"
+            f"{what} of shape {tuple(shape)} needs {nbytes} bytes, more than "
+            f"the {physical} bytes of physical memory; lower {remedy}"
         )
     return nbytes
 
@@ -98,7 +101,7 @@ def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
     A buffer larger than physical memory is refused before allocation, so an
     oversized request fails with a ValueError under every overcommit policy.
     """
-    nbytes = _check_basis_fits(shape, dtype)
+    nbytes = _check_fits_memory(shape, dtype)
     try:
         return np.empty(shape, dtype=dtype)
     except MemoryError as err:

@@ -5,11 +5,14 @@ a sparse Kronecker-product assembly as the reference oracle (ARPACK ground
 state, dense full spectra), and the closed-form free-fermion ground energy
 of the open XY chain as an independent cross-check.
 
-The matrix-free kernel needs no index arrays: a bond on sites (i, i+1)
-acts only on bits i and i+1 of the basis index, so reshaping the rows of a
-C-ordered array to ``(2**(L-i-2), 4, 2**i)`` exposes the bond's four
-two-spin states as plain strided slices, and each term is one or two
-in-place slice updates (Sandvik, arXiv:1101.3281, section 4). Input in
+The matrix-free kernel splits H into its diagonal and its spin flips, the
+standard exact-diagonalization layout (Sandvik, arXiv:1101.3281, section 4).
+The constant and every ZZ bond form one fixed diagonal, which each spec
+builds once, on first use, and keeps as a read-only array. The flips need
+no index arrays: a bond on sites (i, i+1) acts only on bits i and i+1 of
+the basis index, so reshaping the rows of a C-ordered array to
+``(2**(L-i-2), 4, 2**i)`` exposes the bond's four two-spin states as plain
+strided slices, and each XX+YY term is one in-place slice update. Input in
 another memory layout is copied to C order first (see
 :func:`apply_to_array`).
 
@@ -29,6 +32,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,6 +105,24 @@ class HamiltonianSpec:
         """Return a new spec with ``term`` appended (order preserved)."""
         return HamiltonianSpec(self.length, self.terms + (term,), self.constant)
 
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """Read-only ``(dim,)`` diagonal of H, built on first use and kept
+        with the spec: the constant, then each ZZ bond's +coefficient/4 on
+        parallel and -coefficient/4 on antiparallel spins, added in spec
+        order through the strided views of :func:`apply_to_array`. Only the
+        fields enter equality and hashing, so the kept array changes neither.
+        """
+        diagonal = np.full(self.dim, self.constant)
+        for term in self.terms:
+            if term.kind == ZZ_KIND:
+                d4 = diagonal.reshape(_bond_shape(self.length, term.site))
+                quarter = 0.25 * term.coefficient
+                d4[:, ::3] += quarter
+                d4[:, 1:3] -= quarter
+        diagonal.flags.writeable = False
+        return diagonal
+
 
 _UP_CHARS = frozenset("uU↑")
 _DOWN_CHARS = frozenset("dD↓")
@@ -164,21 +186,29 @@ def build_xxz(length: int, j_xy: float, j_z: float) -> HamiltonianSpec:
     return HamiltonianSpec(length, tuple(terms))
 
 
+def _bond_shape(length: int, site: int) -> tuple[int, int, int]:
+    """Row shape that puts the two-bit state p = 2*b[site+1] + b[site] of a
+    bond on sites (site, site+1) on the middle axis of a C-ordered array."""
+    return (2 ** (length - site - 2), 4, 2**site)
+
+
 def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     """H @ amps for a single vector (dim,) or stacked columns (dim, k).
 
-    Matrix-free, through strided views: a bond on sites (i, i+1) reads bits
-    i and i+1 of the basis index, so viewing the rows as
+    Matrix-free, in two stages. First ``out`` is the spec's diagonal (the
+    constant plus every ZZ bond, see ``HamiltonianSpec._diagonal``) times
+    the amplitudes, broadcast over the columns. Then the XX+YY terms are
+    added in spec order through strided views: a bond on sites (i, i+1)
+    reads bits i and i+1 of the basis index, so viewing the rows as
     ``(2**(L-i-2), 4, 2**i)`` puts the bond's two-bit state p = 2*b[i+1] +
-    b[i] on the middle axis. ZZ adds +coefficient/4 times the amplitude at
-    p = 0 and 3 (parallel spins) and -coefficient/4 at p = 1 and 2; XX+YY
-    swaps the antiparallel pair p = 1 <-> 2 with amplitude coefficient/2.
-    Every output element receives one product per term, added in spec
-    order, with no index array.
+    b[i] on the middle axis, and the term swaps the antiparallel pair
+    p = 1 <-> 2 with amplitude coefficient/2. Each output element thus gets
+    one diagonal product and then one product per flip term, in spec order,
+    with no index array.
 
     Input in any layout other than C order (an F-ordered stack, a
     transposed basis, a column-strided slice) is first copied to a C-ordered
-    array, and ``out`` is allocated from that copy: every slice update then
+    array, and ``out`` is computed from that copy: every slice update then
     streams through contiguous rows, which measured faster than updating
     strided views of the input even with the copy, and ``out`` is always
     C-ordered. The input is never written.
@@ -187,15 +217,11 @@ def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     if amps.shape[0] != dim:
         raise ValueError(f"vector of dimension {amps.shape[0]} does not match 2**{spec.length}")
     a = np.ascontiguousarray(amps)
-    out = spec.constant * a if spec.constant != 0.0 else np.zeros_like(a)
+    out = spec._diagonal.reshape((dim,) + (1,) * (a.ndim - 1)) * a
     for term in spec.terms:
-        shape = (2 ** (spec.length - term.site - 2), 4, 2**term.site) + a.shape[1:]
-        a4, o4 = a.reshape(shape), out.reshape(shape)
-        if term.kind == ZZ_KIND:
-            quarter = 0.25 * term.coefficient
-            o4[:, ::3] += quarter * a4[:, ::3]
-            o4[:, 1:3] += -quarter * a4[:, 1:3]
-        else:
+        if term.kind == FLIP_KIND:
+            shape = _bond_shape(spec.length, term.site) + a.shape[1:]
+            a4, o4 = a.reshape(shape), out.reshape(shape)
             o4[:, 1:3] += (0.5 * term.coefficient) * a4[:, 2:0:-1]
     return out
 

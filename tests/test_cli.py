@@ -436,7 +436,10 @@ class TestErrorHandling:
         # a 10**6 x 10**6 matrix: 8 TB
         ("nonhermitian_demo", ["nonhermitian-demo.dimension=1000000"],
          "dense backing capped at 512, got dimension 1000000"),
-    ], ids=["solve", "nonhermitian-demo"])
+        # a (4 * 10**6)**2 float64 assembly: 128 TB
+        ("noise_sweep", ["noise-sweep.block_size=1000000",
+                         "noise-sweep.block_counts=[4]"], "noise-sweep assembly"),
+    ], ids=["solve", "nonhermitian-demo", "noise-sweep"])
     def test_oversized_input_refused_before_drawing(
             self, tmp_path, capsys, monkeypatch, config, assignments, fragment):
         def no_draw(*args, **kwargs):

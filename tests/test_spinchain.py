@@ -48,17 +48,22 @@ def per_site_dense_matrix(spec):
 
 
 def bit_arithmetic_apply(spec, amps):
-    """Reference kernel: per-term basis-index bit arithmetic and fancy indexing."""
-    dim = spec.dim
-    out = spec.constant * amps if spec.constant != 0.0 else np.zeros_like(amps)
-    idx = np.arange(dim, dtype=np.int64)
+    """Reference kernel: per-term basis-index bit arithmetic and fancy indexing.
+
+    Same order as the documented kernel: a diagonal made of the constant and
+    then each ZZ weight in spec order, times the amplitudes, then the flip
+    terms in spec order."""
+    idx = np.arange(spec.dim, dtype=np.int64)
+    diagonal = np.full(spec.dim, spec.constant)
     for term in spec.terms:
         i, j = term.site, term.site + 1
         if term.kind == sc.ZZ_KIND:
             zz = (((idx >> i) & 1) * 2 - 1) * (((idx >> j) & 1) * 2 - 1)
-            weight = (0.25 * term.coefficient) * zz
-            out += weight[:, None] * amps if amps.ndim == 2 else weight * amps
-        else:
+            diagonal += (0.25 * term.coefficient) * zz
+    out = (diagonal[:, None] if amps.ndim == 2 else diagonal) * amps
+    for term in spec.terms:
+        i, j = term.site, term.site + 1
+        if term.kind == sc.FLIP_KIND:
             differ = np.nonzero((((idx >> i) ^ (idx >> j)) & 1).astype(bool))[0]
             flipped = differ ^ ((1 << i) | (1 << j))
             # flipping is a bijection on `differ`, so no index repeats here
@@ -287,6 +292,27 @@ class TestBondViewKernel:
                         assert got.dtype == expected.dtype, case
                         assert np.array_equal(got, expected), case
                         assert np.array_equal(amps, before), case
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_diagonal_equals_sparse_oracle_and_is_kept_per_spec(self, length):
+        rng = np.random.default_rng(300 + length)
+        for constant in (0.0, 0.0, rng.normal(), rng.normal()):
+            spec = random_terms_spec(length, rng, constant)
+            twin = sc.HamiltonianSpec(spec.length, spec.terms, spec.constant)
+            assert "_diagonal" not in vars(spec)
+            v = rng.standard_normal((spec.dim, 2))
+            first = sc.apply_to_array(spec, v)
+            kept = vars(spec)["_diagonal"]
+            assert np.array_equal(sc.apply_to_array(spec, v), first)
+            assert vars(spec)["_diagonal"] is kept  # built once per spec
+            oracle = sc.sparse_matrix(spec).diagonal()
+            assert kept.dtype == np.float64 and not oracle.imag.any()
+            assert np.array_equal(kept, oracle.real), spec
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 1.0
+            assert spec == twin and hash(spec) == hash(twin)
+            assert "_diagonal" not in vars(twin)
 
 
 @st.composite
