@@ -138,9 +138,11 @@ def block_lanczos_run(
     ``start`` is a ``(dim, width)`` array with orthonormal columns. Each
     expansion applies H to the whole block, subtracts the diagonal and
     previous-coupling projections, re-orthogonalizes against every stored
-    vector (two passes), then factors the remainder into an orthonormal
-    block times an upper-triangular coupling block. A fully deflated
-    remainder ends the run: the Krylov space has become invariant.
+    vector (one Gram-Schmidt pass, and a second only when the first shrinks
+    some column below 1/sqrt(2) of its norm), then factors the remainder
+    into an orthonormal block times an upper-triangular coupling block. A
+    fully deflated remainder ends the run: the Krylov space has become
+    invariant.
 
     Returns the coefficients and the basis as one ``(dim, coeffs.dimension)``
     array whose columns are the Krylov vectors, block after block; it is

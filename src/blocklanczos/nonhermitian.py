@@ -6,6 +6,13 @@ than the conjugate transpose, also for complex entries. The projected
 operator is block tridiagonal but no longer Hermitian; its diagonal blocks
 are A_n with couplings B_n below and C_n above the diagonal.
 
+Both bases are kept as the rows of two C-order ``(cap, dim)`` buffers, the
+layout of the Hermitian recursion in :mod:`blocklanczos.scalar`, and both
+residual blocks are re-biorthogonalized against all stored pairs with its
+Gram-Schmidt pass. The pass always runs twice per side: the oblique
+projector I - R L^T is not a contraction, so the norm test that lets the
+Hermitian recursion skip its second pass says nothing here.
+
 Residual factorization gauge: after re-biorthogonalizing both residual
 blocks against all stored pairs, their pair Gram matrix W = S^T R is split
 through its SVD, W = U diag(s) Vh, as C = U diag(sqrt(s)) and
@@ -28,7 +35,7 @@ import numpy as np
 
 from blocklanczos import textio
 from blocklanczos.block import _assemble
-from blocklanczos.scalar import allocate_basis
+from blocklanczos.scalar import _project_out, allocate_basis
 from blocklanczos.spinchain import HamiltonianSpec, apply_to_array
 
 DENSE_DIMENSION_CAP = 512
@@ -199,15 +206,16 @@ def two_sided_block_run(
     """Advance the coupled left/right recursions for up to ``max_iter`` expansions.
 
     Both residual blocks are re-biorthogonalized against every stored pair
-    (two passes). Termination: saturation, when either residual block norm
-    falls below ``breakdown_tol`` (the reachable subspace on that side is
-    exhausted); or serious breakdown, when both residuals are still nonzero
-    but their pair Gram matrix is singular relative to their magnitudes, in
-    which case :class:`SeriousBreakdownError` is raised.
+    in two Gram-Schmidt passes, with the bases kept as the rows of two
+    ``(cap, dim)`` buffers. Termination: saturation, when either residual
+    block norm falls below ``breakdown_tol`` (the reachable subspace on that
+    side is exhausted); or serious breakdown, when both residuals are still
+    nonzero but their pair Gram matrix is singular relative to their
+    magnitudes, in which case :class:`SeriousBreakdownError` is raised.
 
     Returns the coefficients and the ``(left, right)`` bases, two
-    ``(dim, coeffs.dimension)`` arrays whose columns are paired block after
-    block with ``left.T @ right = I``.
+    ``(dim, coeffs.dimension)`` arrays (transposed views of the row buffers)
+    whose columns are paired block after block with ``left.T @ right = I``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -215,8 +223,10 @@ def two_sided_block_run(
              if not np.iscomplexobj(right_start) else np.asarray(right_start))
     left = (np.asarray(left_start, dtype=np.float64)
             if not np.iscomplexobj(left_start) else np.asarray(left_start))
-    if right.ndim != 2 or right.shape != left.shape:
-        raise ValueError("start blocks must be equal-shape (dimension x width) arrays")
+    if right.ndim != 2 or right.shape != left.shape or right.shape[1] == 0:
+        raise ValueError(
+            f"start blocks must be equal-shape (dimension x width) arrays with "
+            f"width >= 1, got shapes {right.shape} and {left.shape}")
     if right.shape[0] != op.dimension:
         raise ValueError(
             f"start blocks have dimension {right.shape[0]}, operator {op.dimension}"
@@ -233,10 +243,10 @@ def two_sided_block_run(
     h_right = op.apply(right)
     dtype = np.result_type(right, left, h_right)
     cap = min((max_iter + 1) * width, dim)
-    rights = allocate_basis((dim, cap), dtype)
-    lefts = allocate_basis((dim, cap), dtype)
-    rights[:, :width] = right
-    lefts[:, :width] = left
+    rights = allocate_basis((cap, dim), dtype)
+    lefts = allocate_basis((cap, dim), dtype)
+    rights[:width] = right.T
+    lefts[:width] = left.T
     hi = width
     prev_right = prev_left = None
     a_list: list[np.ndarray] = []
@@ -254,10 +264,9 @@ def two_sided_block_run(
         if prev_right is not None:
             r_res -= prev_right @ c_list[n - 1]
             s_res -= prev_left @ b_list[n - 1].T
-        right_stack, left_stack = rights[:, :hi], lefts[:, :hi]
         for _ in range(2):
-            r_res -= right_stack @ (left_stack.T @ r_res)
-            s_res -= left_stack @ (right_stack.T @ s_res)
+            _project_out(r_res, lefts[:hi], rights[:hi])
+            _project_out(s_res, rights[:hi], lefts[:hi])
         r_norm = float(np.linalg.norm(r_res))
         s_norm = float(np.linalg.norm(s_res))
         if min(r_norm, s_norm) < breakdown_tol:
@@ -276,13 +285,13 @@ def two_sided_block_run(
         prev_right, prev_left = right, left
         right = (r_res @ vh.conj().T) / root[None, :]
         left = (s_res @ u.conj()) / root[None, :]
-        rights[:, hi : hi + width] = right
-        lefts[:, hi : hi + width] = left
+        rights[hi : hi + width] = right.T
+        lefts[hi : hi + width] = left.T
         hi += width
         h_right = op.apply(right)
 
     coeffs = NonHermitianBlockTridiagonal(tuple(a_list), tuple(b_list), tuple(c_list))
-    return coeffs, (lefts[:, :hi], rights[:, :hi])
+    return coeffs, (lefts[:hi].T, rights[:hi].T)
 
 
 def match_spectra(computed: np.ndarray, reference: np.ndarray) -> float:

@@ -1,12 +1,20 @@
 """Hermitian Lanczos recursion in exact-arithmetic emulation.
 
 One private body advances d orthonormal Krylov vectors per step,
-re-orthogonalizing against the whole basis (two passes) so that the
-floating-point loss of orthogonality cannot contaminate the coefficients.
-It keeps the basis as the rows of one C-order ``(cap, dim)`` buffer.
-:func:`lanczos_run` is its width-1 run, whose tridiagonal eigenpairs give
-Ritz energies and reconstruction weights for excited states;
+re-orthogonalizing against the whole basis so that the floating-point loss
+of orthogonality cannot contaminate the coefficients. It keeps the basis as
+the rows of one C-order ``(cap, dim)`` buffer. :func:`lanczos_run` is its
+width-1 run, whose tridiagonal eigenpairs give Ritz energies and
+reconstruction weights for excited states;
 :func:`blocklanczos.block.block_lanczos_run` is its width-d run.
+
+Re-orthogonalization is one classical Gram-Schmidt pass,
+:func:`_project_out`, which the two-sided recursion of
+:mod:`blocklanczos.nonhermitian` shares. Here a second pass follows only
+when the first one shrinks some residual column below 1/sqrt(2) of its norm
+(the "twice is enough" rule of Daniel, Gragg, Kaufman and Stewart, Math.
+Comp. 30, 1976): a column that kept most of its norm is already orthogonal
+to working precision after one pass.
 """
 
 from __future__ import annotations
@@ -110,6 +118,32 @@ def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
         ) from err
 
 
+def _project_out(residual: np.ndarray, dual: np.ndarray, stack: np.ndarray) -> None:
+    """One classical Gram-Schmidt pass, in place: residual -= stack^T (dual
+    @ residual) for row-major ``(hi, dim)`` stacks and a ``(dim, w)``
+    residual. ``dual`` is ``stack.conj()`` for an orthonormal basis and the
+    paired basis for a biorthogonal one."""
+    residual -= ((dual @ residual).T @ stack).T
+
+
+def _column_norms_sq(residual: np.ndarray) -> np.ndarray:
+    """Squared column norms of a ``(dim, w)`` array: the diagonal of its
+    Gram matrix, one BLAS product, where ``norm(axis=0)`` strides a C-order
+    array column by column at several times the cost."""
+    return np.diagonal(residual.conj().T @ residual).real
+
+
+def _reorthogonalize(residual: np.ndarray, rows: np.ndarray) -> None:
+    """Project the orthonormal ``rows`` out of ``residual`` in place: one
+    pass, and a second only when some column's norm fell below 1/sqrt(2)
+    of its norm before the first (DGKS)."""
+    dual = rows.conj()  # no copy for a real basis
+    before = _column_norms_sq(residual)
+    _project_out(residual, dual, rows)
+    if np.any(_column_norms_sq(residual) < 0.5 * before):
+        _project_out(residual, dual, rows)
+
+
 def _gram_schmidt_factor(
     residual: np.ndarray, rows: np.ndarray, deflation_tol: float
 ) -> np.ndarray:
@@ -167,9 +201,7 @@ def _hermitian_recursion(
         residual = h_psi - np.dot(psi, a)
         if n > 0:
             residual -= np.dot(prev, b_blocks[n - 1].conj().T)
-        stack, dual = basis[:hi], basis[:hi].conj()
-        for _ in range(2):
-            residual -= ((dual @ residual).T @ stack).T
+        _reorthogonalize(residual, basis[:hi])
         b = _gram_schmidt_factor(residual, basis[hi:], tol)
         if b.shape[0] == 0:
             break  # invariant subspace: clean termination
@@ -191,7 +223,9 @@ def lanczos_run(
 
     The width-1 run of the shared recursion: each expansion applies H once,
     subtracts the projections onto the two previous vectors, re-orthogonalizes
-    against the entire basis (two passes) and normalizes. It stops early when
+    against the entire basis and normalizes. The re-orthogonalization makes
+    one Gram-Schmidt pass, and a second only when the first shrinks the
+    residual below 1/sqrt(2) of its norm. It stops early when
     the residual norm falls below ``breakdown_tol``: the Krylov space has
     become invariant. The realized expansion count is ``len(coeffs.betas)``.
 

@@ -243,6 +243,15 @@ class TestTwoSidedRun:
         with pytest.raises(ValueError, match=r"equal-shape \(dimension x width\)"):
             two_sided_block_run(op, e1, e1, max_iter=3)
 
+    def test_zero_width_start_rejected(self):
+        calls = []
+        op = GeneralOperator(8, lambda v: calls.append(v) or v,
+                             lambda v: calls.append(v) or v)
+        empty = np.zeros((8, 0))
+        with pytest.raises(ValueError, match=r"\(dimension x width\) .*width >= 1"):
+            two_sided_block_run(op, empty, empty, max_iter=3)
+        assert calls == []
+
     def test_non_biorthonormal_start_rejected(self):
         op = GeneralOperator.from_matrix(np.eye(4))
         bad = 2.0 * unit_column(4)

@@ -237,9 +237,11 @@ class TestResidualNorm:
 
 
 def textbook_lanczos(spec, start, max_iter, breakdown_tol=1e-10):
-    """Reference three-term recursion: one vector per step, two full
-    reorthogonalization passes, Krylov vectors as the rows of one buffer.
-    Returns (alphas, betas, basis) with the vectors as basis columns."""
+    """Reference three-term recursion: one vector per step, full
+    reorthogonalization by the DGKS rule (a second pass only when the first
+    shrinks the vector below 1/sqrt(2) of its norm), Krylov vectors as the
+    rows of one buffer. Returns (alphas, betas, basis) with the vectors as
+    basis columns."""
     dim = spec.dim
     v0 = start
     cap = min(max_iter + 1, dim)
@@ -254,7 +256,9 @@ def textbook_lanczos(spec, start, max_iter, breakdown_tol=1e-10):
         w = hv - alphas[n] * basis[n]
         if n > 0:
             w -= betas[n - 1] * basis[n - 1]
-        for _ in range(2):
+        norm = np.linalg.norm(w)
+        w -= basis[: n + 1].T @ (basis[: n + 1].conj() @ w)
+        if np.linalg.norm(w) < norm / np.sqrt(2.0):
             w -= basis[: n + 1].T @ (basis[: n + 1].conj() @ w)
         beta = float(np.linalg.norm(w))
         if beta < breakdown_tol:
@@ -292,6 +296,49 @@ class TestTextbookReference:
             assert np.max(np.abs(coeffs.betas - betas), initial=0.0) <= bound
             assert got_basis.dtype == basis.dtype
             assert np.max(np.abs(got_basis - basis)) <= 1e-12
+
+
+class TestReorthogonalization:
+    """The DGKS rule: a second Gram-Schmidt pass only when the first one
+    shrinks some residual column below 1/sqrt(2) of its norm."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        calls = []
+        project = scalar._project_out
+
+        def counting(residual, dual, stack):
+            calls.append(stack.shape[0])
+            project(residual, dual, stack)
+
+        monkeypatch.setattr(scalar, "_project_out", counting)
+        return calls
+
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    def test_cancelled_residual_gets_second_pass(self, monkeypatch, complex_rows):
+        rng = np.random.default_rng(14)
+        dim, hi, width = 512, 40, 3
+        raw = rng.standard_normal((dim, hi))
+        if complex_rows:
+            raw = raw + 1j * rng.standard_normal((dim, hi))
+        rows = np.ascontiguousarray(np.linalg.qr(raw)[0].T)
+        # almost all of each column lies in the span of the rows
+        residual = rows.T @ rng.standard_normal((hi, width))
+        residual += 1e-8 * rng.standard_normal((dim, width))
+        calls = self.count_passes(monkeypatch)
+        scalar._reorthogonalize(residual, rows)
+        assert calls == [hi, hi]
+        overlap = np.abs(rows.conj() @ residual).max(axis=0)
+        norms = np.linalg.norm(residual, axis=0)
+        assert np.all(overlap <= 8 * np.finfo(float).eps * norms)
+
+    def test_scalar_run_makes_one_pass_per_expansion(self, monkeypatch):
+        spec = sc.build_xxz(12, 1.0, 1.0)
+        start = sc.random_state_vector(12, np.random.default_rng(12))
+        calls = self.count_passes(monkeypatch)
+        coeffs, _ = scalar.lanczos_run(spec, start, max_iter=40)
+        assert coeffs.iterations == 40
+        assert calls == list(range(1, 41))
 
 
 def random_xxz_chain(length, rng):
