@@ -15,6 +15,16 @@ when the first one shrinks some residual column below 1/sqrt(2) of its norm
 (the "twice is enough" rule of Daniel, Gragg, Kaufman and Stewart, Math.
 Comp. 30, 1976): a column that kept most of its norm is already orthogonal
 to working precision after one pass.
+
+``scipy.linalg`` serves only the tridiagonal eigensolve, so it is imported
+at the first :func:`ritz_values` or :func:`tridiagonal_eigensolve` call,
+not with the package. Of the CLI commands, ``incremental`` and the width-1
+``solve`` load it at their first Ritz solve; ``noise-sweep``,
+``cost-table`` and a block ``solve`` (dense numpy eigensolves) never do.
+``scipy.sparse`` loads with the first reference-oracle call of
+:mod:`blocklanczos.spinchain` (``incremental``), and ``scipy.optimize``,
+which pulls in ``scipy.linalg`` and ``scipy.sparse``, with the first
+:func:`blocklanczos.nonhermitian.match_spectra` (``nonhermitian-demo``).
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from blocklanczos import spinchain
 from blocklanczos.spinchain import HamiltonianSpec
@@ -251,6 +260,8 @@ def lanczos_run(
 
 def ritz_values(coeffs: TridiagonalCoefficients) -> np.ndarray:
     """Ascending eigenvalues of the projected tridiagonal operator."""
+    import scipy.linalg as sla  # deferred: only a Ritz solve loads scipy.linalg
+
     return sla.eigh_tridiagonal(coeffs.alphas, coeffs.betas, eigvals_only=True)
 
 
@@ -259,6 +270,8 @@ def tridiagonal_eigensolve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All Ritz pairs: ascending values and the orthonormal weight vectors
     as columns, the tridiagonal eigenvectors in the Krylov basis."""
+    import scipy.linalg as sla  # deferred, as in ritz_values
+
     return sla.eigh_tridiagonal(coeffs.alphas, coeffs.betas)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -69,7 +69,10 @@ class CouplingTerm:
             raise ValueError(f"unknown term kind {self.kind!r}; expected one of {TERM_KINDS}")
         if self.site < 0:
             raise ValueError(f"site must be >= 0, got {self.site}")
-        object.__setattr__(self, "coefficient", float(self.coefficient))
+        coefficient = float(self.coefficient)
+        if not math.isfinite(coefficient):
+            raise ValueError(f"coefficient must be finite, got {coefficient!r}")
+        object.__setattr__(self, "coefficient", coefficient)
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,11 @@ class HamiltonianSpec:
                     f"term at site {t.site} does not fit an open chain of "
                     f"{self.length} sites"
                 )
+        constant = float(self.constant)
+        if not math.isfinite(constant):
+            raise ValueError(f"constant must be finite, got {constant!r}")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "constant", constant)
 
     @property
     def dim(self) -> int:
@@ -226,21 +232,32 @@ def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-# Bonds built so far, keyed by (kind, site, length), while a
-# :func:`_bonds_reused` block is open in this thread or task; None outside one.
-_bond_cache: ContextVar[dict[tuple[str, int, int], sp.csr_matrix] | None] = (
-    ContextVar("_bond_cache", default=None))
+@dataclass
+class _Kept:
+    """What :func:`sparse_matrix` keeps inside one :func:`_bonds_reused`
+    block: every bond built so far, keyed by (kind, site, length), and the
+    last assembly's sum with and without its last term, each under its
+    :func:`_fold_key`."""
+
+    bonds: dict[tuple[str, int, int], sp.csr_matrix] = field(default_factory=dict)
+    sums: tuple[tuple[tuple, sp.csr_matrix], ...] = ()
+
+
+# The open :func:`_bonds_reused` block's kept bonds and sums in this thread
+# or task; None outside one.
+_bond_cache: ContextVar[_Kept | None] = ContextVar("_bond_cache", default=None)
 
 
 @contextmanager
 def _bonds_reused():
-    """Within the block, :func:`sparse_matrix` builds each distinct bond once.
+    """Within the block, :func:`sparse_matrix` builds each distinct bond once
+    and starts each assembly from the longest kept partial sum it extends.
 
     The cache starts empty on entry and is dropped on exit, also when the
     block raises, so nothing is shared between blocks and no memory outlives
     one. ``incremental.run_incremental`` opens one per ramp.
     """
-    token = _bond_cache.set({})
+    token = _bond_cache.set(_Kept())
     try:
         yield
     finally:
@@ -249,18 +266,25 @@ def _bonds_reused():
 
 def _bond(kind: str, site: int, length: int) -> sp.csr_matrix:
     """The unit-coefficient bond ``I (x) pair (x) I`` on sites (site, site+1)."""
-    cache = _bond_cache.get()
+    kept = _bond_cache.get()
     key = (kind, site, length)
-    if cache is not None and key in cache:
-        return cache[key]
+    if kept is not None and key in kept.bonds:
+        return kept.bonds[key]
     import scipy.sparse as sp  # deferred, as in sparse_matrix
 
     pair = _ZZ_PAIR if kind == ZZ_KIND else _FLIP_PAIR
     above = sp.identity(2 ** (length - site - 2))
     bond = sp.kron(sp.kron(above, pair), sp.identity(2**site), format="csr")
-    if cache is not None:
-        cache[key] = bond
+    if kept is not None:
+        kept.bonds[key] = bond
     return bond
+
+
+def _fold_key(spec: HamiltonianSpec) -> tuple:
+    """The steps of the fold in :func:`sparse_matrix`, exact to the bit:
+    ``float.hex`` tells -0.0 from 0.0, which ``==`` does not."""
+    return ((spec.length, spec.constant.hex()),
+            *((t.kind, t.site, t.coefficient.hex()) for t in spec.terms))
 
 
 def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
@@ -269,14 +293,36 @@ def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
     Deliberately independent of :func:`apply_to_array`: each bond is a
     two-site product of single-site Sx, Sy, Sz matrices between identities,
     not strided views of the basis bits, so the two routes cross-validate
-    each other. Inside :func:`_bonds_reused` a bond seen before is reused;
-    the sum is the same either way, bit for bit.
+    each other. The sum is a fold in spec order, ``constant * I`` then
+    ``mat + coefficient * bond`` per term.
+
+    Inside :func:`_bonds_reused` a bond seen before is reused, and the fold
+    starts from a kept partial sum: the last assembly's sum, or that sum
+    without its last term, whichever is the longest with the same length and
+    constant whose terms lead this spec's terms; only the remaining terms
+    are added. A ramp stage that appends a term, or that rescales the last
+    one (a sliced stage), so adds one bond. The fold's order is unchanged,
+    so the sum is the same either way, bit for bit. The returned matrix may
+    be one the block keeps; do not modify it in place.
     """
     import scipy.sparse as sp  # deferred: only the oracle loads scipy.sparse
 
-    mat = spec.constant * sp.identity(spec.dim, dtype=np.complex128, format="csr")
-    for term in spec.terms:  # in spec order
+    kept = _bond_cache.get()
+    steps = _fold_key(spec)  # the start, then one step per term
+    done, mat = 0, None  # steps already summed, and their sum
+    for key, partial in kept.sums if kept is not None else ():
+        if len(key) > done and steps[: len(key)] == key:
+            done, mat = len(key), partial
+    if mat is None:
+        done = 1
+        mat = spec.constant * sp.identity(spec.dim, dtype=np.complex128, format="csr")
+    before_last = None
+    for term in spec.terms[done - 1 :]:  # in spec order
+        before_last = mat
         mat = mat + term.coefficient * _bond(term.kind, term.site, spec.length)
+    if kept is not None:
+        kept.sums = ((steps, mat),) if before_last is None else (
+            (steps[:-1], before_last), (steps, mat))
     return mat
 
 
@@ -321,14 +367,20 @@ def ground_state(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
     from a fixed-seed vector so that earlier ARPACK calls cannot change it.
     A spec whose terms are all zero is ``constant * I`` (ARPACK rejects the
     zero matrix): it gets ``constant`` and basis state 0, as dense eigh does,
-    without assembling the matrix."""
-    from scipy.sparse.linalg import eigsh  # deferred, as in sparse_matrix
+    without assembling the matrix. An ARPACK failure, such as a matrix
+    whose finite couplings overflow, is raised as a ValueError."""
+    from scipy.sparse.linalg import ArpackError, eigsh  # deferred, as in sparse_matrix
 
     if not any(term.coefficient for term in spec.terms):
         _check_dense_size(spec)
         return spec.constant, np.eye(1, spec.dim)[0]
     v0 = np.random.default_rng(0).standard_normal(spec.dim)
-    vals, vecs = eigsh(_oracle_matrix(spec), k=1, which="SA", v0=v0, tol=0.0)
+    try:
+        vals, vecs = eigsh(_oracle_matrix(spec), k=1, which="SA", v0=v0, tol=0.0)
+    except ArpackError as err:
+        raise ValueError(
+            f"no ground state of the {spec.length}-site chain with "
+            f"{len(spec.terms)} terms: {err}") from err
     return float(vals[0]), vecs[:, 0]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import blocklanczos
-from blocklanczos import cli, spinchain
+from blocklanczos import cli, scalar, spinchain
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -480,6 +480,27 @@ class TestErrorHandling:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, value, fragment", [
+        ("incremental", "NaN", "coefficient must be finite, got nan"),
+        ("incremental", "Infinity", "coefficient must be finite, got inf"),
+        # finite, but the assembled chain overflows inside ARPACK
+        ("incremental", "1e308", "no ground state of the 10-site chain"),
+        ("solve", "NaN", "coefficient must be finite, got nan"),
+        ("solve", "Infinity", "coefficient must be finite, got inf"),
+    ])
+    def test_non_finite_coupling_refused(self, tmp_path, capsys, command,
+                                         value, fragment):
+        path = write_config(tmp_path / "config.json", {
+            "command": command, "output_dir": str(tmp_path / "out")})
+        assert cli.main(["--config", path,
+                         "--set", f"{command}.j_xy={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error: ")
+        assert fragment in captured.out
+        assert len(captured.out.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("etas, fragment", [
         ("[1e308,1e-3]", "has a non-finite entry"),
@@ -564,12 +585,14 @@ class TestErrorHandling:
         assert new_entries == {"out"}
 
 
+OPTIONAL_SCIPY = ("scipy.linalg", "scipy.stats", "scipy.sparse", "scipy.optimize")
+
+
 def test_import_leaves_optional_scipy_unloaded():
-    script = """
+    script = f"""
 import sys
 import blocklanczos, blocklanczos.cli
-print([m for m in ("scipy.stats", "scipy.sparse", "scipy.optimize")
-       if m in sys.modules])
+print([m for m in {OPTIONAL_SCIPY} if m in sys.modules])
 from blocklanczos import nonhermitian, spinchain
 print(spinchain.ground_energy(spinchain.build_xxz(4, 1.0, 1.0)).hex())
 print(nonhermitian.match_spectra([1.0, 2j, 3.0], [3.0, 1.0, 2j]))
@@ -580,3 +603,44 @@ print(nonhermitian.match_spectra([1.0, 2j, 3.0], [3.0, 1.0, 2j]))
     exact = spinchain.eigenvalues(spinchain.build_xxz(4, 1.0, 1.0))[0]
     assert float.fromhex(energy) == pytest.approx(exact, abs=1e-12)
     assert float(mismatch) == 0.0
+
+
+def test_deferred_linalg_import_gives_the_same_ritz_values():
+    coeffs = scalar.TridiagonalCoefficients([0.5, -1.25, 2.0, 0.75],
+                                            [1.0, 0.3, 1e-3])
+    script = f"""
+import sys
+from blocklanczos import scalar
+print("scipy.linalg" in sys.modules)
+coeffs = scalar.TridiagonalCoefficients({coeffs.alphas.tolist()},
+                                        {coeffs.betas.tolist()})
+print(" ".join(v.hex() for v in scalar.ritz_values(coeffs)))
+print("scipy.linalg" in sys.modules)
+"""
+    result = fresh_python("-c", script, capture_output=True, check=True)
+    before, values, after = result.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    assert values == " ".join(v.hex() for v in scalar.ritz_values(coeffs))
+
+
+def test_noise_and_cost_runs_leave_scipy_linalg_unloaded(tmp_path):
+    configs = [
+        write_config(tmp_path / "cost.json", {
+            "command": "cost-table", "output_dir": str(tmp_path / "cost")}),
+        write_config(tmp_path / "noise.json", {
+            "command": "noise-sweep", "output_dir": str(tmp_path / "noise"),
+            "noise-sweep": {"block_size": 4, "block_counts": [4, 5],
+                            "etas": [1e-4, 1e-2], "trials": 2}}),
+    ]
+    script = f"""
+import sys
+from blocklanczos import cli
+print([cli.run(path) for path in {configs}])
+print([m for m in {OPTIONAL_SCIPY} if m in sys.modules])
+"""
+    result = fresh_python("-c", script, capture_output=True, check=True)
+    *_, statuses, loaded = result.stdout.splitlines()
+    assert statuses == "[0, 0]"
+    assert loaded == "[]"
+    assert (tmp_path / "cost" / "cost_table.csv").exists()
+    assert (tmp_path / "noise" / "noise_sweep.csv").exists()

@@ -273,6 +273,27 @@ class TestBondReuseScope:
         run_incremental(small_chain_config(length=self.LENGTH, dlambda_fractions=2))
         assert len(kron_calls) == self.DISTINCT_BOND_KRONS
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dlambda_fractions": 3}, {"descending_order": True},
+        {"scenario": "random-start", "start_state": ProductState.from_string("ududud")},
+    ], ids=["whole", "sliced", "descending", "random-start"])
+    def test_one_bond_fold_per_stage(self, monkeypatch, overrides):
+        # after the first assembly each stage extends a kept partial sum
+        folds = []
+        bond = spinchain._bond
+
+        def counting(*args):
+            folds.append(args)
+            return bond(*args)
+
+        monkeypatch.setattr(spinchain, "_bond", counting)
+        config = small_chain_config(length=self.LENGTH, **overrides)
+        base_terms = len(build_ramp(config).base.terms)
+        stages = len(run_incremental(config))
+        # the base chain (or, from a product start, the first stage) is
+        # folded whole: one fold per base term
+        assert len(folds) == base_terms + stages
+
     def test_back_to_back_ramps_share_nothing(self, kron_calls):
         config = small_chain_config(length=self.LENGTH)
         run_incremental(config)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,6 +192,16 @@ class TestHamiltonianSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             sc.CouplingTerm("XYZ", 0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_refused(self, bad):
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            sc.CouplingTerm(sc.ZZ_KIND, 0, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constant_refused(self, bad):
+        with pytest.raises(ValueError, match="constant must be finite"):
+            sc.HamiltonianSpec(3, (), bad)
 
     def test_add_term_preserves_order(self):
         spec = sc.build_xxz(4, 1.0, 0.0)
@@ -492,6 +503,38 @@ class TestBondReuse:
         assert_same_csr(first, fresh)
         assert_same_csr(again, fresh)
 
+    @given(ramp_like_specs(), st.data())
+    def test_fold_from_a_kept_prefix_is_bit_identical(self, spec, data):
+        # the warm spec's terms lead the target's, so only the rest is added;
+        # a warm sum with another constant is no start for the target
+        cut = data.draw(st.integers(0, len(spec.terms)))
+        shift = data.draw(st.sampled_from([0.0, 0.5]))
+        warm = sc.HamiltonianSpec(spec.length, spec.terms[:cut], spec.constant + shift)
+        fresh = sc.sparse_matrix(spec)
+        with sc._bonds_reused():
+            sc.sparse_matrix(warm)
+            with mock.patch.object(sc, "_bond", wraps=sc._bond) as bond:
+                assert_same_csr(sc.sparse_matrix(spec), fresh)
+        assert bond.call_count == len(spec.terms) - (0 if shift else cut)
+
+    @given(ramp_like_specs().filter(lambda spec: spec.terms), st.data())
+    def test_fold_past_a_sliced_last_term_is_bit_identical(self, spec, data):
+        # a sliced stage: the warm spec ends in a fraction of the target's
+        # next term, so the target starts from the warm sum without it
+        cut = data.draw(st.integers(0, len(spec.terms) - 1))
+        term = spec.terms[cut]
+        fraction = data.draw(st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3]))
+        sliced = sc.CouplingTerm(term.kind, term.site, term.coefficient * fraction)
+        warm = sc.HamiltonianSpec(
+            spec.length, spec.terms[:cut] + (sliced,), spec.constant)
+        fresh = sc.sparse_matrix(spec)
+        with sc._bonds_reused():
+            sc.sparse_matrix(warm)
+            with mock.patch.object(sc, "_bond", wraps=sc._bond) as bond:
+                assert_same_csr(sc.sparse_matrix(spec), fresh)
+        if sliced != term:  # else the whole warm sum is a kept prefix
+            assert bond.call_count == len(spec.terms) - cut
+
 
 class TestGroundOracle:
     @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
@@ -530,6 +573,11 @@ class TestGroundOracle:
         energy, state = sc.ground_state(spec)
         assert energy == 1.5
         assert np.array_equal(state, np.eye(1, spec.dim)[0])
+
+    def test_arpack_failure_is_a_value_error(self):
+        # finite couplings whose assembly overflows ARPACK's arithmetic
+        with pytest.raises(ValueError, match="of the 10-site chain with 9 terms"):
+            sc.ground_state(sc.build_xxz(10, 1e308, 0.0))
 
     def test_zero_spec_above_cap_refused(self):
         length = sc.DENSE_SITE_CAP + 1
