@@ -4,10 +4,10 @@ The projected operator becomes block tridiagonal with d x d diagonal blocks
 (Hermitian) and coupling blocks taken upper-triangular with non-negative
 real diagonal. The triangular gauge makes the coupling block invertible
 whenever no deflation occurs, so the recursion step amounts to a stable
-triangular solve. Residual columns whose norm drops below the deflation
-tolerance are removed and the block narrows; coupling blocks then become
-rectangular and the assembly handles ragged widths. The assembly is a
-plain dense ndarray, Hermitian by construction.
+triangular solve. Residual columns whose norm is at most 1e-10 times the
+chain's norm bound are removed and the block narrows; coupling blocks then
+become rectangular and the assembly handles ragged widths. The assembly is
+a plain dense ndarray, Hermitian by construction.
 
 The recursion itself is the Hermitian body in :mod:`blocklanczos.scalar`,
 which stores the Krylov vectors as the rows of one ``(cap, dim)`` buffer;
@@ -24,8 +24,6 @@ import numpy as np
 
 from blocklanczos.scalar import _hermitian_recursion, reconstruct_state
 from blocklanczos.spinchain import HamiltonianSpec
-
-DEFAULT_DEFLATION_TOL = 1e-10
 
 
 def random_orthonormal_block(
@@ -130,7 +128,6 @@ def block_lanczos_run(
     spec: HamiltonianSpec,
     start: np.ndarray,
     max_iter: int,
-    deflation_tol: float = DEFAULT_DEFLATION_TOL,
     counter: ExtractionCounter | None = None,
 ) -> tuple[BlockCoefficients, np.ndarray]:
     """Advance the block recursion from ``start`` for up to ``max_iter`` expansions.
@@ -141,8 +138,9 @@ def block_lanczos_run(
     vector (one Gram-Schmidt pass, and a second only when the first shrinks
     some column below 1/sqrt(2) of its norm), then factors the remainder
     into an orthonormal block times an upper-triangular coupling block. A
-    fully deflated remainder ends the run: the Krylov space has become
-    invariant.
+    remainder column of norm at most 1e-10 times ``spec.norm_bound``
+    deflates, so the widths do not depend on the operator's units; a fully
+    deflated remainder ends the run: the Krylov space has become invariant.
 
     Returns the coefficients and the basis as one ``(dim, coeffs.dimension)``
     array whose columns are the Krylov vectors, block after block; it is
@@ -166,8 +164,7 @@ def block_lanczos_run(
     if not defect <= 1e-8:  # NaN-safe: a non-finite start is refused here
         raise ValueError(f"start block not orthonormal: Gram defect {defect:.3e}")
 
-    a_blocks, b_blocks, basis = _hermitian_recursion(
-        spec, start, max_iter, deflation_tol)
+    a_blocks, b_blocks, basis = _hermitian_recursion(spec, start, max_iter)
     if counter is not None:
         counter.record("A0", *a_blocks[0].shape)
         for n, b in enumerate(b_blocks, start=1):

@@ -20,13 +20,17 @@ B = diag(sqrt(s)) Vh, with the new basis pair scaled accordingly. On a real
 symmetric operator with identical starts this reduces to C = B^T and
 reproduces the Hermitian block recursion.
 
-Serious breakdown (W singular relative to the residual magnitudes while both
-residuals are still nonzero) raises :class:`SeriousBreakdownError` carrying
+Termination uses the one relative constant of the Hermitian recursion,
+1e-10. A side saturates when its residual block's norm is at most 1e-10
+times the operator's ``scale``. Serious breakdown, where both residuals are
+still nonzero but the smallest singular value of W is at most 1e-10 times
+the product of their norms, raises :class:`SeriousBreakdownError` carrying
 the iteration index; no look-ahead cure is attempted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -35,11 +39,10 @@ import numpy as np
 
 from blocklanczos import textio
 from blocklanczos.block import _assemble
-from blocklanczos.scalar import _project_out, allocate_basis
+from blocklanczos.scalar import _RELATIVE_TOL, _project_out, allocate_basis
 from blocklanczos.spinchain import HamiltonianSpec, apply_to_array
 
 DENSE_DIMENSION_CAP = 512
-DEFAULT_BREAKDOWN_TOL = 1e-10
 
 
 class SeriousBreakdownError(RuntimeError):
@@ -63,15 +66,26 @@ class GeneralOperator:
     array.
 
     The two actions must be mutually consistent under the plain (non
-    conjugating) pairing: u . (M v) == (M^T u) . v.
+    conjugating) pairing: u . (M v) == (M^T u) . v. ``scale`` is an upper
+    bound on the operator's norm, finite and non-negative; the saturation
+    test of :func:`two_sided_block_run` is relative to it.
     """
 
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
     apply_transpose: Callable[[np.ndarray], np.ndarray]
+    scale: float
+
+    def __post_init__(self) -> None:
+        scale = float(self.scale)
+        if not (math.isfinite(scale) and scale >= 0.0):
+            raise ValueError(f"operator scale must be finite and >= 0, got {scale!r}")
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> GeneralOperator:
+        """Dense backing; ``scale`` is the larger of the matrix's 1-norm and
+        infinity-norm."""
         mat = np.asarray(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got {mat.shape}")
@@ -80,13 +94,15 @@ class GeneralOperator:
                 f"dense backing capped at {DENSE_DIMENSION_CAP}, got {mat.shape[0]}"
             )
         mat_t = np.ascontiguousarray(mat.T)
-        return cls(mat.shape[0], lambda v: mat @ v, lambda v: mat_t @ v)
+        scale = max(np.linalg.norm(mat, 1), np.linalg.norm(mat, np.inf))
+        return cls(mat.shape[0], lambda v: mat @ v, lambda v: mat_t @ v, scale)
 
     @classmethod
     def from_hamiltonian(cls, spec: HamiltonianSpec) -> GeneralOperator:
-        """Matrix-free chain Hamiltonian as a (symmetric) general operator."""
+        """Matrix-free chain Hamiltonian as a (symmetric) general operator,
+        scaled by the chain's ``norm_bound``."""
         apply = lambda v: apply_to_array(spec, v)  # noqa: E731 - trivial adapters
-        return cls(spec.dim, apply, apply)
+        return cls(spec.dim, apply, apply, spec.norm_bound)
 
 
 def biorthogonality_check(left: np.ndarray, right: np.ndarray) -> float:
@@ -201,17 +217,18 @@ def two_sided_block_run(
     right_start: np.ndarray,
     left_start: np.ndarray,
     max_iter: int,
-    breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
 ) -> tuple[NonHermitianBlockTridiagonal, tuple[np.ndarray, np.ndarray]]:
     """Advance the coupled left/right recursions for up to ``max_iter`` expansions.
 
     Both residual blocks are re-biorthogonalized against every stored pair
     in two Gram-Schmidt passes, with the bases kept as the rows of two
     ``(cap, dim)`` buffers. Termination: saturation, when either residual
-    block norm falls below ``breakdown_tol`` (the reachable subspace on that
-    side is exhausted); or serious breakdown, when both residuals are still
-    nonzero but their pair Gram matrix is singular relative to their
-    magnitudes, in which case :class:`SeriousBreakdownError` is raised.
+    block's norm is at most 1e-10 times ``op.scale`` (the reachable
+    subspace on that side is exhausted; a zero operator ends after step 0);
+    or serious breakdown, when both residuals are still nonzero but their
+    pair Gram matrix has a smallest singular value at most 1e-10 times the
+    product of their norms, in which case :class:`SeriousBreakdownError` is
+    raised.
 
     Returns the coefficients and the ``(left, right)`` bases, two
     ``(dim, coeffs.dimension)`` arrays (transposed views of the row buffers)
@@ -269,11 +286,11 @@ def two_sided_block_run(
             _project_out(s_res, rights[:hi], lefts[:hi])
         r_norm = float(np.linalg.norm(r_res))
         s_norm = float(np.linalg.norm(s_res))
-        if min(r_norm, s_norm) < breakdown_tol:
+        if min(r_norm, s_norm) <= _RELATIVE_TOL * op.scale:
             break  # one side saturated: clean invariant-subspace termination
         w = s_res.T @ r_res
         u, sing, vh = np.linalg.svd(w)
-        if sing[-1] <= breakdown_tol * r_norm * s_norm:
+        if sing[-1] <= _RELATIVE_TOL * r_norm * s_norm:
             raise SeriousBreakdownError(
                 n + 1,
                 f"pair Gram smallest singular value {sing[-1]:.3e} with "

@@ -38,7 +38,9 @@ import numpy as np
 from blocklanczos import spinchain
 from blocklanczos.spinchain import HamiltonianSpec
 
-DEFAULT_BREAKDOWN_TOL = 1e-10
+# Deflation and breakdown tolerance relative to the operator's norm bound,
+# so that the Krylov dimension does not depend on the operator's units.
+_RELATIVE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,42 +156,53 @@ def _reorthogonalize(residual: np.ndarray, rows: np.ndarray) -> None:
 
 
 def _gram_schmidt_factor(
-    residual: np.ndarray, rows: np.ndarray, deflation_tol: float
+    residual: np.ndarray, rows: np.ndarray, scale: float
 ) -> np.ndarray:
     """Factor residual = Q_new @ B: writes the orthonormal columns of Q_new
     to the leading rows of ``rows`` and returns the echelon B, (kept, cols).
 
-    Columns are orthogonalized left to right (two passes); a column whose
-    remainder falls below ``deflation_tol`` is deflated: its projection
-    coefficients stay in B but it adds no row. No rows: all deflated.
+    Columns are orthogonalized left to right, each against the rows kept so
+    far in two passes of one matrix product; a column whose remainder has
+    norm at most ``_RELATIVE_TOL * scale`` (``scale`` the operator's norm
+    bound) is deflated: its projection coefficients stay in B but it adds no
+    row. No rows: all deflated. A zero operator thus deflates everything.
     """
     cols = residual.shape[1]
     b = np.zeros((cols, cols), dtype=residual.dtype)
     kept = 0
     for j in range(cols):
         r = residual[:, j].copy()
-        for _ in range(2):
-            for i in range(kept):
-                c = np.vdot(rows[i], r)
-                r -= c * rows[i]
-                b[i, j] += c
+        if kept:  # a width-1 run never projects here
+            q = rows[:kept]
+            for _ in range(2):
+                c = q.conj() @ r
+                r -= c @ q
+                b[:kept, j] += c
         nrm = float(np.linalg.norm(r))
-        if nrm >= deflation_tol:  # else a dependent direction: projections only
-            b[kept, j] = nrm
-            rows[kept] = r / nrm
-            kept += 1
+        if nrm <= _RELATIVE_TOL * scale:
+            continue  # a dependent direction: projections only
+        b[kept, j] = nrm  # a NaN norm is kept, so the caller sees it
+        rows[kept] = r / nrm
+        kept += 1
     return b[:kept]
 
 
+# overflow surfaces as a non-finite block, which the recursion refuses by name
+@np.errstate(over="ignore", invalid="ignore")
 def _hermitian_recursion(
-    spec: HamiltonianSpec, start: np.ndarray, max_iter: int, tol: float
+    spec: HamiltonianSpec, start: np.ndarray, max_iter: int
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Up to ``max_iter`` expansions from the orthonormal ``(dim, width)``
     ``start``: the Hermitized diagonal blocks, the coupling blocks and the
     ``(dim, k)`` basis, Krylov vectors as columns. The basis is float64 for
     a real start and complex128 for a complex one.
-    A remainder that deflates below ``tol`` ends the run (invariant space).
+
+    A remainder column of norm at most ``_RELATIVE_TOL`` times the chain's
+    norm bound deflates; a fully deflated remainder ends the run (invariant
+    space). A non-finite block, which only an overflowing chain produces,
+    is refused with a ValueError naming the chain and the step.
     """
+    scale = spec.norm_bound
     psi = np.ascontiguousarray(
         start, dtype=np.complex128 if np.iscomplexobj(start) else np.float64)
     dim, width = psi.shape
@@ -203,6 +216,7 @@ def _hermitian_recursion(
         h_psi = spinchain.apply_to_array(spec, psi)
         a = psi.conj().T @ h_psi
         a = 0.5 * (a + a.conj().T)  # exact Hermiticity, kills roundoff skew
+        _check_finite(a, "diagonal", spec, n)
         a_blocks.append(a)
         if n == max_iter or hi >= dim:
             break
@@ -211,9 +225,10 @@ def _hermitian_recursion(
         if n > 0:
             residual -= np.dot(prev, b_blocks[n - 1].conj().T)
         _reorthogonalize(residual, basis[:hi])
-        b = _gram_schmidt_factor(residual, basis[hi:], tol)
+        b = _gram_schmidt_factor(residual, basis[hi:], scale)
         if b.shape[0] == 0:
             break  # invariant subspace: clean termination
+        _check_finite(b, "coupling", spec, n + 1)
         b_blocks.append(b)
         prev, psi = psi, basis[hi : hi + b.shape[0]].T
         hi += b.shape[0]
@@ -221,11 +236,19 @@ def _hermitian_recursion(
     return a_blocks, b_blocks, basis[:hi].T
 
 
+def _check_finite(
+    block: np.ndarray, kind: str, spec: HamiltonianSpec, step: int
+) -> None:
+    if not np.isfinite(block).all():
+        raise ValueError(
+            f"the Lanczos recursion on the {spec.length}-site chain overflowed "
+            f"at step {step}: its {kind} block is not finite")
+
+
 def lanczos_run(
     spec: HamiltonianSpec,
     start: np.ndarray,
     max_iter: int,
-    breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
 ) -> tuple[TridiagonalCoefficients, np.ndarray]:
     """Run the three-term recursion from the normalized ``(dim,)`` ``start``
     for up to ``max_iter`` expansions.
@@ -234,9 +257,10 @@ def lanczos_run(
     subtracts the projections onto the two previous vectors, re-orthogonalizes
     against the entire basis and normalizes. The re-orthogonalization makes
     one Gram-Schmidt pass, and a second only when the first shrinks the
-    residual below 1/sqrt(2) of its norm. It stops early when
-    the residual norm falls below ``breakdown_tol``: the Krylov space has
-    become invariant. The realized expansion count is ``len(coeffs.betas)``.
+    residual below 1/sqrt(2) of its norm. It stops early when the residual
+    norm is at most 1e-10 times the chain's norm bound (``spec.norm_bound``):
+    the Krylov space has become invariant. The realized expansion count is
+    ``len(coeffs.betas)``.
 
     Returns the coefficient table and the orthonormal basis as a
     ``(dim, len(coeffs.alphas))`` array whose columns are the Krylov
@@ -251,8 +275,7 @@ def lanczos_run(
     if not abs(norm - 1.0) <= 1e-10:  # NaN-safe: a NaN norm is refused
         raise ValueError(f"start not normalized: |v| = {norm!r}")
 
-    a_blocks, b_blocks, basis = _hermitian_recursion(
-        spec, start[:, None], max_iter, breakdown_tol)
+    a_blocks, b_blocks, basis = _hermitian_recursion(spec, start[:, None], max_iter)
     # 1x1 blocks: the Hermitized A is exactly real, B is the residual norm
     alphas, betas = (np.array(blocks).real.ravel() for blocks in (a_blocks, b_blocks))
     return TridiagonalCoefficients(alphas, betas), basis

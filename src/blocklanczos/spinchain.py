@@ -111,6 +111,20 @@ class HamiltonianSpec:
         """Return a new spec with ``term`` appended (order preserved)."""
         return HamiltonianSpec(self.length, self.terms + (term,), self.constant)
 
+    @property
+    def norm_bound(self) -> float:
+        """Upper bound on the operator norm of H: |constant| plus 0.5|c| per
+        XX+YY bond and 0.25|c| per ZZ bond. A bound that overflows to inf is
+        refused, since no Krylov coefficient of such a chain is finite."""
+        bound = abs(self.constant) + sum(
+            (0.25 if term.kind == ZZ_KIND else 0.5) * abs(term.coefficient)
+            for term in self.terms
+        )
+        if bound == math.inf:
+            raise ValueError(
+                f"the norm bound of the {self.length}-site chain overflows to inf")
+        return bound
+
     @cached_property
     def _diagonal(self) -> np.ndarray:
         """Read-only ``(dim,)`` diagonal of H, built on first use and kept

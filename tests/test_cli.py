@@ -501,6 +501,33 @@ class TestErrorHandling:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, assignments, fragment", [
+        # finite chains whose Krylov coefficients overflow
+        ("solve_2site", ["solve.j_xy=1e308"],
+         "the 2-site chain overflowed at step 1: its coupling block"),
+        ("incremental_small", ["incremental.j_xy=1e200"],
+         "the 10-site chain overflowed at step 1: its coupling block"),
+        ("incremental_small", ["incremental.length=6", "incremental.j_z=1e308"],
+         "the 6-site chain overflowed at step 1: its coupling block"),
+        # finite couplings whose norm bound overflows
+        ("solve_2site", ["solve.length=5", "solve.j_xy=1e308"],
+         "the norm bound of the 5-site chain overflows to inf"),
+    ], ids=["solve", "incremental-xy", "incremental-z", "solve-bound"])
+    def test_overflowing_coupling_refused(self, tmp_path, capsys, config,
+                                          assignments, fragment):
+        out = tmp_path / "out"
+        argv = ["--config", str(ROOT / "configs" / f"{config}.json"),
+                "--output-dir", str(out)]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error: ")
+        assert fragment in captured.out
+        assert len(captured.out.splitlines()) == 1
+        assert captured.err == ""
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("etas, fragment", [
         ("[1e308,1e-3]", "has a non-finite entry"),

@@ -37,6 +37,26 @@ class TestGeneralOperator:
         with pytest.raises(ValueError):
             GeneralOperator.from_matrix(np.eye(513))
 
+    def test_scale_is_a_norm_bound(self):
+        mat = np.array([[1.0, -2.0], [0.5, 0.25]])
+        # the row sums (infinity-norm) reach 3, the column sums (1-norm) 2.25
+        assert GeneralOperator.from_matrix(mat).scale == 3.0
+        assert GeneralOperator.from_matrix(mat.T).scale == 3.0
+        spec = spinchain.build_xxz(4, j_xy=1.0, j_z=0.4)
+        assert GeneralOperator.from_hamiltonian(spec).scale == spec.norm_bound
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="operator scale must be finite and >= 0"):
+            GeneralOperator(4, lambda v: v, lambda v: v, scale)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, entry):
+        mat = np.eye(4)
+        mat[1, 2] = entry
+        with pytest.raises(ValueError, match="operator scale must be finite"):
+            GeneralOperator.from_matrix(mat)
+
     def test_apply_and_transpose_match_dense(self):
         rng = np.random.default_rng(0)
         mat = rng.standard_normal((9, 9))
@@ -246,7 +266,7 @@ class TestTwoSidedRun:
     def test_zero_width_start_rejected(self):
         calls = []
         op = GeneralOperator(8, lambda v: calls.append(v) or v,
-                             lambda v: calls.append(v) or v)
+                             lambda v: calls.append(v) or v, scale=1.0)
         empty = np.zeros((8, 0))
         with pytest.raises(ValueError, match=r"\(dimension x width\) .*width >= 1"):
             two_sided_block_run(op, empty, empty, max_iter=3)
@@ -262,7 +282,7 @@ class TestTwoSidedRun:
     def test_non_finite_start_rejected(self, side):
         calls = []
         op = GeneralOperator(4, lambda v: calls.append(v) or v,
-                             lambda v: calls.append(v) or v)
+                             lambda v: calls.append(v) or v, scale=1.0)
         good, bad = unit_column(4), unit_column(4)
         bad[2, 0] = np.nan
         right, left = (bad, good) if side == "right" else (good, bad)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from blocklanczos import scalar, spinchain as sc
+from blocklanczos import block, nonhermitian, scalar, spinchain as sc
 
 from reference_values import (
     HEISENBERG2_ALPHA,
@@ -236,12 +236,13 @@ class TestResidualNorm:
         assert 0.0 <= r <= np.max(np.abs(sc.eigenvalues(spec))) * 2
 
 
-def textbook_lanczos(spec, start, max_iter, breakdown_tol=1e-10):
+def textbook_lanczos(spec, start, max_iter):
     """Reference three-term recursion: one vector per step, full
     reorthogonalization by the DGKS rule (a second pass only when the first
-    shrinks the vector below 1/sqrt(2) of its norm), Krylov vectors as the
-    rows of one buffer. Returns (alphas, betas, basis) with the vectors as
-    basis columns."""
+    shrinks the vector below 1/sqrt(2) of its norm), breakdown at a residual
+    norm of at most 1e-10 times the norm bound, Krylov vectors as the rows
+    of one buffer. Returns (alphas, betas, basis) with the vectors as basis
+    columns."""
     dim = spec.dim
     v0 = start
     cap = min(max_iter + 1, dim)
@@ -261,19 +262,11 @@ def textbook_lanczos(spec, start, max_iter, breakdown_tol=1e-10):
         if np.linalg.norm(w) < norm / np.sqrt(2.0):
             w -= basis[: n + 1].T @ (basis[: n + 1].conj() @ w)
         beta = float(np.linalg.norm(w))
-        if beta < breakdown_tol:
+        if beta <= 1e-10 * spec.norm_bound:
             break
         betas.append(beta)
         basis[n + 1] = w / beta
     return np.array(alphas), np.array(betas), basis[: len(alphas)].T
-
-
-def operator_scale(spec):
-    """Norm bound of a chain: |constant| + sum 0.5|c| (XX+YY) or 0.25|c| (ZZ)."""
-    return abs(spec.constant) + sum(
-        (0.25 if term.kind == sc.ZZ_KIND else 0.5) * abs(term.coefficient)
-        for term in spec.terms
-    )
 
 
 class TestTextbookReference:
@@ -289,13 +282,31 @@ class TestTextbookReference:
             max_iter = min(16, spec.dim // 2)
             alphas, betas, basis = textbook_lanczos(spec, start, max_iter)
             coeffs, got_basis = scalar.lanczos_run(spec, start, max_iter)
-            bound = 1e-12 * operator_scale(spec)
+            bound = 1e-12 * spec.norm_bound
             assert coeffs.alphas.shape == alphas.shape
             assert coeffs.betas.shape == betas.shape
             assert np.max(np.abs(coeffs.alphas - alphas)) <= bound
             assert np.max(np.abs(coeffs.betas - betas), initial=0.0) <= bound
             assert got_basis.dtype == basis.dtype
             assert np.max(np.abs(got_basis - basis)) <= 1e-12
+
+
+class TestOverflowRefused:
+    """A chain with a finite norm bound can still overflow the recursion;
+    the non-finite block is refused by the chain and the step."""
+
+    @pytest.mark.parametrize("spec, fragment", [
+        (sc.HamiltonianSpec(2, (), 1.5e308), "at step 0: its diagonal block"),
+        (sc.build_xxz(2, 1e308, 0.0), "at step 1: its coupling block"),
+    ], ids=["diagonal", "coupling"])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_non_finite_block_refused(self, spec, fragment, width):
+        start = block.random_orthonormal_block(2, width, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"2-site chain overflowed {fragment}"):
+            if width == 1:
+                scalar.lanczos_run(spec, start[:, 0], 3)
+            else:
+                block.block_lanczos_run(spec, start, 3)
 
 
 class TestReorthogonalization:
@@ -360,7 +371,7 @@ class TestSolverInvariance:
 
     @staticmethod
     def assert_same_run(got, want, spec):
-        bound = 1e-12 * operator_scale(spec)
+        bound = 1e-12 * spec.norm_bound
         assert got.iterations == want.iterations
         assert np.max(np.abs(got.alphas - want.alphas)) <= bound
         assert np.max(np.abs(got.betas - want.betas), initial=0.0) <= bound
@@ -386,3 +397,137 @@ class TestSolverInvariance:
         want, _ = scalar.lanczos_run(spec, start, max_iter)
         got, _ = scalar.lanczos_run(shuffled, start, max_iter)
         self.assert_same_run(got, want, spec)
+
+    @staticmethod
+    def block_run(solver, spec, start, max_iter):
+        """Coefficient blocks of a block run, or of a two-sided run on the
+        chain from the pair (start, conj(start)); a serious breakdown (a
+        nearly degenerate chain can cause one) gives its iteration instead."""
+        if solver == "block":
+            coeffs, _ = block.block_lanczos_run(spec, start, max_iter)
+            return coeffs.a_blocks, coeffs.b_blocks
+        op = nonhermitian.GeneralOperator.from_hamiltonian(spec)
+        try:
+            coeffs, _ = nonhermitian.two_sided_block_run(
+                op, start, start.conj(), max_iter)
+        except nonhermitian.SeriousBreakdownError as err:
+            return err.iteration
+        return coeffs.a_blocks, coeffs.b_blocks, coeffs.c_blocks
+
+    @staticmethod
+    def assert_same_blocks(got, want, spec, solver):
+        if isinstance(want, int):  # a breakdown, at the same iteration
+            assert got == want
+            return
+        # The two-sided run splits each pair Gram matrix W = C B by an SVD,
+        # which resolves W only to round-off times its norm, so a symmetry
+        # moves its coefficients by up to round-off times cond(W); the
+        # triangular Hermitian factor needs no such factor.
+        growth = 1.0 if solver == "block" else max(
+            (np.linalg.cond(c @ b) for b, c in zip(want[1], want[2])), default=1.0)
+        bound = 1e-12 * spec.norm_bound * growth
+        for got_blocks, want_blocks in zip(got, want, strict=True):
+            assert [m.shape for m in got_blocks] == [m.shape for m in want_blocks]
+            for g, w in zip(got_blocks, want_blocks):
+                assert np.max(np.abs(g - w)) <= bound
+
+    @staticmethod
+    def block_start(solver, length, rng, complex_start):
+        width = 3 if solver == "block" else 2
+        return block.random_orthonormal_block(
+            length, width, rng, complex_amplitudes=complex_start)
+
+    @pytest.mark.parametrize("solver", ["block", "two-sided"])
+    @given(*CHAINS)
+    def test_block_global_spin_flip_of_start(self, solver, length, seed,
+                                             max_iter, complex_start):
+        rng = np.random.default_rng(seed)
+        spec = random_xxz_chain(length, rng)
+        start = self.block_start(solver, length, rng, complex_start)
+        want = self.block_run(solver, spec, start, max_iter)
+        got = self.block_run(solver, spec, start[::-1], max_iter)
+        self.assert_same_blocks(got, want, spec, solver)
+
+    @pytest.mark.parametrize("solver", ["block", "two-sided"])
+    @given(*CHAINS)
+    def test_block_term_order(self, solver, length, seed, max_iter, complex_start):
+        rng = np.random.default_rng(seed)
+        spec = random_xxz_chain(length, rng)
+        order = rng.permutation(len(spec.terms))
+        shuffled = sc.HamiltonianSpec(
+            length, tuple(spec.terms[k] for k in order), spec.constant)
+        start = self.block_start(solver, length, rng, complex_start)
+        want = self.block_run(solver, spec, start, max_iter)
+        got = self.block_run(solver, shuffled, start, max_iter)
+        self.assert_same_blocks(got, want, spec, solver)
+
+
+def scaled_chain(spec, m):
+    """``spec`` with every coefficient and the constant times 2**m."""
+    factor = 2.0**m
+    terms = tuple(sc.CouplingTerm(t.kind, t.site, factor * t.coefficient)
+                  for t in spec.terms)
+    return sc.HamiltonianSpec(spec.length, terms, factor * spec.constant)
+
+
+class TestPowerOfTwoScaling:
+    """Scaling every coefficient and the constant by 2**m is exact in binary,
+    and every tolerance is relative to the norm bound, so a run to
+    saturation stops at the same step with the same widths, and its
+    projected matrix and Ritz values scale by 2**m bit for bit."""
+
+    CHAINS = {
+        "heisenberg": sc.HamiltonianSpec(5, sc.build_xxz(5, 1.0, 1.0).terms, 0.75),
+        "random": random_xxz_chain(5, np.random.default_rng(5)),
+    }
+
+    @staticmethod
+    def saturating_run(solver, spec):
+        """(iterations, widths, projected matrix, Ritz values) of a run with
+        a budget of ``spec.dim`` expansions from a fixed random start."""
+        rng = np.random.default_rng(5)
+        if solver == "scalar":
+            start = sc.random_state_vector(spec.length, rng)
+            coeffs, _ = scalar.lanczos_run(spec, start, spec.dim)
+            return (coeffs.iterations, (1,) * coeffs.size, coeffs.matrix(),
+                    scalar.ritz_values(coeffs))
+        if solver == "block":
+            start = block.random_orthonormal_block(spec.length, 3, rng)
+            coeffs, _ = block.block_lanczos_run(spec, start, spec.dim)
+            return (coeffs.iterations, coeffs.widths,
+                    block.assemble_block_tridiagonal(coeffs),
+                    block.block_ritz_values(coeffs))
+        right, left = nonhermitian.paired_random_start(spec.dim, 2, rng)
+        op = nonhermitian.GeneralOperator.from_hamiltonian(spec)
+        coeffs, _ = nonhermitian.two_sided_block_run(op, right, left, spec.dim)
+        # no Ritz values: LAPACK's dense eigvals(2**m T) differs from
+        # 2**m eigvals(T) at round-off, so only T itself is exact
+        return coeffs.iterations, coeffs.widths, nonhermitian.assemble_t(coeffs), None
+
+    @pytest.mark.parametrize("m", [-30, 20])
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("solver", ["scalar", "block", "two-sided"])
+    def test_run_scales_bit_for_bit(self, solver, chain, m):
+        spec = self.CHAINS[chain]
+        iters, widths, projected, ritz = self.saturating_run(solver, spec)
+        got = self.saturating_run(solver, scaled_chain(spec, m))
+        assert got[0] == iters
+        assert got[1] == widths
+        assert np.array_equal(got[2], 2.0**m * projected)
+        if ritz is not None:
+            assert np.array_equal(got[3], 2.0**m * ritz)
+
+    @pytest.mark.parametrize("solver", ["scalar", "block", "two-sided"])
+    def test_zero_chain_ends_after_step_0(self, solver):
+        iters, _, projected, _ = self.saturating_run(solver, sc.HamiltonianSpec(4))
+        assert iters == 0
+        assert not projected.any()
+
+    def test_zero_matrix_ends_after_step_0(self):
+        op = nonhermitian.GeneralOperator.from_matrix(np.zeros((8, 8)))
+        assert op.scale == 0.0
+        right, left = nonhermitian.paired_random_start(8, 2, np.random.default_rng(0))
+        coeffs, (lefts, rights) = nonhermitian.two_sided_block_run(op, right, left, 8)
+        assert coeffs.iterations == 0
+        assert not nonhermitian.assemble_t(coeffs).any()
+        assert rights.shape == (8, 2)

@@ -203,6 +203,20 @@ class TestHamiltonianSpec:
         with pytest.raises(ValueError, match="constant must be finite"):
             sc.HamiltonianSpec(3, (), bad)
 
+    def test_norm_bound(self):
+        spec = sc.HamiltonianSpec(3, (
+            sc.CouplingTerm(sc.FLIP_KIND, 0, 2.0),
+            sc.CouplingTerm(sc.ZZ_KIND, 1, -4.0),
+        ), constant=-1.5)
+        assert spec.norm_bound == 1.5 + 0.5 * 2.0 + 0.25 * 4.0
+        assert sc.HamiltonianSpec(3).norm_bound == 0.0
+        assert np.max(np.abs(sc.eigenvalues(spec))) <= spec.norm_bound
+
+    def test_overflowing_norm_bound_refused(self):
+        spec = sc.build_xxz(5, 1e308, 0.0)  # each coefficient is finite
+        with pytest.raises(ValueError, match="norm bound of the 5-site chain overflows"):
+            spec.norm_bound
+
     def test_add_term_preserves_order(self):
         spec = sc.build_xxz(4, 1.0, 0.0)
         t = sc.CouplingTerm(sc.ZZ_KIND, 1, 0.5)
