@@ -16,6 +16,7 @@ instead of the solved base ground state).
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,25 +53,20 @@ class RampSchedule:
                 raise ValueError("additions must pair CouplingTerm with a count")
         object.__setattr__(self, "additions", additions)
 
-    def partial(self, terms_done: int, slices_done: int = 0) -> HamiltonianSpec:
-        """Spec after ``terms_done`` complete terms plus ``slices_done`` slices
-        of the next one."""
-        if not 0 <= terms_done <= len(self.additions):
-            raise ValueError(f"terms_done must be in [0, {len(self.additions)}]")
-        spec = self.base
-        for term, _ in self.additions[:terms_done]:
-            spec = spec.add_term(term)
-        if slices_done:
-            if terms_done >= len(self.additions):
-                raise ValueError("no next term to slice")
-            term, count = self.additions[terms_done]
-            if not 0 < slices_done < count:
-                raise ValueError(f"slices_done must be in (0, {count})")
-            fraction = slices_done / count
-            spec = spec.add_term(
-                CouplingTerm(term.kind, term.site, term.coefficient * fraction)
-            )
-        return spec
+    def stages(self) -> Iterator[tuple[int, float, HamiltonianSpec]]:
+        """Yield ``(terms_added, lambda_fraction, spec)`` per stage: for each
+        addition of ``count`` slices, k / count of its term for k = 1 ..
+        count - 1, then the whole term. Each spec is the previous whole-term
+        stage (the base first) plus one term, made by ``add_term``, so once
+        that stage's oracle sum is built each later stage adds one bond."""
+        whole = self.base
+        for done, (term, count) in enumerate(self.additions):
+            for k in range(1, count):
+                fraction = k / count
+                yield done, fraction, whole.add_term(
+                    CouplingTerm(term.kind, term.site, term.coefficient * fraction))
+            whole = whole.add_term(term)
+            yield done + 1, 1.0, whole
 
 
 @dataclass(frozen=True)
@@ -191,20 +187,15 @@ class ConvergenceRecord:
         return cls(tuple(rows))
 
 
-def _initial_state(config: ScenarioConfig, base: HamiltonianSpec) -> np.ndarray:
-    if config.start_state is not None:
-        return config.start_state.to_state_vector()
-    return spinchain.ground_state(base)[1]
-
-
 def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
     """Ramp the Ising couplings per ``config`` and record the trajectory.
 
-    Each slice runs ``lanczos_per_step`` Krylov expansions seeded with the
-    previous step's reconstructed ground state; delta_vs_exact compares
-    against exact diagonalization of the current partial Hamiltonian. The
-    oracle builds each distinct bond once per call and releases them on
-    return, so every call costs what a fresh run costs.
+    Each stage of ``build_ramp(config).stages()`` runs ``lanczos_per_step``
+    Krylov expansions seeded with the previous stage's reconstructed ground
+    state; delta_vs_exact compares against the exact ground energy of the
+    stage's partial Hamiltonian. That reference builds the stage's oracle
+    sum, and the stages after a whole-term stage extend its sum by one bond
+    each. The sums live on the stage specs, so none outlives the call.
     """
     if config.length > spinchain.DENSE_SITE_CAP:
         raise ValueError(
@@ -212,31 +203,25 @@ def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
             f"got {config.length}"
         )
     ramp = build_ramp(config)
-    rows: list[ConvergenceRow] = []
-    count = config.dlambda_fractions
-    with spinchain._bonds_reused():
-        current = _initial_state(config, ramp.base)
+    if config.start_state is not None:
+        current = config.start_state.to_state_vector()
+    else:
+        current = spinchain.ground_state(ramp.base)[1]
         current = current / np.linalg.norm(current)
-        for term_index in range(len(ramp.additions)):
-            for slice_index in range(1, count + 1):
-                if slice_index == count:
-                    working = ramp.partial(term_index + 1)
-                    terms_added, fraction = term_index + 1, 1.0
-                else:
-                    working = ramp.partial(term_index, slice_index)
-                    terms_added, fraction = term_index, slice_index / count
-                coeffs, basis = scalar.lanczos_run(
-                    working, current, max_iter=config.lanczos_per_step
-                )
-                values, vectors = scalar.tridiagonal_eigensolve(coeffs)
-                energy = float(values[0])
-                current = scalar.reconstruct_state(basis, vectors[:, 0])
-                exact = spinchain.ground_energy(working)
-                rows.append(ConvergenceRow(
-                    terms_added=terms_added,
-                    lambda_fraction=fraction,
-                    energy=energy,
-                    delta_vs_exact=energy - exact,
-                    lanczos_iters=len(coeffs.betas),
-                ))
+    rows: list[ConvergenceRow] = []
+    for terms_added, fraction, working in ramp.stages():
+        coeffs, basis = scalar.lanczos_run(
+            working, current, max_iter=config.lanczos_per_step
+        )
+        values, vectors = scalar.tridiagonal_eigensolve(coeffs)
+        energy = float(values[0])
+        current = scalar.reconstruct_state(basis, vectors[:, 0])
+        exact = spinchain.ground_energy(working)
+        rows.append(ConvergenceRow(
+            terms_added=terms_added,
+            lambda_fraction=fraction,
+            energy=energy,
+            delta_vs_exact=energy - exact,
+            lanczos_iters=len(coeffs.betas),
+        ))
     return ConvergenceRecord(tuple(rows))

@@ -116,6 +116,11 @@ class CostModel:
             )
 
 
+# The largest q whose table is finite: the group-size-1 score of q = 2048,
+# 2^1024, overflows a float.
+_MAX_COST_Q = 2047
+
+
 def oaa_cost(model: CostModel) -> float:
     """Search-cost score D * 2^(ceil(q/D)/2) for grouped application."""
     groups = math.ceil(model.q / model.d_group)
@@ -126,6 +131,9 @@ def cost_sweep(q: int) -> list[tuple[int, float]]:
     """oaa_cost for every group size 1..q."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
+    if q > _MAX_COST_Q:
+        raise ValueError(f"q must be <= {_MAX_COST_Q}, the largest q whose "
+                         f"costs are finite, got {q}")
     return [(d, oaa_cost(CostModel(q, d))) for d in range(1, q + 1)]
 
 

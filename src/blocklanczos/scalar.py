@@ -245,13 +245,21 @@ def _check_finite(
             f"at step {step}: its {kind} block is not finite")
 
 
+def _check_start(start: np.ndarray, refusal: str) -> None:
+    """Refuse a ``(dim, width)`` start whose Gram matrix differs from the
+    identity by more than 1e-10 in some entry, as the two-sided run does."""
+    defect = float(np.max(np.abs(start.conj().T @ start - np.eye(start.shape[1]))))
+    if not defect <= 1e-10:  # NaN-safe: a non-finite start is refused here
+        raise ValueError(f"{refusal}: Gram defect {defect:.3e}")
+
+
 def lanczos_run(
     spec: HamiltonianSpec,
     start: np.ndarray,
     max_iter: int,
 ) -> tuple[TridiagonalCoefficients, np.ndarray]:
     """Run the three-term recursion from the normalized ``(dim,)`` ``start``
-    for up to ``max_iter`` expansions.
+    (|v|^2 within 1e-10 of 1) for up to ``max_iter`` expansions.
 
     The width-1 run of the shared recursion: each expansion applies H once,
     subtracts the projections onto the two previous vectors, re-orthogonalizes
@@ -271,9 +279,7 @@ def lanczos_run(
     start = np.asarray(start)
     if start.shape != (spec.dim,):
         raise ValueError(f"start of shape {start.shape} is not ({spec.dim},)")
-    norm = float(np.linalg.norm(start))
-    if not abs(norm - 1.0) <= 1e-10:  # NaN-safe: a NaN norm is refused
-        raise ValueError(f"start not normalized: |v| = {norm!r}")
+    _check_start(start[:, None], "start not normalized")
 
     a_blocks, b_blocks, basis = _hermitian_recursion(spec, start[:, None], max_iter)
     # 1x1 blocks: the Hermitized A is exactly real, B is the residual norm

@@ -29,9 +29,7 @@ Conventions (fixed and tested):
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -108,8 +106,13 @@ class HamiltonianSpec:
         return 2**self.length
 
     def add_term(self, term: CouplingTerm) -> HamiltonianSpec:
-        """Return a new spec with ``term`` appended (order preserved)."""
-        return HamiltonianSpec(self.length, self.terms + (term,), self.constant)
+        """Return a new spec with ``term`` appended (order preserved). If
+        this spec's oracle sum (:func:`sparse_matrix`) is built, the new spec
+        keeps it until its own sum is built from it by adding one bond."""
+        spec = HamiltonianSpec(self.length, self.terms + (term,), self.constant)
+        if "_sum" in self.__dict__:
+            spec.__dict__["_parent_sum"] = self._sum
+        return spec
 
     @property
     def norm_bound(self) -> float:
@@ -143,6 +146,19 @@ class HamiltonianSpec:
         diagonal.flags.writeable = False
         return diagonal
 
+    @cached_property
+    def _sum(self) -> sp.csr_matrix:
+        """The fold of :func:`sparse_matrix`, built on first use and kept."""
+        import scipy.sparse as sp  # deferred: only the oracle loads scipy.sparse
+
+        mat = self.__dict__.pop("_parent_sum", None)  # see add_term
+        terms = self.terms if mat is None else self.terms[-1:]
+        if mat is None:
+            mat = self.constant * sp.identity(self.dim, dtype=np.complex128, format="csr")
+        for term in terms:  # in spec order
+            mat = mat + term.coefficient * _bond(term.kind, term.site, self.length)
+        return mat
+
 
 _UP_CHARS = frozenset("uU↑")
 _DOWN_CHARS = frozenset("dD↓")
@@ -169,7 +185,9 @@ class ProductState:
 
     @classmethod
     def from_string(cls, text: str) -> ProductState:
-        """Parse a compact pattern such as ``"uudd"`` or ``"<up><up><down><down>"``."""
+        """Parse a compact pattern such as ``"uudd"``: one character per site,
+        site 0 first, each ``u``, ``U`` or ``↑`` for up and ``d``, ``D`` or
+        ``↓`` for down. Surrounding whitespace is ignored."""
         return cls(tuple(text.strip()))
 
     @property
@@ -246,59 +264,13 @@ def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Kept:
-    """What :func:`sparse_matrix` keeps inside one :func:`_bonds_reused`
-    block: every bond built so far, keyed by (kind, site, length), and the
-    last assembly's sum with and without its last term, each under its
-    :func:`_fold_key`."""
-
-    bonds: dict[tuple[str, int, int], sp.csr_matrix] = field(default_factory=dict)
-    sums: tuple[tuple[tuple, sp.csr_matrix], ...] = ()
-
-
-# The open :func:`_bonds_reused` block's kept bonds and sums in this thread
-# or task; None outside one.
-_bond_cache: ContextVar[_Kept | None] = ContextVar("_bond_cache", default=None)
-
-
-@contextmanager
-def _bonds_reused():
-    """Within the block, :func:`sparse_matrix` builds each distinct bond once
-    and starts each assembly from the longest kept partial sum it extends.
-
-    The cache starts empty on entry and is dropped on exit, also when the
-    block raises, so nothing is shared between blocks and no memory outlives
-    one. ``incremental.run_incremental`` opens one per ramp.
-    """
-    token = _bond_cache.set(_Kept())
-    try:
-        yield
-    finally:
-        _bond_cache.reset(token)
-
-
 def _bond(kind: str, site: int, length: int) -> sp.csr_matrix:
     """The unit-coefficient bond ``I (x) pair (x) I`` on sites (site, site+1)."""
-    kept = _bond_cache.get()
-    key = (kind, site, length)
-    if kept is not None and key in kept.bonds:
-        return kept.bonds[key]
-    import scipy.sparse as sp  # deferred, as in sparse_matrix
+    import scipy.sparse as sp  # deferred, as in HamiltonianSpec._sum
 
     pair = _ZZ_PAIR if kind == ZZ_KIND else _FLIP_PAIR
     above = sp.identity(2 ** (length - site - 2))
-    bond = sp.kron(sp.kron(above, pair), sp.identity(2**site), format="csr")
-    if kept is not None:
-        kept.bonds[key] = bond
-    return bond
-
-
-def _fold_key(spec: HamiltonianSpec) -> tuple:
-    """The steps of the fold in :func:`sparse_matrix`, exact to the bit:
-    ``float.hex`` tells -0.0 from 0.0, which ``==`` does not."""
-    return ((spec.length, spec.constant.hex()),
-            *((t.kind, t.site, t.coefficient.hex()) for t in spec.terms))
+    return sp.kron(sp.kron(above, pair), sp.identity(2**site), format="csr")
 
 
 def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
@@ -310,34 +282,13 @@ def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
     each other. The sum is a fold in spec order, ``constant * I`` then
     ``mat + coefficient * bond`` per term.
 
-    Inside :func:`_bonds_reused` a bond seen before is reused, and the fold
-    starts from a kept partial sum: the last assembly's sum, or that sum
-    without its last term, whichever is the longest with the same length and
-    constant whose terms lead this spec's terms; only the remaining terms
-    are added. A ramp stage that appends a term, or that rescales the last
-    one (a sliced stage), so adds one bond. The fold's order is unchanged,
-    so the sum is the same either way, bit for bit. The returned matrix may
-    be one the block keeps; do not modify it in place.
+    The sum is built once per spec and kept with it, like the spec's
+    diagonal. A spec made by :meth:`HamiltonianSpec.add_term` from a spec
+    whose sum is built starts from that sum and adds one bond: the same
+    fold, so the same sum bit for bit. The returned matrix is the kept one;
+    do not modify it in place.
     """
-    import scipy.sparse as sp  # deferred: only the oracle loads scipy.sparse
-
-    kept = _bond_cache.get()
-    steps = _fold_key(spec)  # the start, then one step per term
-    done, mat = 0, None  # steps already summed, and their sum
-    for key, partial in kept.sums if kept is not None else ():
-        if len(key) > done and steps[: len(key)] == key:
-            done, mat = len(key), partial
-    if mat is None:
-        done = 1
-        mat = spec.constant * sp.identity(spec.dim, dtype=np.complex128, format="csr")
-    before_last = None
-    for term in spec.terms[done - 1 :]:  # in spec order
-        before_last = mat
-        mat = mat + term.coefficient * _bond(term.kind, term.site, spec.length)
-    if kept is not None:
-        kept.sums = ((steps, mat),) if before_last is None else (
-            (steps[:-1], before_last), (steps, mat))
-    return mat
+    return spec._sum
 
 
 def _check_dense_size(spec: HamiltonianSpec) -> None:

@@ -34,6 +34,21 @@ class TestBlockVector:
         with pytest.raises(ValueError):
             block.block_lanczos_run(heisenberg(3), np.empty((8, 0)), max_iter=2)
 
+    @pytest.mark.parametrize("scale, refused", [(1 + 1e-9, True), (1 + 1e-12, False)],
+                             ids=["refused", "accepted"])
+    def test_scalar_and_width_one_block_share_the_start_check(self, scale, refused):
+        # |v|^2 - 1 is 2e-9 or 2e-12 against the common bound of 1e-10
+        spec = heisenberg(6)
+        v = scale * sc.random_state_vector(6, np.random.default_rng(4))
+        runs = {"scalar": lambda: scalar.lanczos_run(spec, v, max_iter=2),
+                "block": lambda: block.block_lanczos_run(spec, v[:, None], max_iter=2)}
+        for name, run in runs.items():
+            if refused:
+                with pytest.raises(ValueError, match="Gram defect 2.0"):
+                    run()
+            else:
+                run()
+
 
 class TestBlockCoefficients:
     def test_hermiticity_validated(self):

@@ -196,6 +196,30 @@ class TestIncrementalCommand:
         assert cli.SCENARIO_ARTIFACTS["large"] == "fig2_convergence.csv"
         assert cli.SCENARIO_ARTIFACTS["random-start"] == "fig3_convergence.csv"
 
+    def test_start_pattern_seeds_the_ramp(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(ROOT / "configs" / "incremental_random_start.json"),
+                         "--output-dir", str(out),
+                         "--set", "incremental.length=6",
+                         "--set", "incremental.start_pattern=uuddud"]) == 0
+        with open(out / "fig3_convergence.csv") as handle:
+            assert len(list(csv.reader(handle))) == 1 + 5
+
+    @pytest.mark.parametrize("pattern, fragment", [
+        ("<up><down>", "spin label '<' is not one of up/down"),
+        ("uudd", "start state has 4 sites, expected 6"),
+    ])
+    def test_bad_start_pattern_exit_1(self, tmp_path, capsys, pattern, fragment):
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(ROOT / "configs" / "incremental_random_start.json"),
+                         "--output-dir", str(out),
+                         "--set", "incremental.length=6",
+                         "--set", f"incremental.start_pattern={pattern}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"error: {fragment}\n"
+        assert captured.err == ""
+        assert not out.exists()
+
     def test_bad_scenario_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path / "config.json", {
             "command": "incremental",
@@ -277,6 +301,18 @@ class TestCostTableCommand:
         assert cli.main(["--config", path]) == 1
         assert capsys.readouterr().out == f"error: q must be >= 1, got {q}\n"
         assert not (tmp_path / "out").exists()
+
+
+    def test_q_beyond_a_finite_table_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(ROOT / "configs" / "cost_table.json"),
+                         "--output-dir", str(out),
+                         "--set", "cost-table.q_values=[5000]"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ("error: q must be <= 2047, the largest q whose "
+                                "costs are finite, got 5000\n")
+        assert captured.err == ""
+        assert not out.exists()
 
 
 class TestManifest:

@@ -1,6 +1,7 @@
 """Tests for the incremental interaction-ramping solver."""
 
-import contextlib
+import gc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -31,6 +32,11 @@ def small_chain_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**settings)
 
 
+def fresh_copy(spec):
+    """The same fields in a new spec, with no kept oracle sum."""
+    return spinchain.HamiltonianSpec(spec.length, spec.terms, spec.constant)
+
+
 class TestAlternatingSpinStart:
     def test_pattern(self):
         start = alternating_spin_start()
@@ -58,30 +64,42 @@ class TestRampSchedule:
 
     def test_full_target_equals_direct_construction(self):
         config = small_chain_config(j_z=0.8)
-        ramp = build_ramp(config)
-        assert ramp.partial(len(ramp.additions)) == spinchain.build_xxz(
-            6, j_xy=1.0, j_z=0.8)
+        *_, (terms_added, fraction, spec) = build_ramp(config).stages()
+        assert (terms_added, fraction) == (5, 1.0)
+        assert spec == spinchain.build_xxz(6, j_xy=1.0, j_z=0.8)
 
     def test_full_target_with_fractions_unchanged(self):
         ramp = build_ramp(small_chain_config(j_z=0.8, dlambda_fractions=4))
-        assert ramp.partial(len(ramp.additions)) == spinchain.build_xxz(
-            6, j_xy=1.0, j_z=0.8)
+        *_, (terms_added, fraction, spec) = ramp.stages()
+        assert (terms_added, fraction) == (5, 1.0)
+        assert spec == spinchain.build_xxz(6, j_xy=1.0, j_z=0.8)
 
     def test_partial_counts_and_fraction(self):
         ramp = build_ramp(small_chain_config(j_z=2.0, dlambda_fractions=4))
-        spec = ramp.partial(2, 3)
+        stages = {(k, f): spec for k, f, spec in ramp.stages()}
+        spec = stages[2, 0.75]
+        assert spec.terms[:len(ramp.base.terms)] == ramp.base.terms
         zz = [t for t in spec.terms if t.kind == "ZZ"]
         assert [t.coefficient for t in zz] == [2.0, 2.0, 1.5]
-        assert ramp.partial(0).terms == ramp.base.terms
+        assert [t.site for t in zz] == [0, 1, 2]
 
     def test_partial_bounds(self):
-        ramp = build_ramp(small_chain_config(dlambda_fractions=2))
-        with pytest.raises(ValueError):
-            ramp.partial(6)
-        with pytest.raises(ValueError):
-            ramp.partial(1, 2)
-        with pytest.raises(ValueError):
-            ramp.partial(5, 1)
+        # each addition: count - 1 slices, then the whole term
+        ramp = build_ramp(small_chain_config(length=4, dlambda_fractions=2))
+        got = [(k, f, len(spec.terms)) for k, f, spec in ramp.stages()]
+        base = len(ramp.base.terms)
+        assert got == [(0, 0.5, base + 1), (1, 1.0, base + 1),
+                       (1, 0.5, base + 2), (2, 1.0, base + 2),
+                       (2, 0.5, base + 3), (3, 1.0, base + 3)]
+
+    def test_each_stage_extends_the_previous_whole_term_stage(self):
+        ramp = build_ramp(small_chain_config(dlambda_fractions=3))
+        whole = ramp.base
+        for terms_added, fraction, spec in ramp.stages():
+            assert spec.terms[:-1] == whole.terms
+            if fraction == 1.0:
+                whole = spec
+        assert terms_added == len(ramp.additions)
 
 
 class TestScenarioConfig:
@@ -220,11 +238,22 @@ class TestRunIncremental:
         with pytest.raises(ValueError):
             run_incremental(ScenarioConfig("small", length=15))
 
-    def test_bond_reuse_leaves_trajectory_bit_identical(self, monkeypatch):
-        config = small_chain_config(j_z=3.0, dlambda_fractions=2)
-        reused = run_incremental(config)
-        monkeypatch.setattr(spinchain, "_bonds_reused", contextlib.nullcontext)
-        assert run_incremental(config).rows == reused.rows
+    @pytest.mark.parametrize("overrides", [
+        {"dlambda_fractions": 2},
+        {"scenario": "random-start", "start_state": ProductState.from_string("uduudd")},
+    ], ids=["sliced", "random-start"])
+    def test_kept_sums_leave_trajectory_bit_identical(self, monkeypatch, kron_calls,
+                                                      overrides):
+        config = small_chain_config(j_z=3.0, **overrides)
+        kept = run_incremental(config)
+        krons_kept = len(kron_calls)
+        for name in ("ground_state", "ground_energy"):
+            oracle = getattr(spinchain, name)
+            monkeypatch.setattr(spinchain, name,
+                                lambda spec, oracle=oracle: oracle(fresh_copy(spec)))
+        assert run_incremental(config).rows == kept.rows
+        # every stage folded from constant * I: more bonds built
+        assert len(kron_calls) - krons_kept > krons_kept
 
     def test_more_iterations_never_raise_step_energy(self):
         # Variational principle within one fixed partial Hamiltonian.
@@ -254,7 +283,8 @@ def kron_calls(monkeypatch):
 
 
 class TestBondReuseScope:
-    """The oracle builds each distinct bond once per ramp, two krons each."""
+    """Bonds the oracle builds in one ramp, two krons each: every stage adds
+    one bond to the previous whole-term stage's kept sum."""
 
     LENGTH = 6
     DISTINCT_BOND_KRONS = 2 * 2 * (LENGTH - 1)  # flip-flop and ZZ on every link
@@ -263,15 +293,18 @@ class TestBondReuseScope:
         config = small_chain_config(length=self.LENGTH)
         ramp = build_ramp(config)
         oracle_terms = len(ramp.base.terms) + sum(
-            len(ramp.partial(k).terms) for k in range(1, len(ramp.additions) + 1))
+            len(spec.terms) for _, _, spec in ramp.stages())
         run_incremental(config)
         assert len(kron_calls) == self.DISTINCT_BOND_KRONS
         assert self.DISTINCT_BOND_KRONS < 2 * oracle_terms  # 20 instead of 90
 
-    def test_split_ramp_reuses_the_same_bonds(self, kron_calls):
-        # the half-strength slice is the same bond with another coefficient
-        run_incremental(small_chain_config(length=self.LENGTH, dlambda_fractions=2))
-        assert len(kron_calls) == self.DISTINCT_BOND_KRONS
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_sliced_ramp_builds_one_bond_per_slice(self, kron_calls, count):
+        # each slice adds its own scaled bond to the last whole-term sum
+        run_incremental(small_chain_config(length=self.LENGTH,
+                                           dlambda_fractions=count))
+        flips = zz = self.LENGTH - 1
+        assert len(kron_calls) == 2 * (flips + count * zz)  # 30 and 40
 
     @pytest.mark.parametrize("overrides", [
         {}, {"dlambda_fractions": 3}, {"descending_order": True},
@@ -303,21 +336,35 @@ class TestBondReuseScope:
         spinchain.sparse_matrix(spec)
         assert len(kron_calls) == 2 * self.DISTINCT_BOND_KRONS + 2 * len(spec.terms)
 
-    def test_raising_ramp_leaves_cache_empty(self, kron_calls, monkeypatch):
+    @pytest.mark.parametrize("fail_at_stage", [None, 3], ids=["returns", "raises"])
+    def test_no_sum_outlives_a_ramp(self, monkeypatch, fail_at_stage):
+        sums = []
+        sparse_matrix = spinchain.sparse_matrix
+
+        def tracked(spec):
+            mat = sparse_matrix(spec)
+            sums.append(weakref.ref(mat))
+            return mat
+
         ground_energy = spinchain.ground_energy
         stages = []
 
-        def fail_on_third_stage(spec):
-            stages.append(spec)
-            if len(stages) == 3:
+        def failing(spec):
+            stages.append(None)
+            energy = ground_energy(spec)  # builds the stage's sum first
+            if len(stages) == fail_at_stage:
                 raise RuntimeError("stage failed")
-            return ground_energy(spec)
+            return energy
 
-        monkeypatch.setattr(spinchain, "ground_energy", fail_on_third_stage)
-        with pytest.raises(RuntimeError, match="stage failed"):
-            run_incremental(small_chain_config(length=self.LENGTH))
-        assert spinchain._bond_cache.get() is None
-        built = len(kron_calls)
-        spec = stages[-1]
-        spinchain.sparse_matrix(spec)
-        assert len(kron_calls) == built + 2 * len(spec.terms)
+        monkeypatch.setattr(spinchain, "sparse_matrix", tracked)
+        monkeypatch.setattr(spinchain, "ground_energy", failing)
+        raised = False
+        try:
+            run_incremental(small_chain_config(length=self.LENGTH,
+                                               dlambda_fractions=2))
+        except RuntimeError:
+            raised = True
+        assert raised == (fail_at_stage is not None)
+        gc.collect()
+        assert len(sums) > len(stages)  # the base, then one per stage
+        assert [ref() for ref in sums] == [None] * len(sums)

@@ -1,5 +1,6 @@
 """Tests for coefficient-noise propagation and sampling models."""
 
+import math
 import warnings
 from dataclasses import astuple
 
@@ -181,6 +182,13 @@ class TestCostModel:
         for q in (0, -3):
             with pytest.raises(ValueError, match=f"q must be >= 1, got {q}"):
                 cost_sweep(q)
+
+    def test_largest_finite_table(self):
+        sweep = cost_sweep(2047)
+        assert sweep[0] == (1, 2.0 ** 1023.5)
+        assert all(math.isfinite(cost) for _, cost in sweep)
+        with pytest.raises(ValueError, match="q must be <= 2047, .* got 2048"):
+            cost_sweep(2048)
 
     def test_single_group_value(self):
         assert oaa_cost(CostModel(4, 1)) == 4.0

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -482,20 +484,27 @@ class TestSparseAssembly:
 
 @st.composite
 def ramp_like_specs(draw):
-    """Random chains for the bond-reuse property: random term order, repeated
+    """Random chains for the kept-sum property: random term order, repeated
     bonds, fractional coefficients and a nonzero constant."""
     length = draw(st.integers(2, 7))
+    terms = draw(st.lists(terms_of(length), max_size=3 * length))
+    constant = draw(st.floats(-5.0, 5.0).filter(lambda c: c != 0.0))
+    return sc.HamiltonianSpec(length, tuple(terms), constant)
+
+
+def terms_of(length):
     coefficient = st.one_of(
         st.floats(-5.0, 5.0, allow_nan=False),
         st.builds(lambda c, k, n: c * k / n, st.floats(-5.0, 5.0),
                   st.integers(1, 6), st.integers(1, 7)),
     )
-    terms = draw(st.lists(
-        st.builds(sc.CouplingTerm, st.sampled_from(sc.TERM_KINDS),
-                  st.integers(0, length - 2), coefficient),
-        max_size=3 * length))
-    constant = draw(st.floats(-5.0, 5.0).filter(lambda c: c != 0.0))
-    return sc.HamiltonianSpec(length, tuple(terms), constant)
+    return st.builds(sc.CouplingTerm, st.sampled_from(sc.TERM_KINDS),
+                     st.integers(0, length - 2), coefficient)
+
+
+def fresh_copy(spec):
+    """The same fields in a new spec, with nothing kept."""
+    return sc.HamiltonianSpec(spec.length, spec.terms, spec.constant)
 
 
 def assert_same_csr(got, want):
@@ -506,48 +515,50 @@ def assert_same_csr(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-class TestBondReuse:
-    @given(ramp_like_specs(), ramp_like_specs())
-    def test_reused_bonds_give_bit_identical_matrix(self, spec, warm):
-        fresh = sc.sparse_matrix(spec)
-        with sc._bonds_reused():
-            sc.sparse_matrix(warm)  # may leave bonds the target reuses
-            first = sc.sparse_matrix(spec)
-            again = sc.sparse_matrix(spec)  # every bond from the cache
-        assert_same_csr(first, fresh)
-        assert_same_csr(again, fresh)
-
+class TestKeptSum:
     @given(ramp_like_specs(), st.data())
-    def test_fold_from_a_kept_prefix_is_bit_identical(self, spec, data):
-        # the warm spec's terms lead the target's, so only the rest is added;
-        # a warm sum with another constant is no start for the target
-        cut = data.draw(st.integers(0, len(spec.terms)))
-        shift = data.draw(st.sampled_from([0.0, 0.5]))
-        warm = sc.HamiltonianSpec(spec.length, spec.terms[:cut], spec.constant + shift)
-        fresh = sc.sparse_matrix(spec)
-        with sc._bonds_reused():
-            sc.sparse_matrix(warm)
-            with mock.patch.object(sc, "_bond", wraps=sc._bond) as bond:
-                assert_same_csr(sc.sparse_matrix(spec), fresh)
-        assert bond.call_count == len(spec.terms) - (0 if shift else cut)
+    def test_add_term_chain_is_bit_identical_with_one_bond_per_term(self, spec, data):
+        # a ramp from a built sum: each whole term, after some slices of it,
+        # extends the previous whole-term spec
+        sc.sparse_matrix(spec)
+        whole = spec
+        for term in data.draw(st.lists(terms_of(spec.length), max_size=6)):
+            fractions = data.draw(st.lists(st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3]),
+                                           max_size=2))
+            stages = [whole.add_term(sc.CouplingTerm(term.kind, term.site,
+                                                     term.coefficient * f))
+                      for f in fractions] + [whole.add_term(term)]
+            for stage in stages:
+                with mock.patch.object(sc, "_bond", wraps=sc._bond) as bond:
+                    assert_same_csr(sc.sparse_matrix(stage), sc.sparse_matrix(fresh_copy(stage)))
+                assert bond.call_count == 1 + len(stage.terms)  # the fresh copy folds all
+                assert stage == fresh_copy(stage)
+                assert hash(stage) == hash(fresh_copy(stage))
+            whole = stages[-1]
 
-    @given(ramp_like_specs().filter(lambda spec: spec.terms), st.data())
-    def test_fold_past_a_sliced_last_term_is_bit_identical(self, spec, data):
-        # a sliced stage: the warm spec ends in a fraction of the target's
-        # next term, so the target starts from the warm sum without it
-        cut = data.draw(st.integers(0, len(spec.terms) - 1))
-        term = spec.terms[cut]
-        fraction = data.draw(st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3]))
-        sliced = sc.CouplingTerm(term.kind, term.site, term.coefficient * fraction)
-        warm = sc.HamiltonianSpec(
-            spec.length, spec.terms[:cut] + (sliced,), spec.constant)
-        fresh = sc.sparse_matrix(spec)
-        with sc._bonds_reused():
-            sc.sparse_matrix(warm)
-            with mock.patch.object(sc, "_bond", wraps=sc._bond) as bond:
-                assert_same_csr(sc.sparse_matrix(spec), fresh)
-        if sliced != term:  # else the whole warm sum is a kept prefix
-            assert bond.call_count == len(spec.terms) - cut
+    @given(ramp_like_specs())
+    def test_add_term_without_a_built_sum_folds_every_term(self, spec):
+        with mock.patch.object(sc, "_bond", wraps=sc._bond) as bond:
+            child = spec.add_term(sc.CouplingTerm(sc.ZZ_KIND, 0, 1.5))
+            assert_same_csr(sc.sparse_matrix(child), sc.sparse_matrix(fresh_copy(child)))
+        assert bond.call_count == 2 * len(child.terms)
+
+    def test_sum_is_kept_per_spec(self):
+        spec = sc.build_xxz(5, 1.0, 0.5)
+        with mock.patch.object(sc, "_bond", wraps=sc._bond) as bond:
+            assert sc.sparse_matrix(spec) is sc.sparse_matrix(spec)
+        assert bond.call_count == len(spec.terms)
+
+    def test_child_drops_the_parent_sum_once_its_own_is_built(self):
+        parent = sc.build_xxz(5, 1.0, 0.0)
+        parent_sum = weakref.ref(sc.sparse_matrix(parent))
+        child = parent.add_term(sc.CouplingTerm(sc.ZZ_KIND, 2, 1.0))
+        del parent
+        gc.collect()
+        assert parent_sum() is not None  # the child still needs it
+        sc.sparse_matrix(child)
+        gc.collect()
+        assert parent_sum() is None
 
 
 class TestGroundOracle:
