@@ -561,6 +561,50 @@ class TestKeptSum:
         assert parent_sum() is None
 
 
+class TestBondReuse:
+    @given(ramp_like_specs(), st.data())
+    def test_fold_from_a_kept_prefix_is_bit_identical(self, spec, data):
+        # the warm spec's terms lead the target's and its sum is built, so
+        # add_term, building each step as a ramp does, folds only the rest;
+        # a warm sum with another constant is not carried into a spec of
+        # its own
+        cut = data.draw(st.integers(0, len(spec.terms)))
+        shift = data.draw(st.sampled_from([0.0, 0.5]))
+        warm = sc.HamiltonianSpec(spec.length, spec.terms[:cut], spec.constant + shift)
+        fresh = sc.sparse_matrix(fresh_copy(spec))
+        sc.sparse_matrix(warm)
+        with mock.patch.object(sc, "_bond", wraps=sc._bond) as bond:
+            if shift:
+                target = fresh_copy(spec)
+            else:
+                target = warm
+                for term in spec.terms[cut:]:
+                    target = target.add_term(term)
+                    sc.sparse_matrix(target)
+            assert_same_csr(sc.sparse_matrix(target), fresh)
+        assert target == spec
+        assert bond.call_count == len(spec.terms) - (0 if shift else cut)
+
+    @given(ramp_like_specs().filter(lambda spec: spec.terms), st.data())
+    def test_fold_past_a_sliced_last_term_is_bit_identical(self, spec, data):
+        # a sliced stage: the previous whole-term spec plus a fraction of the
+        # target's next term; the target is made from the whole-term spec,
+        # not from the slice, and adds one bond
+        cut = data.draw(st.integers(0, len(spec.terms) - 1))
+        term = spec.terms[cut]
+        fraction = data.draw(st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3]))
+        sliced = sc.CouplingTerm(term.kind, term.site, term.coefficient * fraction)
+        whole = sc.HamiltonianSpec(spec.length, spec.terms[:cut], spec.constant)
+        sc.sparse_matrix(whole)
+        warm = whole.add_term(sliced)
+        assert_same_csr(sc.sparse_matrix(warm), sc.sparse_matrix(fresh_copy(warm)))
+        target = sc.HamiltonianSpec(spec.length, spec.terms[:cut + 1], spec.constant)
+        with mock.patch.object(sc, "_bond", wraps=sc._bond) as bond:
+            step = whole.add_term(term)
+            assert_same_csr(sc.sparse_matrix(step), sc.sparse_matrix(target))
+        assert bond.call_count == 1 + len(target.terms)  # target folds all
+
+
 class TestGroundOracle:
     @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
     def test_energy_matches_dense_eigvalsh(self, spec):
