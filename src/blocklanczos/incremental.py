@@ -193,9 +193,10 @@ def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
     Each stage of ``build_ramp(config).stages()`` runs ``lanczos_per_step``
     Krylov expansions seeded with the previous stage's reconstructed ground
     state; delta_vs_exact compares against the exact ground energy of the
-    stage's partial Hamiltonian. That reference builds the stage's oracle
-    sum, and the stages after a whole-term stage extend its sum by one bond
-    each. The sums live on the stage specs, so none outlives the call.
+    stage's partial Hamiltonian. The base chain's oracle sum is built first,
+    whatever the start, so every stage extends the previous whole-term
+    stage's sum (the base first) by one bond. The sums live on the ramp's
+    specs, so none outlives the call.
     """
     if config.length > spinchain.DENSE_SITE_CAP:
         raise ValueError(
@@ -203,6 +204,7 @@ def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
             f"got {config.length}"
         )
     ramp = build_ramp(config)
+    spinchain.sparse_matrix(ramp.base)
     if config.start_state is not None:
         current = config.start_state.to_state_vector()
     else:

@@ -199,17 +199,9 @@ class SummaryRow:
 def summarize_sweep(rows: list[SweepRow]) -> list[SummaryRow]:
     """Per (block_size, block_count, eta) mean MAE, in first-seen order."""
     totals: dict[tuple[int, int, float], list[float]] = {}
-    order: list[tuple[int, int, float]] = []
     for row in rows:
-        key = (row.block_size, row.block_count, row.eta)
-        if key not in totals:
-            totals[key] = []
-            order.append(key)
-        totals[key].append(row.mae)
-    return [
-        SummaryRow(key[0], key[1], key[2], float(np.mean(totals[key])))
-        for key in order
-    ]
+        totals.setdefault((row.block_size, row.block_count, row.eta), []).append(row.mae)
+    return [SummaryRow(*key, float(np.mean(maes))) for key, maes in totals.items()]
 
 
 _TOO_FEW_FIT_POINTS = "need at least two positive-eta points to fit"

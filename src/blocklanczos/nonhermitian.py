@@ -39,7 +39,7 @@ import numpy as np
 
 from blocklanczos import textio
 from blocklanczos.block import _assemble
-from blocklanczos.scalar import _RELATIVE_TOL, _project_out, allocate_basis
+from blocklanczos.scalar import _RELATIVE_TOL, _check_start, _project_out, allocate_basis
 from blocklanczos.spinchain import HamiltonianSpec, apply_to_array
 
 DENSE_DIMENSION_CAP = 512
@@ -249,10 +249,7 @@ def two_sided_block_run(
             f"start blocks have dimension {right.shape[0]}, operator {op.dimension}"
         )
     width = right.shape[1]
-    defect = float(np.max(np.abs(left.T @ right - np.eye(width))))
-    if not defect <= 1e-10:  # NaN-safe: a non-finite start is refused here
-        raise ValueError(
-            f"start pair is not biorthonormal: left^T right != I, defect {defect:.3e}")
+    _check_start(right, "start pair is not biorthonormal", left)
 
     dim = op.dimension
     # The first product fixes the bases' dtype: a complex operator makes

@@ -245,10 +245,12 @@ def _check_finite(
             f"at step {step}: its {kind} block is not finite")
 
 
-def _check_start(start: np.ndarray, refusal: str) -> None:
+def _check_start(start: np.ndarray, refusal: str, left: np.ndarray | None = None) -> None:
     """Refuse a ``(dim, width)`` start whose Gram matrix differs from the
-    identity by more than 1e-10 in some entry, as the two-sided run does."""
-    defect = float(np.max(np.abs(start.conj().T @ start - np.eye(start.shape[1]))))
+    identity by more than 1e-10 in some entry: ``start^H start``, or for a
+    two-sided run's pair ``left^T start``."""
+    gram = start.conj().T @ start if left is None else left.T @ start
+    defect = float(np.max(np.abs(gram - np.eye(start.shape[1]))))
     if not defect <= 1e-10:  # NaN-safe: a non-finite start is refused here
         raise ValueError(f"{refusal}: Gram defect {defect:.3e}")
 

@@ -3,7 +3,9 @@
 Provides matrix-free application of nearest-neighbour XXZ-type couplings,
 a sparse Kronecker-product assembly as the reference oracle (ARPACK ground
 state, dense full spectra), and the closed-form free-fermion ground energy
-of the open XY chain as an independent cross-check.
+of the open XY chain as an independent cross-check. Every coupling is real,
+so the oracle is float64 throughout: its two bond operators are built from
+the complex single-site Sx, Sy, Sz and keep only their (exact) real parts.
 
 The matrix-free kernel splits H into its diagonal and its spin flips, the
 standard exact-diagonalization layout (Sandvik, arXiv:1101.3281, section 4).
@@ -50,8 +52,9 @@ _SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
 _SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 _SZ = np.array([[-0.5, 0.0], [0.0, 0.5]], dtype=np.complex128)
 # Two-site bond operators on sites (site + 1, site), site varying fastest.
-_ZZ_PAIR = np.kron(_SZ, _SZ)
-_FLIP_PAIR = np.kron(_SX, _SX) + np.kron(_SY, _SY)
+# Both are real (every imaginary part is exactly 0), so the oracle is float64.
+_ZZ_PAIR = np.kron(_SZ, _SZ).real
+_FLIP_PAIR = (np.kron(_SX, _SX) + np.kron(_SY, _SY)).real
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,7 @@ class HamiltonianSpec:
         mat = self.__dict__.pop("_parent_sum", None)  # see add_term
         terms = self.terms if mat is None else self.terms[-1:]
         if mat is None:
-            mat = self.constant * sp.identity(self.dim, dtype=np.complex128, format="csr")
+            mat = self.constant * sp.identity(self.dim, format="csr")
         for term in terms:  # in spec order
             mat = mat + term.coefficient * _bond(term.kind, term.site, self.length)
         return mat
@@ -279,8 +282,8 @@ def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
     Deliberately independent of :func:`apply_to_array`: each bond is a
     two-site product of single-site Sx, Sy, Sz matrices between identities,
     not strided views of the basis bits, so the two routes cross-validate
-    each other. The sum is a fold in spec order, ``constant * I`` then
-    ``mat + coefficient * bond`` per term.
+    each other. The sum is a float64 fold in spec order, ``constant * I``
+    then ``mat + coefficient * bond`` per term.
 
     The sum is built once per spec and kept with it, like the spec's
     diagonal. A spec made by :meth:`HamiltonianSpec.add_term` from a spec
@@ -298,50 +301,45 @@ def _check_dense_size(spec: HamiltonianSpec) -> None:
         )
 
 
-def _oracle_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
-    """:func:`sparse_matrix` under ``DENSE_SITE_CAP``, real when it can be."""
-    _check_dense_size(spec)
-    mat = sparse_matrix(spec)
-    return mat if mat.data.imag.any() else mat.real
-
-
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Dense complex form of :func:`sparse_matrix`, capped at ``DENSE_SITE_CAP``."""
-    return _oracle_matrix(spec).toarray().astype(np.complex128)
+    """Dense float64 form of :func:`sparse_matrix`, capped at ``DENSE_SITE_CAP``."""
+    _check_dense_size(spec)
+    return sparse_matrix(spec).toarray()
 
 
 def exact_diagonalize(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Full dense spectrum: ascending eigenvalues and the ``(dim, dim)``
-    array of orthonormal eigenvector columns, float64 for a real spec.
+    """Full dense spectrum: ascending eigenvalues and the float64 ``(dim, dim)``
+    array of orthonormal eigenvector columns.
 
     The reference oracle for every solver in this package. Capped at
     ``DENSE_SITE_CAP`` sites.
     """
-    return np.linalg.eigh(_oracle_matrix(spec).toarray())
+    return np.linalg.eigh(dense_matrix(spec))
 
 
 def eigenvalues(spec: HamiltonianSpec) -> np.ndarray:
     """Ascending dense spectrum without eigenvectors (cheaper)."""
-    return np.linalg.eigvalsh(_oracle_matrix(spec).toarray())
+    return np.linalg.eigvalsh(dense_matrix(spec))
 
 
 def ground_state(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair: the energy and the normalized ``(dim,)`` state.
+    """Lowest eigenpair: the energy and the normalized float64 ``(dim,)`` state.
 
     ARPACK's implicitly restarted Lanczos on the sparse assembly, started
     from a fixed-seed vector so that earlier ARPACK calls cannot change it.
-    A spec whose terms are all zero is ``constant * I`` (ARPACK rejects the
-    zero matrix): it gets ``constant`` and basis state 0, as dense eigh does,
-    without assembling the matrix. An ARPACK failure, such as a matrix
-    whose finite couplings overflow, is raised as a ValueError."""
+    Capped at ``DENSE_SITE_CAP`` sites. A spec whose terms are all zero is
+    ``constant * I`` (ARPACK rejects the zero matrix): it gets ``constant``
+    and basis state 0, as dense eigh does, without assembling the matrix. An
+    ARPACK failure, such as a matrix whose finite couplings overflow, is
+    raised as a ValueError."""
     from scipy.sparse.linalg import ArpackError, eigsh  # deferred, as in sparse_matrix
 
+    _check_dense_size(spec)
     if not any(term.coefficient for term in spec.terms):
-        _check_dense_size(spec)
         return spec.constant, np.eye(1, spec.dim)[0]
     v0 = np.random.default_rng(0).standard_normal(spec.dim)
     try:
-        vals, vecs = eigsh(_oracle_matrix(spec), k=1, which="SA", v0=v0, tol=0.0)
+        vals, vecs = eigsh(sparse_matrix(spec), k=1, which="SA", v0=v0, tol=0.0)
     except ArpackError as err:
         raise ValueError(
             f"no ground state of the {spec.length}-site chain with "

@@ -190,7 +190,7 @@ def test_criterion_07_block_width_resolves_degeneracy():
     worst_energy = 0.0
     worst_angle = 0.0
     for spec, k in cases:
-        dense = spinchain.dense_matrix(spec).real
+        dense = spinchain.dense_matrix(spec)
         values, vectors = np.linalg.eigh(dense)
         assert np.sum(np.abs(values - values[0]) < 1e-12) == k
         ed_space = vectors[:, :k]
@@ -246,7 +246,7 @@ def test_criterion_08_two_sided_recovers_general_spectra():
     for length, d in [(5, 1), (5, 2), (6, 1), (6, 2), (6, 4)]:
         spec = spinchain.build_xxz(length, 1.0, 0.7)
         dense_op = nonhermitian.GeneralOperator.from_matrix(
-            spinchain.dense_matrix(spec).real)
+            spinchain.dense_matrix(spec))
         q, _ = np.linalg.qr(rng.standard_normal((spec.dim, d)))
         two, _ = nonhermitian.two_sided_block_run(
             dense_op, q, q.copy(), max_iter=12)

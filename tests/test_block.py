@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
-from blocklanczos import block, scalar, spinchain as sc
+from blocklanczos import block, nonhermitian, scalar, spinchain as sc
 
 
 def heisenberg(length):
@@ -37,11 +37,15 @@ class TestBlockVector:
     @pytest.mark.parametrize("scale, refused", [(1 + 1e-9, True), (1 + 1e-12, False)],
                              ids=["refused", "accepted"])
     def test_scalar_and_width_one_block_share_the_start_check(self, scale, refused):
-        # |v|^2 - 1 is 2e-9 or 2e-12 against the common bound of 1e-10
+        # |v|^2 - 1 is 2e-9 or 2e-12 against the common bound of 1e-10; the
+        # two-sided run takes v as both sides of its pair
         spec = heisenberg(6)
         v = scale * sc.random_state_vector(6, np.random.default_rng(4))
+        op = nonhermitian.GeneralOperator.from_hamiltonian(spec)
         runs = {"scalar": lambda: scalar.lanczos_run(spec, v, max_iter=2),
-                "block": lambda: block.block_lanczos_run(spec, v[:, None], max_iter=2)}
+                "block": lambda: block.block_lanczos_run(spec, v[:, None], max_iter=2),
+                "two-sided": lambda: nonhermitian.two_sided_block_run(
+                    op, v[:, None], v[:, None], max_iter=2)}
         for name, run in runs.items():
             if refused:
                 with pytest.raises(ValueError, match="Gram defect 2.0"):

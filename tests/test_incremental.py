@@ -298,18 +298,24 @@ class TestBondReuseScope:
         assert len(kron_calls) == self.DISTINCT_BOND_KRONS
         assert self.DISTINCT_BOND_KRONS < 2 * oracle_terms  # 20 instead of 90
 
-    @pytest.mark.parametrize("count", [2, 3])
-    def test_sliced_ramp_builds_one_bond_per_slice(self, kron_calls, count):
-        # each slice adds its own scaled bond to the last whole-term sum
-        run_incremental(small_chain_config(length=self.LENGTH,
-                                           dlambda_fractions=count))
+    @pytest.mark.parametrize("count, start", [
+        (2, None), (3, None), (2, "ududud"), (3, "ududud"),
+    ], ids=["2", "3", "product-2", "product-3"])
+    def test_sliced_ramp_builds_one_bond_per_slice(self, kron_calls, count, start):
+        # each slice adds its own scaled bond to the last whole-term sum,
+        # from a product start too: the base's sum is built before stage 1
+        start_state = None if start is None else ProductState.from_string(start)
+        run_incremental(small_chain_config(length=self.LENGTH, dlambda_fractions=count,
+                                           start_state=start_state))
         flips = zz = self.LENGTH - 1
         assert len(kron_calls) == 2 * (flips + count * zz)  # 30 and 40
 
     @pytest.mark.parametrize("overrides", [
         {}, {"dlambda_fractions": 3}, {"descending_order": True},
         {"scenario": "random-start", "start_state": ProductState.from_string("ududud")},
-    ], ids=["whole", "sliced", "descending", "random-start"])
+        {"scenario": "random-start", "start_state": ProductState.from_string("ududud"),
+         "dlambda_fractions": 3},
+    ], ids=["whole", "sliced", "descending", "random-start", "sliced-random-start"])
     def test_one_bond_fold_per_stage(self, monkeypatch, overrides):
         # after the first assembly each stage extends a kept partial sum
         folds = []
@@ -323,8 +329,7 @@ class TestBondReuseScope:
         config = small_chain_config(length=self.LENGTH, **overrides)
         base_terms = len(build_ramp(config).base.terms)
         stages = len(run_incremental(config))
-        # the base chain (or, from a product start, the first stage) is
-        # folded whole: one fold per base term
+        # the base chain is folded whole: one fold per base term
         assert len(folds) == base_terms + stages
 
     def test_back_to_back_ramps_share_nothing(self, kron_calls):

@@ -85,7 +85,7 @@ class TestGeneralOperator:
 
     def test_from_hamiltonian_matches_dense(self):
         spec = spinchain.build_xxz(4, j_xy=1.0, j_z=0.4)
-        dense = spinchain.dense_matrix(spec).real
+        dense = spinchain.dense_matrix(spec)
         op = GeneralOperator.from_hamiltonian(spec)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(16)
@@ -362,7 +362,7 @@ class TestTwoSidedRun:
     def test_hermitian_reduction_ritz_matches_block_solver(self):
         # Gauge-invariant comparison: Ritz values at every prefix.
         spec = spinchain.build_xxz(6, j_xy=1.0, j_z=0.7)
-        dense_op = GeneralOperator.from_matrix(spinchain.dense_matrix(spec).real)
+        dense_op = GeneralOperator.from_matrix(spinchain.dense_matrix(spec))
         rng = np.random.default_rng(20)
         q, _ = np.linalg.qr(rng.standard_normal((64, 2)))
         two, _ = two_sided_block_run(dense_op, q, q.copy(), max_iter=14)
@@ -381,12 +381,12 @@ class TestTwoSidedRun:
         # Residual norms decay toward saturation; the scale-aware breakdown
         # test must not misreport that decay as a singular pairing.
         spec = spinchain.build_xxz(6, j_xy=1.0, j_z=0.7)
-        op = GeneralOperator.from_matrix(spinchain.dense_matrix(spec).real)
+        op = GeneralOperator.from_matrix(spinchain.dense_matrix(spec))
         rng = np.random.default_rng(21)
         q, _ = np.linalg.qr(rng.standard_normal((64, 2)))
         coeffs, pair = two_sided_block_run(op, q, q.copy(), max_iter=64)
         assert coeffs.dimension == 64
-        ref = np.linalg.eigvalsh(spinchain.dense_matrix(spec).real)
+        ref = np.linalg.eigvalsh(spinchain.dense_matrix(spec))
         assert match_spectra(t_eigenvalues(coeffs), ref) < 1e-8
         assert biorthogonality_check(*pair) < 1e-8
 
