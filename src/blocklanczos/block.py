@@ -136,10 +136,14 @@ def block_lanczos_run(
     Gram matrix must be within 1e-10 of the identity in every entry, as for
     the scalar and two-sided runs. Each expansion applies H to the whole
     block, subtracts the diagonal and previous-coupling projections,
-    re-orthogonalizes against every stored vector (one Gram-Schmidt pass,
-    and a second only when the first shrinks some column below 1/sqrt(2) of
-    its norm), then factors the remainder into an orthonormal block times an
-    upper-triangular coupling block. A
+    re-orthogonalizes, then factors the remainder into an orthonormal block
+    times an upper-triangular coupling block. From the third expansion on
+    the re-orthogonalization covers the two previous blocks only, unless the
+    estimated overlap with an older block crosses sqrt(eps); then it covers
+    every stored vector, on that expansion and the next, as it does on
+    every expansion after a deflation (see :mod:`blocklanczos.scalar`). It
+    makes one Gram-Schmidt pass, and a second only when the first shrinks
+    some column below 1/sqrt(2) of its norm. A
     remainder column of norm at most 1e-10 times ``spec.norm_bound``
     deflates, so the widths do not depend on the operator's units; a fully
     deflated remainder ends the run: the Krylov space has become invariant.

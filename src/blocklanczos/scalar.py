@@ -1,12 +1,21 @@
 """Hermitian Lanczos recursion in exact-arithmetic emulation.
 
-One private body advances d orthonormal Krylov vectors per step,
-re-orthogonalizing against the whole basis so that the floating-point loss
-of orthogonality cannot contaminate the coefficients. It keeps the basis as
-the rows of one C-order ``(cap, dim)`` buffer. :func:`lanczos_run` is its
-width-1 run, whose tridiagonal eigenpairs give Ritz energies and
-reconstruction weights for excited states;
+One private body advances d orthonormal Krylov vectors per step and keeps
+the basis as the rows of one C-order ``(cap, dim)`` buffer.
+:func:`lanczos_run` is its width-1 run, whose tridiagonal eigenpairs give
+Ritz energies and reconstruction weights for excited states;
 :func:`blocklanczos.block.block_lanczos_run` is its width-d run.
+
+The basis is kept semi-orthogonal: every overlap between Krylov vectors
+stays at most sqrt(eps), which leaves the projected matrix exact to working
+precision (Simon, Math. Comp. 42, 1984). Each residual is re-orthogonalized
+against the last two blocks only, and against the whole basis when a
+majorant of its overlaps with the older blocks, propagated from the
+coefficients by the block omega recurrence (Grimes, Lewis and Simon, SIAM
+J. Matrix Anal. Appl. 15, 1994), crosses sqrt(eps); the step after such a
+trigger takes the whole basis too. The first two steps, and every step
+after a deflated block or a residual whose Gram matrix is not positive
+definite, take the whole basis.
 
 Re-orthogonalization is one classical Gram-Schmidt pass,
 :func:`_project_out`, which the two-sided recursion of
@@ -41,6 +50,12 @@ from blocklanczos.spinchain import HamiltonianSpec
 # Deflation and breakdown tolerance relative to the operator's norm bound,
 # so that the Krylov dimension does not depend on the operator's units.
 _RELATIVE_TOL = 1e-10
+
+# Semi-orthogonality: the overlap bound that triggers a pass over the whole
+# basis, and the trailing blocks every other pass projects against.
+_EPS = float(np.finfo(np.float64).eps)
+_SEMI_ORTHOGONAL = math.sqrt(_EPS)
+_WINDOW_BLOCKS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +159,12 @@ def _column_norms_sq(residual: np.ndarray) -> np.ndarray:
     return np.diagonal(residual.conj().T @ residual).real
 
 
-def _reorthogonalize(residual: np.ndarray, rows: np.ndarray) -> None:
+def _reorthogonalize(residual: np.ndarray, rows: np.ndarray, before: np.ndarray) -> None:
     """Project the orthonormal ``rows`` out of ``residual`` in place: one
     pass, and a second only when some column's norm fell below 1/sqrt(2)
-    of its norm before the first (DGKS)."""
+    of its norm before the first (DGKS), ``before`` being the squared
+    column norms of ``residual`` on entry."""
     dual = rows.conj()  # no copy for a real basis
-    before = _column_norms_sq(residual)
     _project_out(residual, dual, rows)
     if np.any(_column_norms_sq(residual) < 0.5 * before):
         _project_out(residual, dual, rows)
@@ -187,6 +202,62 @@ def _gram_schmidt_factor(
     return b[:kept]
 
 
+class _OverlapMajorant:
+    """Elementwise bounds Omega_k >= |Q_k^H Q_n| on the overlaps of the
+    newest block Q_n with every older block of a run of uniform width w.
+
+    Taking Q_k^H of H Q_n = Q_{n-1} B_{n-1}^H + Q_n A_n + Q_{n+1} B_n and of
+    the same recurrence for H Q_k gives, for k < n - 1 and R the Cholesky
+    factor of the next residual's Gram matrix (B_n up to its gauge):
+
+        Omega_{k,n+1} = (|A_k| Omega_k + |B_{k-1}| Omega_{k-1}
+                         + |B_k|^T Omega_{k+1} + Omega_k |A_n|
+                         + Omega_{k,n-1} |B_{n-1}|^T + eps norm_bound) |R^-1|
+
+    A residual projected against blocks n - 1 and n is left with overlaps
+    of round-off size, eps, with them, and so is one projected against the
+    whole basis with every block. Storage is O(blocks w^2): the |A| and |B|
+    stacks and the block-columns of Q_n and Q_{n-1}.
+    """
+
+    def __init__(self, blocks: int, width: int, scale: float) -> None:
+        shape = (blocks, width, width)
+        self.abs_a = np.empty(shape)
+        self.abs_b = np.empty(shape)
+        self.cur = np.empty(shape)  # Omega_{k,n}, k < n
+        self.prev = np.empty(shape)  # Omega_{k,n-1}, k < n - 1
+        self.noise = _EPS * scale
+
+    def propagate(self, n: int, a: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
+        """Bounds on the next block's overlaps with blocks 0 .. n - 2, an
+        ``(n - 1, w, w)`` stack, or None when ``gram`` is not positive
+        definite; ``a`` is step n's diagonal block."""
+        try:
+            lower = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+        r_inv = np.abs(np.linalg.inv(lower)).T  # |R^-1| for R = lower^H
+        abs_a, abs_b, cur = self.abs_a, self.abs_b, self.cur
+        bound = abs_a[: n - 1] @ cur[: n - 1] + cur[: n - 1] @ np.abs(a)
+        bound += np.swapaxes(abs_b[: n - 1], 1, 2) @ cur[1:n]
+        bound[1:] += abs_b[: n - 2] @ cur[: n - 2]
+        bound += self.prev[: n - 1] @ abs_b[n - 1].T
+        bound += self.noise
+        return bound @ r_inv
+
+    def advance(self, n: int, a: np.ndarray, b: np.ndarray,
+                bound: np.ndarray | None) -> None:
+        """Store step n's blocks and make the next block the newest: its
+        overlaps are ``bound`` for blocks 0 .. n - 2 after a windowed pass,
+        and eps for every block after a full one (``bound`` None)."""
+        self.abs_a[n] = np.abs(a)
+        self.abs_b[n] = np.abs(b)
+        self.prev, self.cur = self.cur, self.prev
+        self.cur[: n + 1] = _EPS
+        if bound is not None:
+            self.cur[: n - 1] = bound
+
+
 # overflow surfaces as a non-finite block, which the recursion refuses by name
 @np.errstate(over="ignore", invalid="ignore")
 def _hermitian_recursion(
@@ -200,7 +271,8 @@ def _hermitian_recursion(
     A remainder column of norm at most ``_RELATIVE_TOL`` times the chain's
     norm bound deflates; a fully deflated remainder ends the run (invariant
     space). A non-finite block, which only an overflowing chain produces,
-    is refused with a ValueError naming the chain and the step.
+    is refused with a ValueError naming the chain and the step. Which rows
+    each residual is projected against follows the module docstring.
     """
     scale = spec.norm_bound
     psi = np.ascontiguousarray(
@@ -211,6 +283,9 @@ def _hermitian_recursion(
     hi = width
     a_blocks: list[np.ndarray] = []
     b_blocks: list[np.ndarray] = []
+    majorant: _OverlapMajorant | None = _OverlapMajorant(
+        basis.shape[0] // width + 1, width, scale)
+    triggered = False
 
     for n in range(max_iter + 1):
         h_psi = spinchain.apply_to_array(spec, psi)
@@ -224,12 +299,28 @@ def _hermitian_recursion(
         residual = h_psi - np.dot(psi, a)
         if n > 0:
             residual -= np.dot(prev, b_blocks[n - 1].conj().T)
-        _reorthogonalize(residual, basis[:hi])
+        gram = residual.conj().T @ residual
+        lo, bound = 0, None
+        if majorant is not None and n >= _WINDOW_BLOCKS and not triggered:
+            bound = majorant.propagate(n, a, gram)
+            if bound is None:
+                majorant = None  # no Cholesky factor: full passes from here on
+            elif bound.max() <= _SEMI_ORTHOGONAL:  # NaN-safe: NaN takes the full pass
+                lo = hi - _WINDOW_BLOCKS * width
+            else:
+                bound, triggered = None, True
+        elif triggered:
+            triggered = False  # the step after a trigger: a full pass
+        _reorthogonalize(residual, basis[lo:hi], np.diagonal(gram).real)
         b = _gram_schmidt_factor(residual, basis[hi:], scale)
         if b.shape[0] == 0:
             break  # invariant subspace: clean termination
         _check_finite(b, "coupling", spec, n + 1)
         b_blocks.append(b)
+        if b.shape[0] < width:
+            majorant = None  # a deflated block: full passes from here on
+        elif majorant is not None:
+            majorant.advance(n, a, b, bound)
         prev, psi = psi, basis[hi : hi + b.shape[0]].T
         hi += b.shape[0]
 
@@ -265,9 +356,13 @@ def lanczos_run(
 
     The width-1 run of the shared recursion: each expansion applies H once,
     subtracts the projections onto the two previous vectors, re-orthogonalizes
-    against the entire basis and normalizes. The re-orthogonalization makes
-    one Gram-Schmidt pass, and a second only when the first shrinks the
-    residual below 1/sqrt(2) of its norm. It stops early when the residual
+    and normalizes. From the third expansion on the re-orthogonalization
+    covers the two previous vectors only, unless the estimated overlap with
+    an older vector crosses sqrt(eps); then it covers the whole basis, on
+    that expansion and the next. It makes one Gram-Schmidt pass, and a
+    second only when the first shrinks the residual below 1/sqrt(2) of its
+    norm. The basis stays orthonormal to within sqrt(eps) in every entry of
+    its Gram matrix. It stops early when the residual
     norm is at most 1e-10 times the chain's norm bound (``spec.norm_bound``):
     the Krylov space has become invariant. The realized expansion count is
     ``len(coeffs.betas)``.

@@ -236,7 +236,7 @@ class TestResidualNorm:
         assert 0.0 <= r <= np.max(np.abs(sc.eigenvalues(spec))) * 2
 
 
-def textbook_lanczos(spec, start, max_iter):
+def textbook_lanczos_full(spec, start, max_iter):
     """Reference three-term recursion: one vector per step, full
     reorthogonalization by the DGKS rule (a second pass only when the first
     shrinks the vector below 1/sqrt(2) of its norm), breakdown at a residual
@@ -269,18 +269,88 @@ def textbook_lanczos(spec, start, max_iter):
     return np.array(alphas), np.array(betas), basis[: len(alphas)].T
 
 
+EPS = np.finfo(float).eps
+
+
+def textbook_lanczos(spec, start, max_iter):
+    """The same recursion kept semi-orthogonal (Simon's partial
+    reorthogonalization): from step 2 on each vector is projected against
+    the previous two only, unless the estimate omega[k] of its overlap with
+    an older vector k exceeds sqrt(eps); then it, and the vector after it,
+    are projected against the whole basis. omega follows Simon's recurrence
+    with every term taken in absolute value:
+
+        omega_new[k] = (|alpha_k| omega[k] + beta_{k-1} omega[k-1]
+                        + beta_k omega[k+1] + |alpha_n| omega[k]
+                        + beta_{n-1} omega_prev[k] + eps * norm_bound) / |w|
+
+    with |w| the norm of the vector before any projection. A zero |w| ends
+    the estimate: full passes from then on. Returns (alphas, betas, basis)
+    as textbook_lanczos_full does, and the steps from 2 on that projected
+    against the whole basis."""
+    dim = spec.dim
+    cap = min(max_iter + 1, dim)
+    basis = np.empty((cap, dim), dtype=start.dtype)
+    basis[0] = start
+    alphas, betas = [], []
+    omega_prev, omega = [], []  # overlaps of vectors n - 1 and n with older ones
+    estimating, after_trigger = True, False
+    full = []
+    for n in range(cap):
+        hv = sc.apply_to_array(spec, basis[n])
+        alphas.append(float(np.real(np.vdot(basis[n], hv))))
+        if n == max_iter or n + 1 == dim:
+            break
+        w = hv - alphas[n] * basis[n]
+        if n > 0:
+            w -= betas[n - 1] * basis[n - 1]
+        norm = np.linalg.norm(w)
+        estimating = estimating and norm > 0.0
+        lo, new = 0, None
+        if n >= 2 and estimating and not after_trigger:
+            new = [(abs(alphas[k]) * omega[k]
+                    + (betas[k - 1] * omega[k - 1] if k else 0.0)
+                    + betas[k] * omega[k + 1] + abs(alphas[n]) * omega[k]
+                    + betas[n - 1] * omega_prev[k] + EPS * spec.norm_bound) / norm
+                   for k in range(n - 1)]
+            if max(new) <= np.sqrt(EPS):
+                lo = n - 1
+            else:
+                new, after_trigger = None, True
+        else:
+            after_trigger = False
+        if n >= 2 and lo == 0:
+            full.append(n)
+        rows = basis[lo : n + 1]
+        w -= rows.T @ (rows.conj() @ w)
+        if np.linalg.norm(w) < norm / np.sqrt(2.0):
+            w -= rows.T @ (rows.conj() @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= 1e-10 * spec.norm_bound:
+            break
+        betas.append(beta)
+        basis[n + 1] = w / beta
+        omega_prev, omega = omega, (new or [EPS] * (n - 1)) + [EPS, EPS]
+    return np.array(alphas), np.array(betas), basis[: len(alphas)].T, full
+
+
 class TestTextbookReference:
+    @staticmethod
+    def chains(length, complex_start):
+        """Three budgeted runs on random chains of ``length`` sites."""
+        rng = np.random.default_rng(1000 + length)
+        for _ in range(3):
+            spec = sc.build_xxz(length, rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
+            start = sc.random_state_vector(length, rng, complex_amplitudes=complex_start)
+            yield spec, start, min(16, spec.dim // 2)
+
     @pytest.mark.parametrize("complex_start", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("length", range(3, 9))
     def test_run_matches_textbook_recursion(self, length, complex_start):
         # budgeted runs: two formulations of one recursion agree to
         # round-off only until a Ritz value converges (see criterion 6)
-        rng = np.random.default_rng(1000 + length)
-        for _ in range(3):
-            spec = sc.build_xxz(length, rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
-            start = sc.random_state_vector(length, rng, complex_amplitudes=complex_start)
-            max_iter = min(16, spec.dim // 2)
-            alphas, betas, basis = textbook_lanczos(spec, start, max_iter)
+        for spec, start, max_iter in self.chains(length, complex_start):
+            alphas, betas, basis, _ = textbook_lanczos(spec, start, max_iter)
             coeffs, got_basis = scalar.lanczos_run(spec, start, max_iter)
             bound = 1e-12 * spec.norm_bound
             assert coeffs.alphas.shape == alphas.shape
@@ -289,6 +359,20 @@ class TestTextbookReference:
             assert np.max(np.abs(coeffs.betas - betas), initial=0.0) <= bound
             assert got_basis.dtype == basis.dtype
             assert np.max(np.abs(got_basis - basis)) <= 1e-12
+
+    def test_lowest_ritz_value_matches_full_reorthogonalization(self):
+        # Near breakdown (a last beta of 7e-9 to 5e-8 at length 5) the last
+        # vector is dominated by round-off, so the semi-orthogonal run and
+        # the full reference differ in it, and in the spurious Ritz value it
+        # carries by up to 3.6e-2 of the norm bound; the lowest value agrees.
+        runs = (run for length in range(3, 9) for complex_start in (False, True)
+                for run in self.chains(length, complex_start))
+        for spec, start, max_iter in runs:
+            alphas, betas, _ = textbook_lanczos_full(spec, start, max_iter)
+            want = scalar.ritz_values(scalar.TridiagonalCoefficients(alphas, betas))
+            coeffs, _ = scalar.lanczos_run(spec, start, max_iter)
+            got = scalar.ritz_values(coeffs)
+            assert abs(got[0] - want[0]) <= 1e-12 * spec.norm_bound
 
 
 class TestOverflowRefused:
@@ -337,19 +421,112 @@ class TestReorthogonalization:
         residual = rows.T @ rng.standard_normal((hi, width))
         residual += 1e-8 * rng.standard_normal((dim, width))
         calls = self.count_passes(monkeypatch)
-        scalar._reorthogonalize(residual, rows)
+        scalar._reorthogonalize(residual, rows, scalar._column_norms_sq(residual))
         assert calls == [hi, hi]
         overlap = np.abs(rows.conj() @ residual).max(axis=0)
         norms = np.linalg.norm(residual, axis=0)
         assert np.all(overlap <= 8 * np.finfo(float).eps * norms)
 
-    def test_scalar_run_makes_one_pass_per_expansion(self, monkeypatch):
+
+class TestSemiOrthogonality:
+    """From step 2 on the Hermitian body projects each residual against the
+    last two blocks only, and against the whole basis when the overlap
+    majorant crosses sqrt(eps) and on the step after."""
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        """Per expansion, the row counts of its Gram-Schmidt passes: each
+        operator application opens a new entry."""
+        steps = []
+        project, apply = scalar._project_out, sc.apply_to_array
+
+        def counting_project(residual, dual, stack):
+            steps[-1].append(stack.shape[0])
+            project(residual, dual, stack)
+
+        def counting_apply(spec, psi):
+            steps.append([])
+            return apply(spec, psi)
+
+        monkeypatch.setattr(scalar, "_project_out", counting_project)
+        monkeypatch.setattr(scalar.spinchain, "apply_to_array", counting_apply)
+        return steps
+
+    def test_pass_schedule(self, monkeypatch):
         spec = sc.build_xxz(12, 1.0, 1.0)
         start = sc.random_state_vector(12, np.random.default_rng(12))
-        calls = self.count_passes(monkeypatch)
-        coeffs, _ = scalar.lanczos_run(spec, start, max_iter=40)
+        steps = self.count_steps(monkeypatch)
+        coeffs, basis = scalar.lanczos_run(spec, start, max_iter=40)
         assert coeffs.iterations == 40
-        assert calls == list(range(1, 41))
+        assert steps.pop() == []  # the last application only closes the table
+        # one pass per expansion; the DGKS second pass never fires here
+        assert [len(passes) for passes in steps] == [1] * 40
+        rows = [passes[0] for passes in steps]
+        assert rows[:2] == [1, 2]  # steps 0 and 1: the whole basis
+        full = [n for n in range(2, 40) if rows[n] == n + 1]
+        assert all(rows[n] == 2 for n in range(2, 40) if n not in full)
+        assert full  # the run is long enough to trigger
+        assert full == textbook_lanczos(spec, start, 40)[3]
+        # a trigger forces a full pass on the next step, which is never a
+        # trigger itself, so the full steps parse as triggers and forced steps
+        forced = False
+        for n in range(2, 40):
+            if forced:
+                assert n in full
+                forced = False
+            else:
+                forced = n in full
+        defect = np.max(np.abs(basis.T @ basis - np.eye(41)))
+        assert defect <= np.sqrt(EPS)
+
+    def test_deflated_run_takes_full_passes(self, monkeypatch):
+        # one start column is an exact eigenvector: the block narrows at
+        # step 0, and every later step projects against the whole basis
+        spec = sc.build_xxz(4, 1.0, 1.0)
+        g = sc.exact_diagonalize(spec)[1][:, 0]
+        r = np.random.default_rng(2).standard_normal(16)
+        r -= (g @ r) * g
+        start = np.column_stack([g, r / np.linalg.norm(r)])
+        steps = self.count_steps(monkeypatch)
+        coeffs, _ = block.block_lanczos_run(spec, start, max_iter=20)
+        assert coeffs.widths[:2] == (2, 1)
+        stored = np.cumsum(coeffs.widths)
+        for n, passes in enumerate(steps[: coeffs.iterations]):
+            assert passes and set(passes) == {stored[n]}
+
+    @given(st.integers(7, 8), st.integers(1, 3), st.integers(24, 30),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_semi_orthogonal_basis_keeps_lowest_ritz_values(
+            self, length, width, max_iter, complex_start, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_xxz_chain(length, rng)
+        start = block.random_orthonormal_block(
+            length, width, rng, complex_amplitudes=complex_start)
+        with pytest.MonkeyPatch.context() as patch:
+            steps = self.count_steps(patch)
+            coeffs, basis = block.block_lanczos_run(spec, start, max_iter)
+        assert coeffs.widths == (width,) * (max_iter + 1)
+        assert any(max(steps[n]) > 2 * width for n in range(2, max_iter))  # a trigger
+        gram = basis.conj().T @ basis
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= np.sqrt(EPS)
+        want = full_block_ritz_values(spec, start, max_iter)
+        got = block.block_ritz_values(coeffs)
+        assert np.max(np.abs(got[:width] - want[:width])) <= 1e-12 * spec.norm_bound
+
+
+def full_block_ritz_values(spec, start, max_iter):
+    """Reference Ritz values: Rayleigh-Ritz on the block Krylov space of
+    ``start`` after ``max_iter`` expansions, each new block projected twice
+    against every stored vector and orthonormalized by QR."""
+    q = [start]
+    for _ in range(max_iter):
+        basis = np.column_stack(q)
+        w = sc.apply_to_array(spec, q[-1])
+        for _ in range(2):
+            w -= basis @ (basis.conj().T @ w)
+        q.append(np.linalg.qr(w)[0])
+    basis = np.column_stack(q)
+    return np.linalg.eigvalsh(basis.conj().T @ sc.apply_to_array(spec, basis))
 
 
 def random_xxz_chain(length, rng):
