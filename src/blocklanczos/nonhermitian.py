@@ -8,17 +8,33 @@ are A_n with couplings B_n below and C_n above the diagonal.
 
 Both bases are kept as the rows of two C-order ``(cap, dim)`` buffers, the
 layout of the Hermitian recursion in :mod:`blocklanczos.scalar`, and both
-residual blocks are re-biorthogonalized against all stored pairs with its
-Gram-Schmidt pass. The pass always runs twice per side: the oblique
-projector I - R L^T is not a contraction, so the norm test that lets the
-Hermitian recursion skip its second pass says nothing here.
+residual blocks are re-biorthogonalized with its Gram-Schmidt pass. The
+pass always runs twice per side: the oblique projector I - R L^T is not a
+contraction, so the norm test that lets the Hermitian recursion skip its
+second pass says nothing here.
+
+The bases are kept semi-biorthogonal: every overlap L_k^T R_j and R_k^T L_j
+between different blocks stays at most sqrt(eps), which leaves the
+projected matrix exact to working precision (Day, SIAM J. Matrix Anal.
+Appl. 18, 1997). Steps 0 and 1 project against every stored pair; later
+steps against the last two pairs only. A step projects against every
+stored pair when a majorant of the new blocks' overlaps with the older
+ones crosses sqrt(eps), and so does the step after it. The majorant is the
+Hermitian recursion's omega recurrence carried over to the oblique case,
+one instance per side (:class:`blocklanczos.scalar._OverlapMajorant`),
+with the inverse factors of the SVD split below taken from the pair Gram
+matrix of the unprojected residuals. A pair Gram whose split would leave
+the new pair with a pairing defect eps s_max / s_min above sqrt(eps), or
+that has a zero singular value or a NaN, takes the whole basis too. Every
+step that takes the whole basis runs the same operations as a run that
+always does.
 
 Residual factorization gauge: after re-biorthogonalizing both residual
-blocks against all stored pairs, their pair Gram matrix W = S^T R is split
-through its SVD, W = U diag(s) Vh, as C = U diag(sqrt(s)) and
-B = diag(sqrt(s)) Vh, with the new basis pair scaled accordingly. On a real
-symmetric operator with identical starts this reduces to C = B^T and
-reproduces the Hermitian block recursion.
+blocks, their pair Gram matrix W = S^T R is split through its SVD,
+W = U diag(s) Vh, as C = U diag(sqrt(s)) and B = diag(sqrt(s)) Vh, with
+the new basis pair scaled accordingly. On a real symmetric operator with
+identical starts this reduces to C = B^T and reproduces the Hermitian block
+recursion.
 
 Termination uses the one relative constant of the Hermitian recursion,
 1e-10. A side saturates when its residual block's norm is at most 1e-10
@@ -39,7 +55,17 @@ import numpy as np
 
 from blocklanczos import textio
 from blocklanczos.block import _assemble
-from blocklanczos.scalar import _RELATIVE_TOL, _check_start, _project_out, allocate_basis
+from blocklanczos.scalar import (
+    _EPS,
+    _RELATIVE_TOL,
+    _SEMI_ORTHOGONAL,
+    _WINDOW_BLOCKS,
+    _check_start,
+    _column_norms_sq,
+    _OverlapMajorant,
+    _project_out,
+    allocate_basis,
+)
 from blocklanczos.spinchain import HamiltonianSpec, apply_to_array
 
 DENSE_DIMENSION_CAP = 512
@@ -212,6 +238,38 @@ def paired_random_start(
     return right, left
 
 
+def _max_column_norm(block: np.ndarray) -> float:
+    """Largest column norm of a ``(dim, w)`` block."""
+    return float(np.sqrt(_column_norms_sq(block).max()))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _window_bounds(
+    majorants: tuple[_OverlapMajorant, _OverlapMajorant], n: int,
+    a: np.ndarray, w: np.ndarray,
+) -> tuple[np.ndarray | None, np.ndarray | None, float]:
+    """Bounds on the overlaps of step n's new right and left blocks with the
+    paired blocks 0 .. n - 2, from the pair Gram matrix ``w`` of the
+    unprojected residuals, and the largest entry they and the new pair's
+    own pairing defect may reach.
+
+    The split of ``w`` through its SVD gives B_n^-1 = Vh^H diag(1/sqrt(s))
+    for the right side and C_n^-T = conj(U) diag(1/sqrt(s)) for the left,
+    and carries the round-off of ``w`` into the new pair's L^T R - I as
+    eps s_max / s_min. A zero singular value or a NaN makes the largest
+    entry inf or NaN, which no threshold test passes.
+    """
+    try:
+        u, sing, vh = np.linalg.svd(w)
+    except np.linalg.LinAlgError:  # a non-finite w: the full pass meets it
+        return None, None, math.nan
+    root = 1.0 / np.sqrt(sing)
+    right = majorants[0].propagate(n, a, np.abs(vh.conj().T * root))
+    left = majorants[1].propagate(n, a.T, np.abs(u.conj() * root))
+    worst = np.max((right.max(), left.max(), _EPS * sing[0] / sing[-1]))
+    return right, left, float(worst)
+
+
 def two_sided_block_run(
     op: GeneralOperator,
     right_start: np.ndarray,
@@ -220,19 +278,23 @@ def two_sided_block_run(
 ) -> tuple[NonHermitianBlockTridiagonal, tuple[np.ndarray, np.ndarray]]:
     """Advance the coupled left/right recursions for up to ``max_iter`` expansions.
 
-    Both residual blocks are re-biorthogonalized against every stored pair
-    in two Gram-Schmidt passes, with the bases kept as the rows of two
-    ``(cap, dim)`` buffers. Termination: saturation, when either residual
-    block's norm is at most 1e-10 times ``op.scale`` (the reachable
-    subspace on that side is exhausted; a zero operator ends after step 0);
-    or serious breakdown, when both residuals are still nonzero but their
-    pair Gram matrix has a smallest singular value at most 1e-10 times the
-    product of their norms, in which case :class:`SeriousBreakdownError` is
-    raised.
+    Both residual blocks are re-biorthogonalized in two Gram-Schmidt passes
+    per side, with the bases kept as the rows of two ``(cap, dim)``
+    buffers. Steps 0 and 1 project against every stored pair; later steps
+    against the last two pairs only, unless the overlap majorant of the
+    module docstring crosses sqrt(eps), in which case that step and the
+    next project against every stored pair. Termination: saturation, when
+    either residual block's norm is at most 1e-10 times ``op.scale`` (the
+    reachable subspace on that side is exhausted; a zero operator ends
+    after step 0); or serious breakdown, when both residuals are still
+    nonzero but their pair Gram matrix has a smallest singular value at
+    most 1e-10 times the product of their norms, in which case
+    :class:`SeriousBreakdownError` is raised.
 
     Returns the coefficients and the ``(left, right)`` bases, two
     ``(dim, coeffs.dimension)`` arrays (transposed views of the row buffers)
-    whose columns are paired block after block with ``left.T @ right = I``.
+    whose columns are paired block after block with ``left.T @ right = I``,
+    up to the semi-biorthogonality of the module docstring.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -266,6 +328,14 @@ def two_sided_block_run(
     a_list: list[np.ndarray] = []
     b_list: list[np.ndarray] = []
     c_list: list[np.ndarray] = []
+    # the right side's majorant bounds |L_k^T R_n|, the left side's |R_k^T L_n|
+    right_norms, left_norms = np.empty((2, cap // width + 1))
+    right_norms[0], left_norms[0] = _max_column_norm(right), _max_column_norm(left)
+    majorants = (
+        _OverlapMajorant(right_norms.size, width, op.scale, (left_norms, right_norms)),
+        _OverlapMajorant(right_norms.size, width, op.scale, (right_norms, left_norms)),
+    )
+    triggered = False
 
     for n in range(max_iter + 1):
         a = left.T @ h_right
@@ -278,9 +348,20 @@ def two_sided_block_run(
         if prev_right is not None:
             r_res -= prev_right @ c_list[n - 1]
             s_res -= prev_left @ b_list[n - 1].T
+        lo, right_bound, left_bound = 0, None, None
+        if n >= _WINDOW_BLOCKS and not triggered:
+            right_bound, left_bound, worst = _window_bounds(
+                majorants, n, a, s_res.T @ r_res)
+            if worst <= _SEMI_ORTHOGONAL:  # NaN-safe: NaN takes the full pass
+                lo = hi - _WINDOW_BLOCKS * width
+            else:
+                right_bound = left_bound = None
+                triggered = True
+        elif triggered:
+            triggered = False  # the step after a trigger: a full pass
         for _ in range(2):
-            _project_out(r_res, lefts[:hi], rights[:hi])
-            _project_out(s_res, rights[:hi], lefts[:hi])
+            _project_out(r_res, lefts[lo:hi], rights[lo:hi])
+            _project_out(s_res, rights[lo:hi], lefts[lo:hi])
         r_norm = float(np.linalg.norm(r_res))
         s_norm = float(np.linalg.norm(s_res))
         if min(r_norm, s_norm) <= _RELATIVE_TOL * op.scale:
@@ -294,14 +375,19 @@ def two_sided_block_run(
                 f"residual norms {r_norm:.3e}, {s_norm:.3e}",
             )
         root = np.sqrt(sing)
-        b_list.append(root[:, None] * vh)
-        c_list.append(u * root[None, :])
+        b, c = root[:, None] * vh, u * root[None, :]
+        b_list.append(b)
+        c_list.append(c)
         prev_right, prev_left = right, left
         right = (r_res @ vh.conj().T) / root[None, :]
         left = (s_res @ u.conj()) / root[None, :]
         rights[hi : hi + width] = right.T
         lefts[hi : hi + width] = left.T
         hi += width
+        right_norms[n + 1], left_norms[n + 1] = (
+            _max_column_norm(right), _max_column_norm(left))
+        majorants[0].advance(n, a, b, c, right_bound)
+        majorants[1].advance(n, a.T, c.T, b.T, left_bound)
         h_right = op.apply(right)
 
     coeffs = NonHermitianBlockTridiagonal(tuple(a_list), tuple(b_list), tuple(c_list))

@@ -15,7 +15,9 @@ coefficients by the block omega recurrence (Grimes, Lewis and Simon, SIAM
 J. Matrix Anal. Appl. 15, 1994), crosses sqrt(eps); the step after such a
 trigger takes the whole basis too. The first two steps, and every step
 after a deflated block or a residual whose Gram matrix is not positive
-definite, take the whole basis.
+definite, take the whole basis. The two-sided recursion of
+:mod:`blocklanczos.nonhermitian` keeps its bases semi-biorthogonal with the
+same majorant, one instance per side.
 
 Re-orthogonalization is one classical Gram-Schmidt pass,
 :func:`_project_out`, which the two-sided recursion of
@@ -203,59 +205,83 @@ def _gram_schmidt_factor(
 
 
 class _OverlapMajorant:
-    """Elementwise bounds Omega_k >= |Q_k^H Q_n| on the overlaps of the
-    newest block Q_n with every older block of a run of uniform width w.
+    """Elementwise bounds Omega_k >= |L_k^T R_n| on the overlaps of the
+    newest block R_n of one side of a run of uniform width w with every
+    older block L_k of the paired side.
 
-    Taking Q_k^H of H Q_n = Q_{n-1} B_{n-1}^H + Q_n A_n + Q_{n+1} B_n and of
-    the same recurrence for H Q_k gives, for k < n - 1 and R the Cholesky
-    factor of the next residual's Gram matrix (B_n up to its gauge):
+    The side follows M R_j = R_{j-1} C_{j-1} + R_j A_j + R_{j+1} B_j and its
+    pair M^T L_j = L_{j-1} B_{j-1}^T + L_j A_j^T + L_{j+1} C_j^T. Taking
+    L_k^T of the first and the transpose of the second gives, for k < n - 1,
+    Simon's omega recurrence carried over to the oblique case:
 
         Omega_{k,n+1} = (|A_k| Omega_k + |B_{k-1}| Omega_{k-1}
-                         + |B_k|^T Omega_{k+1} + Omega_k |A_n|
-                         + Omega_{k,n-1} |B_{n-1}|^T + eps norm_bound) |R^-1|
+                         + |C_k| Omega_{k+1} + Omega_k |A_n|
+                         + Omega_{k,n-1} |C_{n-1}|
+                         + eps scale ||L_k|| ||R_n||) |B_n^-1|
+
+    with ||.|| a block's largest column norm. The Hermitian recursion is the
+    case L = conj(Q), R = Q, C = B^H with unit norms and |B_n^-1| = |R^-1|,
+    R the Cholesky factor of the next residual's Gram matrix. The left side
+    of a two-sided run is a second instance with A -> A^T, B -> C^T,
+    C -> B^T and the paired norms swapped.
 
     A residual projected against blocks n - 1 and n is left with overlaps
-    of round-off size, eps, with them, and so is one projected against the
-    whole basis with every block. Storage is O(blocks w^2): the |A| and |B|
-    stacks and the block-columns of Q_n and Q_{n-1}.
+    of round-off size, eps ||L_k|| ||R_{n+1}||, with them, and so is one
+    projected against the whole basis with every block. Storage is
+    O(blocks w^2): the |A|, |B| and |C| stacks and the block-columns of R_n
+    and R_{n-1}.
     """
 
-    def __init__(self, blocks: int, width: int, scale: float) -> None:
+    def __init__(self, blocks: int, width: int, scale: float,
+                 norms: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        """``norms`` holds two ``(blocks,)`` arrays, the largest column norm
+        of each block of the paired side and of this side, which the caller
+        fills as blocks are stored; None means orthonormal blocks."""
         shape = (blocks, width, width)
         self.abs_a = np.empty(shape)
         self.abs_b = np.empty(shape)
+        self.abs_c = np.empty(shape)
         self.cur = np.empty(shape)  # Omega_{k,n}, k < n
         self.prev = np.empty(shape)  # Omega_{k,n-1}, k < n - 1
         self.noise = _EPS * scale
+        self.paired, self.own = (np.ones(blocks),) * 2 if norms is None else norms
 
-    def propagate(self, n: int, a: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
+    def propagate(self, n: int, a: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         """Bounds on the next block's overlaps with blocks 0 .. n - 2, an
-        ``(n - 1, w, w)`` stack, or None when ``gram`` is not positive
-        definite; ``a`` is step n's diagonal block."""
-        try:
-            lower = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            return None
-        r_inv = np.abs(np.linalg.inv(lower)).T  # |R^-1| for R = lower^H
-        abs_a, abs_b, cur = self.abs_a, self.abs_b, self.cur
+        ``(n - 1, w, w)`` stack; ``a`` is step n's diagonal block and
+        ``inverse`` is |B_n^-1|. A non-finite ``inverse`` gives a
+        non-finite bound, which no threshold test passes."""
+        abs_a, abs_b, abs_c, cur = self.abs_a, self.abs_b, self.abs_c, self.cur
         bound = abs_a[: n - 1] @ cur[: n - 1] + cur[: n - 1] @ np.abs(a)
-        bound += np.swapaxes(abs_b[: n - 1], 1, 2) @ cur[1:n]
+        bound += abs_c[: n - 1] @ cur[1:n]
         bound[1:] += abs_b[: n - 2] @ cur[: n - 2]
-        bound += self.prev[: n - 1] @ abs_b[n - 1].T
-        bound += self.noise
-        return bound @ r_inv
+        bound += self.prev[: n - 1] @ abs_c[n - 1]
+        bound += self.noise * self.paired[: n - 1, None, None] * self.own[n]
+        return bound @ inverse
 
-    def advance(self, n: int, a: np.ndarray, b: np.ndarray,
+    def advance(self, n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                 bound: np.ndarray | None) -> None:
         """Store step n's blocks and make the next block the newest: its
         overlaps are ``bound`` for blocks 0 .. n - 2 after a windowed pass,
-        and eps for every block after a full one (``bound`` None)."""
+        and round-off for every block after a full one (``bound`` None).
+        The norms of block n + 1 must be stored first."""
         self.abs_a[n] = np.abs(a)
         self.abs_b[n] = np.abs(b)
+        self.abs_c[n] = np.abs(c)
         self.prev, self.cur = self.cur, self.prev
-        self.cur[: n + 1] = _EPS
+        self.cur[: n + 1] = _EPS * self.paired[: n + 1, None, None] * self.own[n + 1]
         if bound is not None:
             self.cur[: n - 1] = bound
+
+
+def _cholesky_inverse(gram: np.ndarray) -> np.ndarray | None:
+    """|R^-1| for the Cholesky factor R of ``gram``, or None when ``gram``
+    is not positive definite."""
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    return np.abs(np.linalg.inv(lower)).T  # |R^-1| for R = lower^H
 
 
 # overflow surfaces as a non-finite block, which the recursion refuses by name
@@ -302,13 +328,15 @@ def _hermitian_recursion(
         gram = residual.conj().T @ residual
         lo, bound = 0, None
         if majorant is not None and n >= _WINDOW_BLOCKS and not triggered:
-            bound = majorant.propagate(n, a, gram)
-            if bound is None:
+            r_inv = _cholesky_inverse(gram)
+            if r_inv is None:
                 majorant = None  # no Cholesky factor: full passes from here on
-            elif bound.max() <= _SEMI_ORTHOGONAL:  # NaN-safe: NaN takes the full pass
-                lo = hi - _WINDOW_BLOCKS * width
             else:
-                bound, triggered = None, True
+                bound = majorant.propagate(n, a, r_inv)
+                if bound.max() <= _SEMI_ORTHOGONAL:  # NaN-safe: NaN takes the full pass
+                    lo = hi - _WINDOW_BLOCKS * width
+                else:
+                    bound, triggered = None, True
         elif triggered:
             triggered = False  # the step after a trigger: a full pass
         _reorthogonalize(residual, basis[lo:hi], np.diagonal(gram).real)
@@ -320,7 +348,7 @@ def _hermitian_recursion(
         if b.shape[0] < width:
             majorant = None  # a deflated block: full passes from here on
         elif majorant is not None:
-            majorant.advance(n, a, b, bound)
+            majorant.advance(n, a, b, b.conj().T, bound)
         prev, psi = psi, basis[hi : hi + b.shape[0]].T
         hi += b.shape[0]
 

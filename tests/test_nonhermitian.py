@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from blocklanczos import block, spinchain
+from blocklanczos import block, nonhermitian, scalar, spinchain
 from blocklanczos.nonhermitian import (
     GeneralOperator,
     NonHermitianBlockTridiagonal,
@@ -15,6 +16,7 @@ from blocklanczos.nonhermitian import (
     t_eigenvalues,
     two_sided_block_run,
 )
+from test_scalar import EPS, full_block_ritz_values, random_xxz_chain
 
 
 def cyclic_permutation() -> np.ndarray:
@@ -409,6 +411,253 @@ class TestTwoSidedRun:
             c_re = lefts[n].T @ (mat @ rights[n + 1])
             assert np.max(np.abs(b_re - coeffs.b_blocks[n])) < 1e-8
             assert np.max(np.abs(c_re - coeffs.c_blocks[n])) < 1e-8
+
+
+def textbook_two_sided(mat, right, left, max_iter):
+    """Reference two-sided run on a dense matrix, kept semi-biorthogonal:
+    both residuals are projected twice against the last two pairs, or
+    against every pair on steps 0 and 1, when the bound below or the split's
+    pairing defect eps s_max / s_min exceeds sqrt(eps), and on the step
+    after. The bounds follow the oblique omega recurrence, one dict of
+    (w, w) blocks per side, keyed (k, j) for the overlap of the paired
+    side's block k with block j, updated block by block:
+
+        om[k, n+1] = (|A_k| om[k, n] + |B_{k-1}| om[k-1, n] + |C_k| om[k+1, n]
+                      + om[k, n] |A_n| + om[k, n-1] |C_{n-1}|
+                      + eps scale |L_k| |R_n|) |B_n^-1|
+
+    for the right side, and with A, B, C -> A^T, C^T, B^T and the two
+    sides' norms swapped for the left one. Returns the full steps from
+    step 2 on and, per step that computed them, the right and left bounds
+    as two (n - 1, w, w) stacks."""
+    dim, width = right.shape
+    scale = max(np.linalg.norm(mat, 1), np.linalg.norm(mat, np.inf))
+    rights, lefts, a_s, b_s, c_s = [right], [left], [], [], []
+    om_right, om_left = {}, {}
+    full, forced, computed = [], False, {}
+
+    def norm(block):
+        return np.linalg.norm(block, axis=0).max()
+
+    def bounds(om, a_k, b_k, c_k, paired, own, inverse, n):
+        out = []
+        for k in range(n - 1):
+            t = (np.abs(a_k[k]) @ om[k, n] + om[k, n] @ np.abs(a_k[n])
+                 + np.abs(c_k[k]) @ om[k + 1, n] + om[k, n - 1] @ np.abs(c_k[n - 1])
+                 + EPS * scale * norm(paired[k]) * norm(own[n]))
+            if k > 0:
+                t += np.abs(b_k[k - 1]) @ om[k - 1, n]
+            out.append(t @ inverse)
+        return out
+
+    for n in range(max_iter + 1):
+        a_s.append(lefts[n].T @ mat @ rights[n])
+        if n == max_iter or (n + 1) * width >= dim:
+            break
+        r = mat @ rights[n] - rights[n] @ a_s[n]
+        s = mat.T @ lefts[n] - lefts[n] @ a_s[n].T
+        if n > 0:
+            r -= rights[n - 1] @ c_s[n - 1]
+            s -= lefts[n - 1] @ b_s[n - 1].T
+        first, new_r, new_l = 0, None, None
+        if n >= 2 and not forced:
+            u, sing, vh = np.linalg.svd(s.T @ r)
+            new_r = bounds(om_right, a_s, b_s, c_s, lefts, rights,
+                           np.abs(vh.T / np.sqrt(sing)), n)
+            new_l = bounds(om_left, [m.T for m in a_s], [m.T for m in c_s],
+                           [m.T for m in b_s], rights, lefts,
+                           np.abs(u / np.sqrt(sing)), n)
+            computed[n] = np.array(new_r), np.array(new_l)
+            worst = max(np.max(new_r), np.max(new_l), EPS * sing[0] / sing[-1])
+            if worst <= np.sqrt(EPS):
+                first = n - 1
+            else:
+                new_r = new_l = None
+                full.append(n)
+                forced = True
+        elif forced:
+            full.append(n)
+            forced = False
+        kept_r, kept_l = np.hstack(rights[first:]), np.hstack(lefts[first:])
+        for _ in range(2):
+            r -= kept_r @ (kept_l.T @ r)
+            s -= kept_l @ (kept_r.T @ s)
+        u, sing, vh = np.linalg.svd(s.T @ r)
+        b_s.append(np.sqrt(sing)[:, None] * vh)
+        c_s.append(u * np.sqrt(sing))
+        rights.append(r @ vh.T / np.sqrt(sing))
+        lefts.append(s @ u / np.sqrt(sing))
+        for om, side, paired, new in ((om_right, rights, lefts, new_r),
+                                      (om_left, lefts, rights, new_l)):
+            for k in range(n + 1):
+                om[k, n + 1] = np.full((width, width),
+                                       EPS * norm(paired[k]) * norm(side[n + 1]))
+            for k, bound in enumerate(new or ()):
+                om[k, n + 1] = bound
+    return full, computed
+
+
+class TestSemiBiorthogonality:
+    """From step 2 on the two-sided run projects both residuals against the
+    last two stored pairs only, and against every stored pair when the
+    oblique overlap majorant crosses sqrt(eps) and on the step after."""
+
+    @staticmethod
+    def counted_run(monkeypatch, op, right, left, max_iter):
+        """The run's output, the per-expansion row counts of its Gram-Schmidt
+        passes (each ``apply`` opens a new entry) and its counts of
+        ``apply`` and ``apply_transpose`` calls."""
+        steps, transposes = [], []
+        project = nonhermitian._project_out
+
+        def counting_project(residual, dual, stack):
+            steps[-1].append(stack.shape[0])
+            project(residual, dual, stack)
+
+        def counting_apply(v):
+            steps.append([])
+            return op.apply(v)
+
+        def counting_transpose(v):
+            transposes.append(v.shape)
+            return op.apply_transpose(v)
+
+        monkeypatch.setattr(nonhermitian, "_project_out", counting_project)
+        counted = GeneralOperator(op.dimension, counting_apply, counting_transpose,
+                                  op.scale)
+        result = two_sided_block_run(counted, right, left, max_iter)
+        return result, steps, len(transposes)
+
+    @staticmethod
+    def assert_schedule(steps, width, expansions):
+        """Four passes per expansion (two per side); steps 0 and 1 take the
+        whole basis, later ones its last two pairs unless triggered, and a
+        trigger forces a full step after it. Returns the full steps from
+        step 2 on."""
+        assert [len(passes) for passes in steps] == [4] * expansions
+        rows = [passes[0] for passes in steps]
+        assert all(set(passes) == {rows[n]} for n, passes in enumerate(steps))
+        assert rows[:2] == [width, 2 * width]
+        full = [n for n in range(2, expansions) if rows[n] == (n + 1) * width]
+        assert all(rows[n] == 2 * width for n in range(2, expansions) if n not in full)
+        forced = False
+        for n in range(2, expansions):
+            if forced:
+                assert n in full
+                forced = False
+            else:
+                forced = n in full
+        return full
+
+    def test_pass_schedule(self, monkeypatch):
+        spec = spinchain.build_xxz(12, 1.0, 1.0)
+        q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((spec.dim, 2)))
+        op = GeneralOperator.from_hamiltonian(spec)
+        (coeffs, pair), steps, transposes = self.counted_run(
+            monkeypatch, op, q, q.copy(), max_iter=40)
+        assert coeffs.iterations == 40
+        assert (len(steps), transposes) == (41, 40)  # one of each per expansion
+        assert steps.pop() == []  # the last application only closes the table
+        full = self.assert_schedule(steps, 2, 40)
+        assert full  # the run is long enough to trigger
+        assert len(full) < 38 // 2  # and most steps take the window
+        assert biorthogonality_check(*pair) <= np.sqrt(EPS)
+
+    @pytest.mark.parametrize("dim,width,seed,distinct", [
+        (64, 2, 12, False), (48, 1, 15, False), (32, 4, 17, True), (40, 2, 22, True)])
+    def test_dense_run_matches_textbook_reference(
+            self, monkeypatch, dim, width, seed, distinct):
+        # random dense matrices: the run mixes windowed and full steps, and
+        # both its bounds and its full steps follow the reference
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((dim, dim))
+        r0, l0 = paired_random_start(dim, width, rng, distinct_left=distinct)
+        computed = {}
+        window_bounds = nonhermitian._window_bounds
+
+        def recording_bounds(majorants, n, a, w):
+            computed[n] = window_bounds(majorants, n, a, w)
+            return computed[n]
+
+        monkeypatch.setattr(nonhermitian, "_window_bounds", recording_bounds)
+        (coeffs, pair), steps, _ = self.counted_run(
+            monkeypatch, GeneralOperator.from_matrix(mat), r0, l0, max_iter=2 * dim)
+        assert coeffs.dimension == dim
+        assert steps.pop() == []  # saturation: the last application closes the table
+        full = self.assert_schedule(steps, width, coeffs.iterations)
+        assert 0 < len(full) < coeffs.iterations - 2
+        want_full, want = textbook_two_sided(mat, r0, l0, 2 * dim)
+        assert full == want_full
+        assert computed.keys() == want.keys()
+        for n, (right, left) in want.items():
+            # two runs of one algorithm differ by round-off in the coefficients
+            np.testing.assert_allclose(computed[n][0], right, rtol=1e-6)
+            np.testing.assert_allclose(computed[n][1], left, rtol=1e-6)
+        assert match_spectra(t_eigenvalues(coeffs), np.linalg.eigvals(mat)) < 1e-6
+        assert biorthogonality_check(*pair) <= np.sqrt(EPS)
+
+    @given(st.integers(7, 8), st.integers(1, 3), st.integers(20, 30),
+           st.integers(0, 2**32 - 1))
+    def test_semi_biorthogonal_run_keeps_lowest_ritz_values(
+            self, length, width, max_iter, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_xxz_chain(length, rng)
+        start = block.random_orthonormal_block(length, width, rng)
+        coeffs, pair = two_sided_block_run(
+            GeneralOperator.from_hamiltonian(spec), start, start.copy(), max_iter)
+        assert coeffs.iterations == max_iter
+        assert biorthogonality_check(*pair) <= np.sqrt(EPS)
+        want = full_block_ritz_values(spec, start, max_iter)
+        got = np.sort(t_eigenvalues(coeffs).real)
+        assert np.max(np.abs(got[:width] - want[:width])) <= 1e-12 * spec.norm_bound
+
+
+class TestWindowBounds:
+    """The shared majorant, run for both sides of a two-sided step."""
+
+    @staticmethod
+    def majorants_at_step_2():
+        """Both sides' majorants after two steps of a width-2 unit-norm run
+        with O(1) coefficients, ready to propagate step 2."""
+        rng = np.random.default_rng(31)
+        norms = np.ones(5), np.ones(5)
+        majorants = (scalar._OverlapMajorant(5, 2, 4.0, norms),
+                     scalar._OverlapMajorant(5, 2, 4.0, norms[::-1]))
+        for n in range(2):
+            a, b, c = rng.standard_normal((3, 2, 2))
+            majorants[0].advance(n, a, b, c, None)
+            majorants[1].advance(n, a.T, c.T, b.T, None)
+        return majorants, rng.standard_normal((2, 2))
+
+    @staticmethod
+    def pair_gram(singular_values):
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        return rotation @ np.diag(singular_values) @ rotation.T[::-1]
+
+    def test_well_conditioned_pair_takes_the_window(self):
+        majorants, a = self.majorants_at_step_2()
+        right, left, worst = nonhermitian._window_bounds(
+            majorants, 2, a, self.pair_gram([1.0, 0.5]))
+        assert right.shape == left.shape == (1, 2, 2)
+        assert worst == max(right.max(), left.max()) <= np.sqrt(EPS)
+
+    def test_near_breakdown_pair_takes_the_whole_basis(self):
+        # residual norms 1: the breakdown threshold is a singular value of
+        # 1e-10, and a split just above it leaves a pairing defect of about
+        # eps * 1e10, far above sqrt(eps), that no window would see
+        majorants, a = self.majorants_at_step_2()
+        right, left, worst = nonhermitian._window_bounds(
+            majorants, 2, a, self.pair_gram([1.0, 1.01e-10]))
+        assert np.isfinite(right).all() and np.isfinite(left).all()
+        assert worst > np.sqrt(EPS)
+
+    @pytest.mark.parametrize("gram", [[[1.0, 0.0], [0.0, 0.0]],
+                                      [[0.0, 0.0], [0.0, 0.0]],
+                                      [[1.0, np.nan], [0.0, 1.0]]])
+    def test_singular_or_nan_pair_never_passes(self, gram):
+        majorants, a = self.majorants_at_step_2()
+        worst = nonhermitian._window_bounds(majorants, 2, a, np.array(gram))[2]
+        assert not worst <= np.sqrt(EPS)
 
 
 class TestPairedRandomStart:
