@@ -169,6 +169,7 @@ class ConvergenceRecord:
     def deltas(self) -> np.ndarray:
         return np.array([row.delta_vs_exact for row in self.rows])
 
+    # kept: `benchmarks/worker.py` calls it
     @classmethod
     def from_csv(cls, path: str | Path) -> ConvergenceRecord:
         with open(path, newline="") as handle:
@@ -224,6 +225,6 @@ def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
             lambda_fraction=fraction,
             energy=energy,
             delta_vs_exact=energy - exact,
-            lanczos_iters=len(coeffs.betas),
+            lanczos_iters=coeffs.iterations,
         ))
     return ConvergenceRecord(tuple(rows))

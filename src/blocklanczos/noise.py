@@ -39,7 +39,7 @@ class NoiseModel:
 
 
 def synthetic_problem(block_size: int, block_count: int,
-                      seed: int) -> block.BlockCoefficients:
+                      seed: int) -> scalar.BlockCoefficients:
     """Random block tridiagonal coefficients mimicking recursion output.
 
     Entries are drawn uniformly from [0, 1], diagonal blocks first; the
@@ -56,12 +56,12 @@ def synthetic_problem(block_size: int, block_count: int,
         a_blocks.append((raw + raw.T) / 2.0)
     b_blocks = [rng.uniform(0.0, 1.0, size=(d, d))
                 for _ in range(block_count - 1)]
-    return block.BlockCoefficients(tuple(a_blocks), tuple(b_blocks))
+    return scalar.BlockCoefficients(tuple(a_blocks), tuple(b_blocks))
 
 
 def perturb_coefficients(
-    problem: block.BlockCoefficients, noise: NoiseModel
-) -> block.BlockCoefficients:
+    problem: scalar.BlockCoefficients, noise: NoiseModel
+) -> scalar.BlockCoefficients:
     """Add Gaussian(0, eta) noise entrywise, diagonal blocks first;
     diagonal-block noise is symmetrized so the perturbed assembly stays
     Hermitian. eta = 0 returns ``problem`` itself."""
@@ -76,18 +76,19 @@ def perturb_coefficients(
             a_noisy.append(a + (g + g.T) / 2.0)
         b_noisy = [b + noise.eta * rng.standard_normal(b.shape)
                    for b in problem.b_blocks]
-    return block.BlockCoefficients(tuple(a_noisy), tuple(b_noisy))
+    return scalar.BlockCoefficients(tuple(a_noisy), tuple(b_noisy))
 
 
+# kept: `benchmarks/worker.py` calls it
 def perturbed_assemblies(
-    problem: block.BlockCoefficients, noise: NoiseModel
+    problem: scalar.BlockCoefficients, noise: NoiseModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """(clean, noisy) Hermitian assemblies for the same problem."""
     return (block.assemble_block_tridiagonal(problem),
             block.assemble_block_tridiagonal(perturb_coefficients(problem, noise)))
 
 
-def perturb_and_mae(problem: block.BlockCoefficients, noise: NoiseModel,
+def perturb_and_mae(problem: scalar.BlockCoefficients, noise: NoiseModel,
                     reference: np.ndarray) -> float:
     """Mean absolute eigenvalue error between clean and perturbed spectra,
     paired in sorted order.
@@ -310,7 +311,7 @@ def sampled_energy_errors(
         errors = []
         for seed, problem, exact in problems:
             rng = np.random.default_rng(noise_seed(seed, shots_index))
-            sampled = block.BlockCoefficients(
+            sampled = scalar.BlockCoefficients(
                 tuple(rng.binomial(shots, a) / shots for a in problem.a_blocks),
                 tuple(rng.binomial(shots, b) / shots for b in problem.b_blocks),
             )

@@ -4,7 +4,8 @@ Left and right block Krylov bases advance together under the plain-transpose
 pairing convention: every left-side product uses ``M.T`` / ``psi.T`` rather
 than the conjugate transpose, also for complex entries. The projected
 operator is block tridiagonal but no longer Hermitian; its diagonal blocks
-are A_n with couplings B_n below and C_n above the diagonal.
+are A_n with couplings B_n below and C_n above the diagonal, the general
+form of :class:`blocklanczos.scalar.BlockCoefficients` (C given).
 
 Both bases are kept as the rows of two C-order ``(cap, dim)`` buffers, the
 layout of the Hermitian recursion in :mod:`blocklanczos.scalar`, and both
@@ -48,18 +49,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from blocklanczos import textio
-from blocklanczos.block import _assemble
+from blocklanczos.block import assemble_block_tridiagonal
 from blocklanczos.scalar import (
     _EPS,
     _RELATIVE_TOL,
     _SEMI_ORTHOGONAL,
     _WINDOW_BLOCKS,
+    BlockCoefficients,
     _check_start,
     _column_norms_sq,
     _OverlapMajorant,
@@ -139,80 +139,10 @@ def biorthogonality_check(left: np.ndarray, right: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
-@dataclass(frozen=True, eq=False)
-class NonHermitianBlockTridiagonal:
-    """Projected-operator blocks: diagonal A, subdiagonal B, superdiagonal C."""
-
-    a_blocks: tuple[np.ndarray, ...]
-    b_blocks: tuple[np.ndarray, ...]
-    c_blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        a = tuple(np.atleast_2d(np.asarray(m)) for m in self.a_blocks)
-        b = tuple(np.atleast_2d(np.asarray(m)) for m in self.b_blocks)
-        c = tuple(np.atleast_2d(np.asarray(m)) for m in self.c_blocks)
-        if not a:
-            raise ValueError("need at least one diagonal block")
-        if len(b) != len(a) - 1 or len(c) != len(a) - 1:
-            raise ValueError(
-                f"expected {len(a) - 1} sub- and superdiagonal blocks, "
-                f"got {len(b)} and {len(c)}"
-            )
-        for n, m in enumerate(a):
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(f"diagonal block {n} is not square: {m.shape}")
-        for n in range(len(b)):
-            wn, wn1 = a[n].shape[0], a[n + 1].shape[0]
-            if b[n].shape != (wn1, wn):
-                raise ValueError(f"subdiagonal block {n} has shape {b[n].shape}")
-            if c[n].shape != (wn, wn1):
-                raise ValueError(f"superdiagonal block {n} has shape {c[n].shape}")
-        object.__setattr__(self, "a_blocks", a)
-        object.__setattr__(self, "b_blocks", b)
-        object.__setattr__(self, "c_blocks", c)
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(m.shape[0] for m in self.a_blocks)
-
-    @property
-    def dimension(self) -> int:
-        return sum(self.widths)
-
-    @property
-    def iterations(self) -> int:
-        return len(self.b_blocks)
-
-    def prefix(self, iterations: int) -> NonHermitianBlockTridiagonal:
-        if not 0 <= iterations <= self.iterations:
-            raise ValueError(f"iterations must be in [0, {self.iterations}]")
-        k = iterations
-        return NonHermitianBlockTridiagonal(
-            self.a_blocks[: k + 1], self.b_blocks[:k], self.c_blocks[:k]
-        )
-
-    def save(self, path: str | Path) -> None:
-        sections = [("A", 0, self.a_blocks[0])]
-        for n in range(1, len(self.a_blocks)):
-            sections.append(("B", n, self.b_blocks[n - 1]))
-            sections.append(("C", n, self.c_blocks[n - 1]))
-            sections.append(("A", n, self.a_blocks[n]))
-        textio.write_matrix_sections(path, sections, "two-sided block coefficients")
-
-    @classmethod
-    def load(cls, path: str | Path) -> NonHermitianBlockTridiagonal:
-        groups = textio.read_named_sections(path, ("A", "B", "C"))
-        return cls(tuple(groups["A"]), tuple(groups["B"]), tuple(groups["C"]))
-
-
-def assemble_t(coeffs: NonHermitianBlockTridiagonal) -> np.ndarray:
-    """Dense general block tridiagonal: B below, C above the diagonal."""
-    return _assemble(coeffs.a_blocks, coeffs.b_blocks, coeffs.c_blocks)
-
-
-def t_eigenvalues(coeffs: NonHermitianBlockTridiagonal) -> np.ndarray:
+# kept: `benchmarks/worker.py` calls it
+def t_eigenvalues(coeffs: BlockCoefficients) -> np.ndarray:
     """Eigenvalues (generally complex) of the assembled projected operator."""
-    return np.linalg.eigvals(assemble_t(coeffs))
+    return np.linalg.eigvals(assemble_block_tridiagonal(coeffs))
 
 
 def paired_random_start(
@@ -275,7 +205,7 @@ def two_sided_block_run(
     right_start: np.ndarray,
     left_start: np.ndarray,
     max_iter: int,
-) -> tuple[NonHermitianBlockTridiagonal, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[BlockCoefficients, tuple[np.ndarray, np.ndarray]]:
     """Advance the coupled left/right recursions for up to ``max_iter`` expansions.
 
     Both residual blocks are re-biorthogonalized in two Gram-Schmidt passes
@@ -291,7 +221,7 @@ def two_sided_block_run(
     most 1e-10 times the product of their norms, in which case
     :class:`SeriousBreakdownError` is raised.
 
-    Returns the coefficients and the ``(left, right)`` bases, two
+    Returns the general-form table and the ``(left, right)`` bases, two
     ``(dim, coeffs.dimension)`` arrays (transposed views of the row buffers)
     whose columns are paired block after block with ``left.T @ right = I``,
     up to the semi-biorthogonality of the module docstring.
@@ -390,7 +320,7 @@ def two_sided_block_run(
         majorants[1].advance(n, a.T, c.T, b.T, left_bound)
         h_right = op.apply(right)
 
-    coeffs = NonHermitianBlockTridiagonal(tuple(a_list), tuple(b_list), tuple(c_list))
+    coeffs = BlockCoefficients(tuple(a_list), tuple(b_list), tuple(c_list))
     return coeffs, (lefts[:hi].T, rights[:hi].T)
 
 

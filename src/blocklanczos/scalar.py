@@ -19,6 +19,11 @@ definite, take the whole basis. The two-sided recursion of
 :mod:`blocklanczos.nonhermitian` keeps its bases semi-biorthogonal with the
 same majorant, one instance per side.
 
+All three recursions return one coefficient type, :class:`BlockCoefficients`:
+the block tridiagonal table of diagonal blocks A, couplings B below and, for
+the two-sided run, C above the diagonal (C = B^H otherwise). The scalar
+run's table is its width-1 Hermitian case, read as ``alphas`` and ``betas``.
+
 Re-orthogonalization is one classical Gram-Schmidt pass,
 :func:`_project_out`, which the two-sided recursion of
 :mod:`blocklanczos.nonhermitian` shares. Here a second pass follows only
@@ -43,10 +48,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
-from blocklanczos import spinchain
+from blocklanczos import spinchain, textio
 from blocklanczos.spinchain import HamiltonianSpec
 
 # Deflation and breakdown tolerance relative to the operator's norm bound,
@@ -61,58 +68,137 @@ _WINDOW_BLOCKS = 2
 
 
 @dataclass(frozen=True, eq=False)
-class TridiagonalCoefficients:
-    """Diagonal (alphas) and off-diagonal (betas) projected-operator entries.
+class BlockCoefficients:
+    """The projected operator of a Lanczos run: a block tridiagonal table of
+    diagonal blocks A_n, couplings B_n below block (n, n) and C_n above it.
 
-    Gauge: every beta is real and non-negative (each Krylov vector is
-    normalized and the residual norm is taken as the coupling).
-    ``len(betas) == len(alphas) - 1`` always holds.
+    ``c_blocks`` None is the Hermitian table of :func:`lanczos_run` and
+    :func:`blocklanczos.block.block_lanczos_run`: C_n = B_n^H, and every A_n
+    must be Hermitian within 1e-12. In their gauge each B_n is upper
+    triangular (upper trapezoidal after deflation) with real, non-negative
+    leading entries, but only the shapes, finiteness and Hermiticity are
+    validated, so the perturbed and synthetic tables of
+    :mod:`blocklanczos.noise` use this type too. ``c_blocks`` given is the
+    general form of :func:`blocklanczos.nonhermitian.two_sided_block_run`.
     """
 
-    alphas: np.ndarray
-    betas: np.ndarray
+    a_blocks: tuple[np.ndarray, ...]
+    b_blocks: tuple[np.ndarray, ...]  # kept: `benchmarks/worker.py` reads it
+    c_blocks: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
-        alphas = np.atleast_1d(np.asarray(self.alphas, dtype=np.float64))
-        betas = np.asarray(self.betas, dtype=np.float64).reshape(-1)
-        if alphas.size == 0:
-            raise ValueError("coefficients need at least one diagonal entry")
-        if betas.size != alphas.size - 1:
+        a_blocks = tuple(np.atleast_2d(np.asarray(a)) for a in self.a_blocks)
+        b_blocks = tuple(np.atleast_2d(np.asarray(b)) for b in self.b_blocks)
+        c_blocks = (None if self.c_blocks is None
+                    else tuple(np.atleast_2d(np.asarray(c)) for c in self.c_blocks))
+        if not a_blocks:
+            raise ValueError("need at least one diagonal block")
+        above = b_blocks if c_blocks is None else c_blocks
+        if not len(b_blocks) == len(above) == len(a_blocks) - 1:
             raise ValueError(
-                f"expected {alphas.size - 1} off-diagonal entries, got {betas.size}"
+                f"expected {len(a_blocks) - 1} coupling blocks on each side, "
+                f"got {len(b_blocks)} below and {len(above)} above"
             )
-        if betas.size and betas.min() < 0.0:
-            raise ValueError("off-diagonal coefficients must be non-negative")
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "betas", betas)
-
-    @property
-    def size(self) -> int:
-        return self.alphas.size
+        # NaN-safe: a non-finite entry makes the skew NaN (inf - inf); numpy's
+        # warnings about it are silenced, since the refusals name the fault
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, a in enumerate(a_blocks):
+                if a.shape[0] != a.shape[1]:
+                    raise ValueError(f"diagonal block {n} is not square: {a.shape}")
+                if c_blocks is None and np.abs(a - a.conj().T).max() <= 1e-12:
+                    continue  # Hermitian, hence finite
+                if not np.isfinite(a).all():
+                    raise ValueError(f"diagonal block {n} has a non-finite entry")
+                if c_blocks is None:
+                    raise ValueError(f"diagonal block {n} is not Hermitian within 1e-12")
+        for n, b in enumerate(b_blocks):
+            expected = (a_blocks[n + 1].shape[0], a_blocks[n].shape[0])
+            if b.shape != expected:
+                raise ValueError(
+                    f"coupling block {n} has shape {b.shape}, expected {expected}"
+                )
+            if not np.isfinite(b).all():
+                raise ValueError(f"coupling block {n} has a non-finite entry")
+        for n, c in enumerate(c_blocks or ()):
+            if c.shape != b_blocks[n].shape[::-1]:
+                raise ValueError(f"upper coupling block {n} has shape {c.shape}, "
+                                 f"expected {b_blocks[n].shape[::-1]}")
+            if not np.isfinite(c).all():
+                raise ValueError(f"upper coupling block {n} has a non-finite entry")
+        object.__setattr__(self, "a_blocks", a_blocks)
+        object.__setattr__(self, "b_blocks", b_blocks)
+        object.__setattr__(self, "c_blocks", c_blocks)
 
     @property
     def iterations(self) -> int:
         """Number of Krylov expansions actually performed."""
-        return self.betas.size
+        return len(self.b_blocks)
 
-    def prefix(self, iterations: int) -> TridiagonalCoefficients:
+    @property
+    def widths(self) -> tuple[int, ...]:
+        return tuple(a.shape[0] for a in self.a_blocks)
+
+    @property
+    def dimension(self) -> int:
+        return sum(self.widths)
+
+    @property
+    def upper_blocks(self) -> tuple[np.ndarray, ...]:
+        """The C_n: ``c_blocks``, or B_n^H for a Hermitian table."""
+        return self.c_blocks if self.c_blocks is not None else tuple(
+            b.conj().T for b in self.b_blocks)
+
+    def prefix(self, iterations: int) -> BlockCoefficients:
         """Coefficients after only ``iterations`` expansions.
 
-        The recursion is deterministic, so this equals the output of a run
+        The recursions are deterministic, so this equals the output of a run
         with a smaller ``max_iter``.
         """
         if not 0 <= iterations <= self.iterations:
             raise ValueError(f"iterations must be in [0, {self.iterations}]")
-        return TridiagonalCoefficients(
-            self.alphas[: iterations + 1], self.betas[:iterations]
-        )
+        c_blocks = None if self.c_blocks is None else self.c_blocks[:iterations]
+        return BlockCoefficients(
+            self.a_blocks[: iterations + 1], self.b_blocks[:iterations], c_blocks)
 
-    def matrix(self) -> np.ndarray:
-        """Dense symmetric tridiagonal assembly."""
-        mat = np.diag(self.alphas)
-        if self.betas.size:
-            mat += np.diag(self.betas, 1) + np.diag(self.betas, -1)
-        return mat
+    @cached_property
+    def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        if (self.c_blocks is not None or self.dimension != len(self.a_blocks)
+                or any(np.imag(b).any() for b in self.b_blocks)):
+            kind = "Hermitian" if self.c_blocks is None else "general"
+            raise ValueError("alphas and betas need a width-1 Hermitian table with real "
+                             f"couplings, not a {kind} one of widths {self.widths}")
+        # a 1x1 Hermitian A is real; the run's B is the residual norm
+        alphas, betas = (np.array(blocks).real.astype(np.float64).ravel()
+                         for blocks in (self.a_blocks, self.b_blocks))
+        alphas.flags.writeable = betas.flags.writeable = False
+        return alphas, betas
+
+    # kept: `benchmarks/worker.py` reads it
+    @property
+    def alphas(self) -> np.ndarray:
+        """Read-only diagonal of a width-1 Hermitian table."""
+        return self._tridiagonal[0]
+
+    # kept: `benchmarks/worker.py` reads it
+    @property
+    def betas(self) -> np.ndarray:
+        """Read-only off-diagonal of a width-1 Hermitian table with real
+        couplings (non-negative in the runs' gauge)."""
+        return self._tridiagonal[1]
+
+    def save(self, path: str | Path) -> None:
+        """Named matrix sections: A 0, then B n, C n and A n per step (a
+        Hermitian table writes C_n = B_n^H)."""
+        sections = [("A", 0, self.a_blocks[0])]
+        for n, (b, c) in enumerate(zip(self.b_blocks, self.upper_blocks), start=1):
+            sections += [("B", n, b), ("C", n, c), ("A", n, self.a_blocks[n])]
+        textio.write_matrix_sections(path, sections, "two-sided block coefficients")
+
+    @classmethod
+    def load(cls, path: str | Path) -> BlockCoefficients:
+        """The table :meth:`save` wrote, in the general form (C given)."""
+        groups = textio.read_named_sections(path, ("A", "B", "C"))
+        return cls(tuple(groups["A"]), tuple(groups["B"]), tuple(groups["C"]))
 
 
 def _check_fits_memory(shape: tuple[int, ...], dtype: np.dtype,
@@ -288,11 +374,11 @@ def _cholesky_inverse(gram: np.ndarray) -> np.ndarray | None:
 @np.errstate(over="ignore", invalid="ignore")
 def _hermitian_recursion(
     spec: HamiltonianSpec, start: np.ndarray, max_iter: int
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+) -> tuple[BlockCoefficients, np.ndarray]:
     """Up to ``max_iter`` expansions from the orthonormal ``(dim, width)``
-    ``start``: the Hermitized diagonal blocks, the coupling blocks and the
-    ``(dim, k)`` basis, Krylov vectors as columns. The basis is float64 for
-    a real start and complex128 for a complex one.
+    ``start``: the Hermitian table of the Hermitized diagonal blocks and the
+    coupling blocks, and the ``(dim, k)`` basis, Krylov vectors as columns.
+    The basis is float64 for a real start and complex128 for a complex one.
 
     A remainder column of norm at most ``_RELATIVE_TOL`` times the chain's
     norm bound deflates; a fully deflated remainder ends the run (invariant
@@ -300,6 +386,8 @@ def _hermitian_recursion(
     is refused with a ValueError naming the chain and the step. Which rows
     each residual is projected against follows the module docstring.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     scale = spec.norm_bound
     psi = np.ascontiguousarray(
         start, dtype=np.complex128 if np.iscomplexobj(start) else np.float64)
@@ -352,7 +440,7 @@ def _hermitian_recursion(
         prev, psi = psi, basis[hi : hi + b.shape[0]].T
         hi += b.shape[0]
 
-    return a_blocks, b_blocks, basis[:hi].T
+    return BlockCoefficients(tuple(a_blocks), tuple(b_blocks)), basis[:hi].T
 
 
 def _check_finite(
@@ -378,7 +466,7 @@ def lanczos_run(
     spec: HamiltonianSpec,
     start: np.ndarray,
     max_iter: int,
-) -> tuple[TridiagonalCoefficients, np.ndarray]:
+) -> tuple[BlockCoefficients, np.ndarray]:
     """Run the three-term recursion from the normalized ``(dim,)`` ``start``
     (|v|^2 within 1e-10 of 1) for up to ``max_iter`` expansions.
 
@@ -393,34 +481,33 @@ def lanczos_run(
     its Gram matrix. It stops early when the residual
     norm is at most 1e-10 times the chain's norm bound (``spec.norm_bound``):
     the Krylov space has become invariant. The realized expansion count is
-    ``len(coeffs.betas)``.
+    ``coeffs.iterations``.
 
-    Returns the coefficient table and the orthonormal basis as a
-    ``(dim, len(coeffs.alphas))`` array whose columns are the Krylov
-    vectors; it is float64 when the start is real.
+    Returns the width-1 Hermitian table, whose ``alphas`` and ``betas`` are
+    the tridiagonal entries, and the orthonormal basis as a
+    ``(dim, coeffs.dimension)`` array whose columns are the Krylov vectors;
+    it is float64 when the start is real.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     start = np.asarray(start)
     if start.shape != (spec.dim,):
         raise ValueError(f"start of shape {start.shape} is not ({spec.dim},)")
     _check_start(start[:, None], "start not normalized")
 
-    a_blocks, b_blocks, basis = _hermitian_recursion(spec, start[:, None], max_iter)
-    # 1x1 blocks: the Hermitized A is exactly real, B is the residual norm
-    alphas, betas = (np.array(blocks).real.ravel() for blocks in (a_blocks, b_blocks))
-    return TridiagonalCoefficients(alphas, betas), basis
+    return _hermitian_recursion(spec, start[:, None], max_iter)
 
 
-def ritz_values(coeffs: TridiagonalCoefficients) -> np.ndarray:
-    """Ascending eigenvalues of the projected tridiagonal operator."""
+# kept: `benchmarks/worker.py` calls it
+def ritz_values(coeffs: BlockCoefficients) -> np.ndarray:
+    """Ascending eigenvalues of a width-1 Hermitian table, the projected
+    tridiagonal operator."""
     import scipy.linalg as sla  # deferred: only a Ritz solve loads scipy.linalg
 
     return sla.eigh_tridiagonal(coeffs.alphas, coeffs.betas, eigvals_only=True)
 
 
+# kept: `benchmarks/worker.py` calls it
 def tridiagonal_eigensolve(
-    coeffs: TridiagonalCoefficients,
+    coeffs: BlockCoefficients,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All Ritz pairs: ascending values and the orthonormal weight vectors
     as columns, the tridiagonal eigenvectors in the Krylov basis."""

@@ -62,9 +62,13 @@ def write_matrix_sections(path: str | Path,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_matrix_sections(path: str | Path) -> list[tuple[str, int, np.ndarray]]:
+def read_named_sections(path: str | Path,
+                        names: Sequence[str]) -> dict[str, list[np.ndarray]]:
+    """The matrices :func:`write_matrix_sections` wrote, grouped by name,
+    each group in index order; any section named outside ``names`` is
+    rejected."""
     path = Path(path)
-    sections: list[tuple[str, int, np.ndarray]] = []
+    by_name: dict[str, dict[int, np.ndarray]] = {name: {} for name in names}
     lines = [
         ln.strip()
         for ln in path.read_text().splitlines()
@@ -79,6 +83,8 @@ def read_matrix_sections(path: str | Path) -> list[tuple[str, int, np.ndarray]]:
                 "name index rows cols"
             )
         name, index, rows, cols = head[0], int(head[1]), int(head[2]), int(head[3])
+        if name not in by_name:
+            raise ValueError(f"{path}: unexpected section {name!r}")
         pos += 1
         values = []
         for r in range(rows):
@@ -91,17 +97,5 @@ def read_matrix_sections(path: str | Path) -> list[tuple[str, int, np.ndarray]]:
                 )
             values.append(row)
             pos += 1
-        sections.append((name, index, np.array(values)))
-    return sections
-
-
-def read_named_sections(path: str | Path,
-                        names: Sequence[str]) -> dict[str, list[np.ndarray]]:
-    """Sections grouped by name, each group in index order; any section
-    named outside ``names`` is rejected."""
-    by_name: dict[str, dict[int, np.ndarray]] = {name: {} for name in names}
-    for name, index, mat in read_matrix_sections(path):
-        if name not in by_name:
-            raise ValueError(f"{path}: unexpected section {name!r}")
-        by_name[name][index] = mat
+        by_name[name][index] = np.array(values)
     return {name: [group[k] for k in sorted(group)] for name, group in by_name.items()}

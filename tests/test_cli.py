@@ -669,14 +669,16 @@ print(nonhermitian.match_spectra([1.0, 2j, 3.0], [3.0, 1.0, 2j]))
 
 
 def test_deferred_linalg_import_gives_the_same_ritz_values():
-    coeffs = scalar.TridiagonalCoefficients([0.5, -1.25, 2.0, 0.75],
-                                            [1.0, 0.3, 1e-3])
+    alphas, betas = [0.5, -1.25, 2.0, 0.75], [1.0, 0.3, 1e-3]
+    coeffs = scalar.BlockCoefficients(np.reshape(alphas, (-1, 1, 1)),
+                                      np.reshape(betas, (-1, 1, 1)))
     script = f"""
 import sys
+import numpy as np
 from blocklanczos import scalar
 print("scipy.linalg" in sys.modules)
-coeffs = scalar.TridiagonalCoefficients({coeffs.alphas.tolist()},
-                                        {coeffs.betas.tolist()})
+coeffs = scalar.BlockCoefficients(np.reshape({alphas}, (-1, 1, 1)),
+                                  np.reshape({betas}, (-1, 1, 1)))
 print(" ".join(v.hex() for v in scalar.ritz_values(coeffs)))
 print("scipy.linalg" in sys.modules)
 """

@@ -9,7 +9,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from blocklanczos import block
+from blocklanczos import block, scalar
 from blocklanczos.textio import write_csv
 from blocklanczos.noise import (
     CostModel,
@@ -76,11 +76,11 @@ class TestSyntheticBlockProblem:
     def test_validation(self):
         eye = np.eye(2)
         with pytest.raises(ValueError):
-            block.BlockCoefficients((eye,), (eye,))
+            scalar.BlockCoefficients((eye,), (eye,))
         with pytest.raises(ValueError):
-            block.BlockCoefficients((np.array([[0.0, 1.0], [0.0, 0.0]]),), ())
+            scalar.BlockCoefficients((np.array([[0.0, 1.0], [0.0, 0.0]]),), ())
         with pytest.raises(ValueError):
-            block.BlockCoefficients((eye, eye), (np.eye(3),))
+            scalar.BlockCoefficients((eye, eye), (np.eye(3),))
         with pytest.raises(ValueError):
             synthetic_problem(0, 1, seed=0)
 
@@ -355,7 +355,7 @@ class TestSampledEnergyErrors:
                 problem = synthetic_problem(1, count, seed)
                 exact = float(block.block_ritz_values(problem)[0])
                 rng = np.random.default_rng(noise_seed(seed, shots_index))
-                sampled = block.BlockCoefficients(
+                sampled = scalar.BlockCoefficients(
                     tuple(rng.binomial(shots, a) / shots for a in problem.a_blocks),
                     tuple(rng.binomial(shots, b) / shots for b in problem.b_blocks),
                 )

@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 from blocklanczos import block, nonhermitian, scalar, spinchain
 from blocklanczos.nonhermitian import (
     GeneralOperator,
-    NonHermitianBlockTridiagonal,
     SeriousBreakdownError,
-    assemble_t,
     biorthogonality_check,
     match_spectra,
     paired_random_start,
@@ -131,7 +129,11 @@ class TestBiorthogonalBlockPair:
 
 
 class TestNonHermitianBlockTridiagonal:
-    def make_coeffs(self, rng, widths):
+    """The general (two-sided) form of ``scalar.BlockCoefficients``: a C
+    stack given, no Hermiticity asked of A."""
+
+    @staticmethod
+    def make_coeffs(rng, widths):
         a = tuple(rng.standard_normal((w, w)) for w in widths)
         b = tuple(
             rng.standard_normal((widths[i + 1], widths[i]))
@@ -141,26 +143,41 @@ class TestNonHermitianBlockTridiagonal:
             rng.standard_normal((widths[i], widths[i + 1]))
             for i in range(len(widths) - 1)
         )
-        return NonHermitianBlockTridiagonal(a, b, c)
+        return scalar.BlockCoefficients(a, b, c)
 
     def test_list_length_mismatch_rejected(self):
         a = (np.zeros((2, 2)), np.zeros((2, 2)))
         b = (np.zeros((2, 2)),)
-        with pytest.raises(ValueError):
-            NonHermitianBlockTridiagonal(a, b, ())
+        with pytest.raises(ValueError, match="got 1 below and 0 above"):
+            scalar.BlockCoefficients(a, b, ())
 
     def test_nonsquare_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            NonHermitianBlockTridiagonal((np.zeros((2, 3)),), (), ())
+        with pytest.raises(ValueError, match="diagonal block 0 is not square"):
+            scalar.BlockCoefficients((np.zeros((2, 3)),), (), ())
 
     def test_wrong_coupling_shapes_rejected(self):
         a = (np.zeros((2, 2)), np.zeros((2, 2)))
         good = (np.zeros((2, 2)),)
         bad = (np.zeros((3, 2)),)
-        with pytest.raises(ValueError):
-            NonHermitianBlockTridiagonal(a, bad, good)
-        with pytest.raises(ValueError):
-            NonHermitianBlockTridiagonal(a, good, bad)
+        with pytest.raises(ValueError, match="^coupling block 0 has shape"):
+            scalar.BlockCoefficients(a, bad, good)
+        with pytest.raises(ValueError, match="upper coupling block 0 has shape"):
+            scalar.BlockCoefficients(a, good, bad)
+
+    def test_hermiticity_asked_only_without_c(self):
+        a = (np.array([[1.0, 2.0], [3.0, 4.0]]),)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            scalar.BlockCoefficients(a, ())
+        assert scalar.BlockCoefficients(a, (), ()).c_blocks == ()
+
+    @pytest.mark.parametrize("kind", ["a", "b", "c"])
+    def test_non_finite_entries_refused(self, kind):
+        blocks = dict(a=[np.eye(2), np.eye(2)], b=[np.eye(2)], c=[np.eye(2)])
+        blocks[kind][-1] = np.diag([1.0, np.nan])
+        name = {"a": "diagonal block 1", "b": "^coupling block 0",
+                "c": "upper coupling block 0"}[kind]
+        with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+            scalar.BlockCoefficients(blocks["a"], blocks["b"], blocks["c"])
 
     def test_prefix(self):
         rng = np.random.default_rng(7)
@@ -177,13 +194,24 @@ class TestNonHermitianBlockTridiagonal:
         coeffs = self.make_coeffs(rng, (3, 3, 3))
         path = tmp_path / "coeffs.txt"
         coeffs.save(path)
-        loaded = NonHermitianBlockTridiagonal.load(path)
-        for got, want in zip(loaded.a_blocks, coeffs.a_blocks):
+        loaded = scalar.BlockCoefficients.load(path)
+        for got, want in zip(loaded.a_blocks, coeffs.a_blocks, strict=True):
             assert np.array_equal(got, want)
-        for got, want in zip(loaded.b_blocks, coeffs.b_blocks):
+        for got, want in zip(loaded.b_blocks, coeffs.b_blocks, strict=True):
             assert np.array_equal(got, want)
-        for got, want in zip(loaded.c_blocks, coeffs.c_blocks):
+        for got, want in zip(loaded.c_blocks, coeffs.c_blocks, strict=True):
             assert np.array_equal(got, want)
+
+    def test_hermitian_table_saves_its_upper_blocks(self, tmp_path):
+        # a table without C writes C_n = B_n^H and loads back in general form
+        b = np.array([[1.0 + 2.0j, 0.5], [0.0, 3.0]])
+        coeffs = scalar.BlockCoefficients((np.eye(2), 2.0 * np.eye(2)), (b,))
+        path = tmp_path / "coeffs.txt"
+        coeffs.save(path)
+        loaded = scalar.BlockCoefficients.load(path)
+        assert np.array_equal(loaded.c_blocks[0], b.conj().T)
+        assert np.array_equal(block.assemble_block_tridiagonal(loaded),
+                              block.assemble_block_tridiagonal(coeffs))
 
     def test_save_load_round_trip_complex(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -194,7 +222,7 @@ class TestNonHermitianBlockTridiagonal:
         )
         path = tmp_path / "coeffs.txt"
         coeffs.save(path)
-        loaded = NonHermitianBlockTridiagonal.load(path)
+        loaded = scalar.BlockCoefficients.load(path)
         for got, want in zip(loaded.c_blocks, coeffs.c_blocks):
             assert np.array_equal(got, want)
 
@@ -208,19 +236,21 @@ class TestNonHermitianBlockTridiagonal:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=fragment):
-            NonHermitianBlockTridiagonal.load(path)
+            scalar.BlockCoefficients.load(path)
 
 
-class TestAssembleT:
+class TestTwoSidedAssembly:
+    """``block.assemble_block_tridiagonal`` on general-form tables."""
+
     def test_single_block_is_identity_map(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        coeffs = NonHermitianBlockTridiagonal((a,), (), ())
-        assert np.array_equal(assemble_t(coeffs), a)
+        coeffs = scalar.BlockCoefficients((a,), (), ())
+        assert np.array_equal(block.assemble_block_tridiagonal(coeffs), a)
 
     def test_band_structure_exact_zeros(self):
         rng = np.random.default_rng(10)
-        coeffs = TestNonHermitianBlockTridiagonal().make_coeffs(rng, (2, 2, 2, 2))
-        mat = assemble_t(coeffs)
+        coeffs = TestNonHermitianBlockTridiagonal.make_coeffs(rng, (2, 2, 2, 2))
+        mat = block.assemble_block_tridiagonal(coeffs)
         assert mat.shape == (8, 8)
         # beyond the first off-diagonal block row/column everything is zero
         assert np.all(mat[4:, :2] == 0.0)
@@ -237,9 +267,9 @@ class TestAssembleT:
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.standard_normal((32, 2)))
         coeffs, _ = two_sided_block_run(op, q, q.copy(), max_iter=6)
-        herm = block.BlockCoefficients(coeffs.a_blocks, coeffs.b_blocks)
+        herm = scalar.BlockCoefficients(coeffs.a_blocks, coeffs.b_blocks)
         herm_mat = block.assemble_block_tridiagonal(herm)
-        assert np.max(np.abs(assemble_t(coeffs) - herm_mat)) < 1e-12
+        assert np.max(np.abs(block.assemble_block_tridiagonal(coeffs) - herm_mat)) < 1e-12
 
 
 class TestTwoSidedRun:

@@ -11,29 +11,63 @@ from reference_values import (
 )
 
 
-class TestTridiagonalCoefficients:
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            scalar.TridiagonalCoefficients(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            scalar.TridiagonalCoefficients(np.array([]), np.array([]))
+def tridiagonal_table(alphas, betas):
+    """The width-1 Hermitian ``scalar.BlockCoefficients`` of a tridiagonal
+    matrix: one 1x1 block per entry."""
+    return scalar.BlockCoefficients(np.reshape(alphas, (-1, 1, 1)),
+                                    np.reshape(betas, (-1, 1, 1)))
 
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            scalar.TridiagonalCoefficients(np.array([1.0, 2.0]), np.array([-0.5]))
+
+def tridiagonal_matrix(alphas, betas):
+    """Dense symmetric tridiagonal matrix, assembled with ``np.diag`` and
+    independent of ``block.assemble_block_tridiagonal``."""
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
+class TestTridiagonalCoefficients:
+    """The width-1 Hermitian table of ``scalar.BlockCoefficients``, whose
+    read-only ``alphas`` and ``betas`` feed the tridiagonal eigensolve."""
+
+    def test_length_validation(self):
+        with pytest.raises(ValueError, match="expected 1 coupling blocks"):
+            tridiagonal_table(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="at least one diagonal block"):
+            tridiagonal_table(np.array([]), np.array([]))
 
     def test_matrix_assembly(self):
-        c = scalar.TridiagonalCoefficients(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25]))
+        c = tridiagonal_table(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25]))
         expected = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 3.0]])
-        assert np.array_equal(c.matrix(), expected)
+        assert np.array_equal(block.assemble_block_tridiagonal(c), expected)
+        assert np.array_equal(tridiagonal_matrix(c.alphas, c.betas), expected)
 
     def test_prefix(self):
-        c = scalar.TridiagonalCoefficients(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25]))
+        c = tridiagonal_table(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25]))
         p = c.prefix(1)
         assert np.array_equal(p.alphas, [1.0, 2.0])
         assert np.array_equal(p.betas, [0.5])
         with pytest.raises(ValueError):
             c.prefix(3)
+
+    def test_views_are_read_only_float64(self):
+        c = tridiagonal_table(np.array([1.0, 2.0]) + 0j, np.array([0.5]) + 0j)
+        for view in (c.alphas, c.betas):
+            assert view.dtype == np.float64 and not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            c.alphas[0] = 5.0
+
+    @pytest.mark.parametrize("table, kind", [
+        (scalar.BlockCoefficients((np.eye(2),), ()), "a Hermitian one of widths"),
+        (scalar.BlockCoefficients(np.ones((2, 1, 1)), (np.eye(1),), (np.eye(1),)),
+         "a general one of widths"),
+        # [[0, -i], [i, 0]] has eigenvalues -1 and 1; real parts would give 0, 0
+        (tridiagonal_table([0.0, 0.0], [1j]), "a Hermitian one of widths"),
+    ], ids=["width-2", "general", "complex-coupling"])
+    def test_views_refused_for_other_tables(self, table, kind):
+        for name in ("alphas", "betas"):
+            with pytest.raises(ValueError, match=f"real couplings, not {kind}"):
+                getattr(table, name)
+        with pytest.raises(ValueError, match="width-1 Hermitian table"):
+            scalar.ritz_values(table)
 
 
 class TestLanczosRun:
@@ -80,7 +114,7 @@ class TestLanczosRun:
         q = basis
         assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) < 1e-8
         h_in_basis = q.conj().T @ sc.apply_to_array(spec, q)
-        off = h_in_basis - coeffs.matrix()
+        off = h_in_basis - tridiagonal_matrix(coeffs.alphas, coeffs.betas)
         assert np.max(np.abs(off)) < 1e-8
 
     def test_variational_monotonicity(self):
@@ -148,9 +182,7 @@ class TestLanczosRun:
 
 class TestTridiagonalEigensolve:
     def test_two_by_two_analytic(self):
-        coeffs = scalar.TridiagonalCoefficients(
-            np.array([-0.25, -0.25]), np.array([0.5])
-        )
+        coeffs = tridiagonal_table(np.array([-0.25, -0.25]), np.array([0.5]))
         values, vectors = scalar.tridiagonal_eigensolve(coeffs)
         assert values == pytest.approx([-0.75, 0.25], abs=1e-12)
         ground = vectors[:, 0]
@@ -160,18 +192,16 @@ class TestTridiagonalEigensolve:
 
     def test_single_entry(self):
         values, vectors = scalar.tridiagonal_eigensolve(
-            scalar.TridiagonalCoefficients(np.array([1.75]), np.array([]))
+            tridiagonal_table(np.array([1.75]), np.array([]))
         )
         assert np.array_equal(values, [1.75])
         assert np.array_equal(vectors, [[1.0]])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
-        coeffs = scalar.TridiagonalCoefficients(
-            rng.standard_normal(8), np.abs(rng.standard_normal(7))
-        )
+        coeffs = tridiagonal_table(rng.standard_normal(8), np.abs(rng.standard_normal(7)))
         values, vectors = scalar.tridiagonal_eigensolve(coeffs)
-        dense_vals = np.linalg.eigvalsh(coeffs.matrix())
+        dense_vals = np.linalg.eigvalsh(tridiagonal_matrix(coeffs.alphas, coeffs.betas))
         assert values == pytest.approx(dense_vals, abs=1e-12)
         assert np.allclose(vectors.T @ vectors, np.eye(8), atol=1e-12)
 
@@ -369,7 +399,7 @@ class TestTextbookReference:
                 for run in self.chains(length, complex_start))
         for spec, start, max_iter in runs:
             alphas, betas, _ = textbook_lanczos_full(spec, start, max_iter)
-            want = scalar.ritz_values(scalar.TridiagonalCoefficients(alphas, betas))
+            want = scalar.ritz_values(tridiagonal_table(alphas, betas))
             coeffs, _ = scalar.lanczos_run(spec, start, max_iter)
             got = scalar.ritz_values(coeffs)
             assert abs(got[0] - want[0]) <= 1e-12 * spec.norm_bound
@@ -428,34 +458,34 @@ class TestReorthogonalization:
         assert np.all(overlap <= 8 * np.finfo(float).eps * norms)
 
 
+def count_steps(monkeypatch):
+    """Per expansion of the Hermitian body, the row counts of its
+    Gram-Schmidt passes: each operator application opens a new entry."""
+    steps = []
+    project, apply = scalar._project_out, sc.apply_to_array
+
+    def counting_project(residual, dual, stack):
+        steps[-1].append(stack.shape[0])
+        project(residual, dual, stack)
+
+    def counting_apply(spec, psi):
+        steps.append([])
+        return apply(spec, psi)
+
+    monkeypatch.setattr(scalar, "_project_out", counting_project)
+    monkeypatch.setattr(scalar.spinchain, "apply_to_array", counting_apply)
+    return steps
+
+
 class TestSemiOrthogonality:
     """From step 2 on the Hermitian body projects each residual against the
     last two blocks only, and against the whole basis when the overlap
     majorant crosses sqrt(eps) and on the step after."""
 
-    @staticmethod
-    def count_steps(monkeypatch):
-        """Per expansion, the row counts of its Gram-Schmidt passes: each
-        operator application opens a new entry."""
-        steps = []
-        project, apply = scalar._project_out, sc.apply_to_array
-
-        def counting_project(residual, dual, stack):
-            steps[-1].append(stack.shape[0])
-            project(residual, dual, stack)
-
-        def counting_apply(spec, psi):
-            steps.append([])
-            return apply(spec, psi)
-
-        monkeypatch.setattr(scalar, "_project_out", counting_project)
-        monkeypatch.setattr(scalar.spinchain, "apply_to_array", counting_apply)
-        return steps
-
     def test_pass_schedule(self, monkeypatch):
         spec = sc.build_xxz(12, 1.0, 1.0)
         start = sc.random_state_vector(12, np.random.default_rng(12))
-        steps = self.count_steps(monkeypatch)
+        steps = count_steps(monkeypatch)
         coeffs, basis = scalar.lanczos_run(spec, start, max_iter=40)
         assert coeffs.iterations == 40
         assert steps.pop() == []  # the last application only closes the table
@@ -487,7 +517,7 @@ class TestSemiOrthogonality:
         r = np.random.default_rng(2).standard_normal(16)
         r -= (g @ r) * g
         start = np.column_stack([g, r / np.linalg.norm(r)])
-        steps = self.count_steps(monkeypatch)
+        steps = count_steps(monkeypatch)
         coeffs, _ = block.block_lanczos_run(spec, start, max_iter=20)
         assert coeffs.widths[:2] == (2, 1)
         stored = np.cumsum(coeffs.widths)
@@ -503,7 +533,7 @@ class TestSemiOrthogonality:
         start = block.random_orthonormal_block(
             length, width, rng, complex_amplitudes=complex_start)
         with pytest.MonkeyPatch.context() as patch:
-            steps = self.count_steps(patch)
+            steps = count_steps(patch)
             coeffs, basis = block.block_lanczos_run(spec, start, max_iter)
         assert coeffs.widths == (width,) * (max_iter + 1)
         assert any(max(steps[n]) > 2 * width for n in range(2, max_iter))  # a trigger
@@ -666,7 +696,8 @@ class TestPowerOfTwoScaling:
         if solver == "scalar":
             start = sc.random_state_vector(spec.length, rng)
             coeffs, _ = scalar.lanczos_run(spec, start, spec.dim)
-            return (coeffs.iterations, (1,) * coeffs.size, coeffs.matrix(),
+            return (coeffs.iterations, coeffs.widths,
+                    tridiagonal_matrix(coeffs.alphas, coeffs.betas),
                     scalar.ritz_values(coeffs))
         if solver == "block":
             start = block.random_orthonormal_block(spec.length, 3, rng)
@@ -679,7 +710,8 @@ class TestPowerOfTwoScaling:
         coeffs, _ = nonhermitian.two_sided_block_run(op, right, left, spec.dim)
         # no Ritz values: LAPACK's dense eigvals(2**m T) differs from
         # 2**m eigvals(T) at round-off, so only T itself is exact
-        return coeffs.iterations, coeffs.widths, nonhermitian.assemble_t(coeffs), None
+        return (coeffs.iterations, coeffs.widths,
+                block.assemble_block_tridiagonal(coeffs), None)
 
     @pytest.mark.parametrize("m", [-30, 20])
     @pytest.mark.parametrize("chain", sorted(CHAINS))
@@ -706,5 +738,5 @@ class TestPowerOfTwoScaling:
         right, left = nonhermitian.paired_random_start(8, 2, np.random.default_rng(0))
         coeffs, (lefts, rights) = nonhermitian.two_sided_block_run(op, right, left, 8)
         assert coeffs.iterations == 0
-        assert not nonhermitian.assemble_t(coeffs).any()
+        assert not block.assemble_block_tridiagonal(coeffs).any()
         assert rights.shape == (8, 2)
