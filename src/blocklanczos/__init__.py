@@ -1,8 +1,8 @@
-"""Matrix-free scalar and block Lanczos eigensolvers for spin-1/2 chains.
+"""Scalar and block Lanczos eigensolvers for spin-1/2 chains.
 
 Subpackages by role:
 
-* :mod:`blocklanczos.spinchain` - chain Hamiltonians, matrix-free application,
+* :mod:`blocklanczos.spinchain` - chain Hamiltonians, their bit-built CSR kernel,
   dense exact-diagonalization oracle, analytic XY cross-check.
 * :mod:`blocklanczos.scalar` - the one coefficient type of all three
   recursions, the Hermitian Lanczos recursion body and its width-1 front

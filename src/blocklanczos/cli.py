@@ -234,9 +234,11 @@ def _run_solve(config: ExperimentConfig, params: dict[str, Any],
             f"only up to {SATURATING_SOLVE_DIM_CAP} states)"
         )
     max_iter = spec.dim if max_iter is None else max_iter
-    # the recursion's basis bound, applied before the start is drawn
-    scalar._check_fits_memory(
+    # the recursion's basis and the Hamiltonian kernel, bounded before the
+    # start is drawn
+    scalar._check_basis_fits(
         (min((max_iter + 1) * width, spec.dim), spec.dim), np.float64)
+    spinchain.check_kernel_fits(spec)
     rng = np.random.default_rng(config.seed)
     if width == 1:
         start = spinchain.random_state_vector(spec.length, rng)

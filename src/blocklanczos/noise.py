@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blocklanczos import block, scalar
+from blocklanczos import block, scalar, spinchain
 
 SWEEP_HEADER = ("block_size", "block_count", "eta", "seed", "mae")
 SUMMARY_HEADER = ("block_size", "block_count", "eta", "mean_mae")
@@ -272,8 +272,9 @@ def check_sweep_fits(block_size: int, block_counts: list[int]) -> None:
     float64 matrix of side ``block_size * max(block_counts)``, would not fit
     in physical memory (the bound the Krylov bases are held to)."""
     side = block_size * max(block_counts)
-    scalar._check_fits_memory((side, side), np.float64, "a noise-sweep assembly",
-                              "noise-sweep.block_size or block_counts")
+    spinchain._check_fits_memory(side * side * 8,
+                                 f"a noise-sweep assembly of shape {(side, side)}",
+                                 "noise-sweep.block_size or block_counts")
 
 
 def slope_report(fits: dict[tuple[int, int], FitResult]) -> str:

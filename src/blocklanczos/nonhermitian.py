@@ -125,8 +125,8 @@ class GeneralOperator:
 
     @classmethod
     def from_hamiltonian(cls, spec: HamiltonianSpec) -> GeneralOperator:
-        """Matrix-free chain Hamiltonian as a (symmetric) general operator,
-        scaled by the chain's ``norm_bound``."""
+        """Chain Hamiltonian, applied through its CSR kernel, as a
+        (symmetric) general operator, scaled by the chain's ``norm_bound``."""
         apply = lambda v: apply_to_array(spec, v)  # noqa: E731 - trivial adapters
         return cls(spec.dim, apply, apply, spec.norm_bound)
 
@@ -200,6 +200,16 @@ def _window_bounds(
     return right, left, float(worst)
 
 
+def _owned(product: np.ndarray, source: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``product`` as a writable ``dtype`` array that shares no memory with
+    ``source``, copied only when it is not one already, so the residual can
+    be formed in it in place."""
+    if (product.dtype == dtype and product.flags.writeable
+            and not np.may_share_memory(product, source)):
+        return product
+    return product.astype(dtype)
+
+
 def two_sided_block_run(
     op: GeneralOperator,
     right_start: np.ndarray,
@@ -220,6 +230,10 @@ def two_sided_block_run(
     nonzero but their pair Gram matrix has a smallest singular value at
     most 1e-10 times the product of their norms, in which case
     :class:`SeriousBreakdownError` is raised.
+
+    Each residual is formed in place in the array its operator product
+    returned, or in a copy when that array is read-only or shares memory
+    with the product's input, so the caller's starts are never written.
 
     Returns the general-form table and the ``(left, right)`` bases, two
     ``(dim, coeffs.dimension)`` arrays (transposed views of the row buffers)
@@ -272,9 +286,10 @@ def two_sided_block_run(
         a_list.append(a)
         if n == max_iter or hi >= dim:
             break
-        ht_left = op.apply_transpose(left)
-        r_res = h_right - right @ a
-        s_res = ht_left - left @ a.T
+        r_res = _owned(h_right, right, dtype)
+        s_res = _owned(op.apply_transpose(left), left, dtype)
+        r_res -= right @ a
+        s_res -= left @ a.T
         if prev_right is not None:
             r_res -= prev_right @ c_list[n - 1]
             s_res -= prev_left @ b_list[n - 1].T

@@ -37,16 +37,18 @@ at the first :func:`ritz_values` or :func:`tridiagonal_eigensolve` call,
 not with the package. Of the CLI commands, ``incremental`` and the width-1
 ``solve`` load it at their first Ritz solve; ``noise-sweep``,
 ``cost-table`` and a block ``solve`` (dense numpy eigensolves) never do.
-``scipy.sparse`` loads with the first reference-oracle call of
-:mod:`blocklanczos.spinchain` (``incremental``), and ``scipy.optimize``,
-which pulls in ``scipy.linalg`` and ``scipy.sparse``, with the first
-:func:`blocklanczos.nonhermitian.match_spectra` (``nonhermitian-demo``).
+``scipy.sparse`` loads with the first operator product,
+:func:`blocklanczos.spinchain.apply_to_array`, which builds the chain's
+CSR kernel (``solve`` and ``incremental``), or the first reference-oracle
+call of :mod:`blocklanczos.spinchain`, whichever comes first; and
+``scipy.optimize``, which pulls in ``scipy.linalg`` and ``scipy.sparse``,
+with the first :func:`blocklanczos.nonhermitian.match_spectra`
+(``nonhermitian-demo``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -201,20 +203,13 @@ class BlockCoefficients:
         return cls(tuple(groups["A"]), tuple(groups["B"]), tuple(groups["C"]))
 
 
-def _check_fits_memory(shape: tuple[int, ...], dtype: np.dtype,
-                       what: str = "a Krylov basis",
-                       remedy: str = "max_iter or the dimension") -> int:
-    """Bytes of an array of ``shape`` (a Krylov basis buffer unless ``what``
-    says otherwise); one larger than physical memory is refused with a
-    ValueError, so callers can check before allocating or drawing anything."""
-    nbytes = math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > physical:
-        raise ValueError(
-            f"{what} of shape {tuple(shape)} needs {nbytes} bytes, more than "
-            f"the {physical} bytes of physical memory; lower {remedy}"
-        )
-    return nbytes
+def _check_basis_fits(shape: tuple[int, int], dtype: np.dtype) -> int:
+    """Bytes of a Krylov basis buffer of ``shape``; one larger than physical
+    memory is refused with a ValueError (see
+    :func:`blocklanczos.spinchain._check_fits_memory`)."""
+    return spinchain._check_fits_memory(
+        math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize,
+        f"a Krylov basis of shape {tuple(shape)}", "max_iter or the dimension")
 
 
 def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
@@ -223,7 +218,7 @@ def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
     A buffer larger than physical memory is refused before allocation, so an
     oversized request fails with a ValueError under every overcommit policy.
     """
-    nbytes = _check_fits_memory(shape, dtype)
+    nbytes = _check_basis_fits(shape, dtype)
     try:
         return np.empty(shape, dtype=dtype)
     except MemoryError as err:

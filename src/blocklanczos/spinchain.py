@@ -1,22 +1,22 @@
 """Spin-1/2 open-chain Hamiltonians on a bit-encoded basis.
 
-Provides matrix-free application of nearest-neighbour XXZ-type couplings,
+Provides application of nearest-neighbour XXZ-type couplings by a CSR kernel,
 a sparse Kronecker-product assembly as the reference oracle (ARPACK ground
 state, dense full spectra), and the closed-form free-fermion ground energy
 of the open XY chain as an independent cross-check. Every coupling is real,
 so the oracle is float64 throughout: its two bond operators are built from
 the complex single-site Sx, Sy, Sz and keep only their (exact) real parts.
 
-The matrix-free kernel splits H into its diagonal and its spin flips, the
-standard exact-diagonalization layout (Sandvik, arXiv:1101.3281, section 4).
-The constant and every ZZ bond form one fixed diagonal, which each spec
-builds once, on first use, and keeps as a read-only array. The flips need
-no index arrays: a bond on sites (i, i+1) acts only on bits i and i+1 of
-the basis index, so reshaping the rows of a C-ordered array to
-``(2**(L-i-2), 4, 2**i)`` exposes the bond's four two-spin states as plain
-strided slices, and each XX+YY term is one in-place slice update. Input in
-another memory layout is copied to C order first (see
-:func:`apply_to_array`).
+The kernel that applies H is a CSR matrix in the standard
+exact-diagonalization row layout (Sandvik, arXiv:1101.3281, section 4),
+built by bit arithmetic once per spec, on first use, and kept with it. Row
+x holds the diagonal entry first (the constant and every ZZ bond, which
+each spec also keeps as one read-only array), then one entry per XX+YY
+bond that is antiparallel in x, in spec order: column ``x ^ (3 << site)``,
+value coefficient/2. The product walks each row in that order, so every
+output element is the diagonal product plus each flip product in spec
+order, one rounding at a time (see :func:`apply_to_array`). The Kronecker
+oracle never shares this layout; it is assembled separately.
 
 Conventions (fixed and tested):
   * spin operators are S = sigma/2, so ZZ bonds contribute +-1/4 per unit
@@ -31,6 +31,7 @@ Conventions (fixed and tested):
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -136,8 +137,9 @@ class HamiltonianSpec:
         """Read-only ``(dim,)`` diagonal of H, built on first use and kept
         with the spec: the constant, then each ZZ bond's +coefficient/4 on
         parallel and -coefficient/4 on antiparallel spins, added in spec
-        order through the strided views of :func:`apply_to_array`. Only the
-        fields enter equality and hashing, so the kept array changes neither.
+        order through strided views of the bond's two basis bits (see
+        ``_bond_shape``). Only the fields enter equality and hashing, so the
+        kept array changes neither.
         """
         diagonal = np.full(self.dim, self.constant)
         for term in self.terms:
@@ -150,9 +152,41 @@ class HamiltonianSpec:
         return diagonal
 
     @cached_property
+    def _kernel(self) -> sp.csr_matrix:
+        """The CSR kernel of :func:`apply_to_array`, built on first use and
+        kept: row x is the diagonal entry, then column ``x ^ (3 << site)``
+        with value coefficient/2 for each XX+YY bond antiparallel in x, in
+        spec order, zero coefficients included. A kernel larger than
+        physical memory is refused before anything is allocated (see
+        :func:`check_kernel_fits`). Do not modify it in place: summing its
+        duplicate entries or sorting its rows would change the product's
+        bits."""
+        import scipy.sparse as sp  # deferred: the first apply loads scipy.sparse
+
+        nnz, index = check_kernel_fits(self)
+        rows = np.arange(self.dim, dtype=index)
+        flips = [term for term in self.terms if term.kind == FLIP_KIND]
+        slot = np.ones_like(rows)  # row lengths, then each row's next free entry
+        for term in flips:
+            slot += _antiparallel(rows, term.site)
+        indptr = np.zeros(self.dim + 1, dtype=index)
+        np.cumsum(slot, out=indptr[1:])
+        slot[:] = indptr[:-1]
+        indices = np.empty(nnz, dtype=index)
+        data = np.empty(nnz)
+        indices[slot], data[slot] = rows, self._diagonal
+        slot += 1
+        for term in flips:  # recomputed, so the build holds O(dim) besides the kernel
+            flipping = np.flatnonzero(_antiparallel(rows, term.site))
+            indices[slot[flipping]] = flipping ^ (3 << term.site)
+            data[slot[flipping]] = 0.5 * term.coefficient
+            slot[flipping] += 1
+        return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
+
+    @cached_property
     def _sum(self) -> sp.csr_matrix:
         """The fold of :func:`sparse_matrix`, built on first use and kept."""
-        import scipy.sparse as sp  # deferred: only the oracle loads scipy.sparse
+        import scipy.sparse as sp  # deferred, as in _kernel
 
         mat = self.__dict__.pop("_parent_sum", None)  # see add_term
         terms = self.terms if mat is None else self.terms[-1:]
@@ -233,37 +267,88 @@ def _bond_shape(length: int, site: int) -> tuple[int, int, int]:
     return (2 ** (length - site - 2), 4, 2**site)
 
 
+def _antiparallel(rows: np.ndarray, site: int) -> np.ndarray:
+    """1 where basis index ``rows`` has bits ``site`` and ``site + 1``
+    unequal (the bond on those sites can flip them), else 0."""
+    return ((rows >> site) ^ (rows >> (site + 1))) & 1
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_fits_memory(nbytes: int, what: str, remedy: str) -> int:
+    """``nbytes``, the size of ``what``; more than physical memory is refused
+    with a ValueError naming ``what``, so callers can check before
+    allocating or drawing anything."""
+    physical = _physical_memory()
+    if nbytes > physical:
+        raise ValueError(
+            f"{what} needs {nbytes} bytes, more than the {physical} bytes of "
+            f"physical memory; lower {remedy}"
+        )
+    return nbytes
+
+
+def check_kernel_fits(spec: HamiltonianSpec) -> tuple[int, type]:
+    """Entry count and index dtype of the spec's CSR kernel (see
+    :func:`apply_to_array`), after refusing with a ValueError a kernel whose
+    data, indices and row pointers would not fit in physical memory.
+    Allocates nothing. Every XX+YY bond is antiparallel in half the basis,
+    so the kernel has dim * (1 + flips/2) entries; the indices are int32
+    below 2**31 entries and int64 from there on."""
+    flips = sum(term.kind == FLIP_KIND for term in spec.terms)
+    nnz = spec.dim + flips * (spec.dim // 2)
+    index = np.int32 if nnz < 2**31 else np.int64
+    width = np.dtype(index).itemsize
+    _check_fits_memory(
+        nnz * (8 + width) + (spec.dim + 1) * width,
+        f"the Hamiltonian kernel of the {spec.length}-site chain ({nnz} "
+        f"entries)", "the chain length or its number of XX+YY terms")
+    return nnz, index
+
+
 def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     """H @ amps for a single vector (dim,) or stacked columns (dim, k).
 
-    Matrix-free, in two stages. First ``out`` is the spec's diagonal (the
-    constant plus every ZZ bond, see ``HamiltonianSpec._diagonal``) times
-    the amplitudes, broadcast over the columns. Then the XX+YY terms are
-    added in spec order through strided views: a bond on sites (i, i+1)
-    reads bits i and i+1 of the basis index, so viewing the rows as
-    ``(2**(L-i-2), 4, 2**i)`` puts the bond's two-bit state p = 2*b[i+1] +
-    b[i] on the middle axis, and the term swaps the antiparallel pair
-    p = 1 <-> 2 with amplitude coefficient/2. Each output element thus gets
-    one diagonal product and then one product per flip term, in spec order,
-    with no index array.
+    One product with the spec's CSR kernel (``HamiltonianSpec._kernel``),
+    built on the first call and kept with the spec. Row x of the kernel
+    holds the diagonal entry (the constant plus every ZZ bond, see
+    ``HamiltonianSpec._diagonal``), then one entry per XX+YY bond that is
+    antiparallel in x, in spec order: a bond on sites (i, i+1) swaps the
+    antiparallel pairs of bits i and i+1 with amplitude coefficient/2.
 
-    Input in any layout other than C order (an F-ordered stack, a
-    transposed basis, a column-strided slice) is first copied to a C-ordered
-    array, and ``out`` is computed from that copy: every slice update then
-    streams through contiguous rows, which measured faster than updating
-    strided views of the input even with the copy, and ``out`` is always
-    C-ordered. The input is never written.
+    The row loop of ``scipy.sparse`` (``_sparsetools``) walks each row in
+    that order, adding each product to a running sum without fused
+    multiply-adds, so every output element is the diagonal product plus
+    each flip product in spec order, rounded once per operation: the bits
+    of one diagonal pass followed by one strided update per bond. The loop
+    is called directly so that the sum starts at -0.0, the exact additive
+    identity; ``scipy.sparse``'s own product starts it at +0.0, which turns
+    a row's -0.0 into +0.0.
+
+    Input is cast to float64 or complex128 and copied to C order when it is
+    not so already (an F-ordered stack, a transposed basis, a strided
+    slice); ``out`` is always C-ordered, and the input is never written. A
+    complex input is multiplied by a complex copy of the kernel's values,
+    made for the call.
     """
+    from scipy.sparse import _sparsetools  # deferred, as in HamiltonianSpec._kernel
+
     dim = spec.dim
     if amps.shape[0] != dim:
         raise ValueError(f"vector of dimension {amps.shape[0]} does not match 2**{spec.length}")
-    a = np.ascontiguousarray(amps)
-    out = spec._diagonal.reshape((dim,) + (1,) * (a.ndim - 1)) * a
-    for term in spec.terms:
-        if term.kind == FLIP_KIND:
-            shape = _bond_shape(spec.length, term.site) + a.shape[1:]
-            a4, o4 = a.reshape(shape), out.reshape(shape)
-            o4[:, 1:3] += (0.5 * term.coefficient) * a4[:, 2:0:-1]
+    kernel = spec._kernel
+    a = np.ascontiguousarray(amps, dtype=np.result_type(kernel.dtype, amps))
+    zero = complex(-0.0, -0.0) if np.iscomplexobj(a) else -0.0  # -0.0 in each part
+    out = np.full(a.shape, zero, dtype=a.dtype)
+    columns = math.prod(a.shape[1:])
+    tables = (kernel.indptr, kernel.indices, kernel.data)
+    if columns == 1:
+        _sparsetools.csr_matvec(dim, dim, *tables, a.reshape(-1), out.reshape(-1))
+    else:
+        _sparsetools.csr_matvecs(dim, dim, columns, *tables, a.reshape(-1), out.reshape(-1))
     return out
 
 
@@ -281,7 +366,7 @@ def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
 
     Deliberately independent of :func:`apply_to_array`: each bond is a
     two-site product of single-site Sx, Sy, Sz matrices between identities,
-    not strided views of the basis bits, so the two routes cross-validate
+    not the kernel's bit-arithmetic rows, so the two routes cross-validate
     each other. The sum is a float64 fold in spec order, ``constant * I``
     then ``mat + coefficient * bond`` per term.
 

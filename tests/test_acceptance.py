@@ -18,6 +18,7 @@ import scipy.stats
 
 from blocklanczos import block, incremental, noise, nonhermitian, scalar, spinchain
 from conftest import record_criterion
+from test_scalar import textbook_lanczos, tridiagonal_matrix
 
 
 def report(number, label, ok, detail):
@@ -144,12 +145,16 @@ def test_criterion_05_coefficient_noise_scales_linearly(eigvalsh_calls):
 
 
 def test_criterion_06_width_one_block_matches_scalar():
-    # Budgeted runs: the elementwise equivalence of the two recursions is a
+    # The width-1 block run against an independent scalar recursion,
+    # tests/test_scalar.py::textbook_lanczos: one vector per step, Simon's
+    # scalar omega estimate and its own DGKS rule, nothing shared with the
+    # package's recursion body but the operator product. Budgeted runs: the
+    # elementwise equivalence of two formulations of one recursion is a
     # pre-convergence-regime statement. Once any Ritz value converges to
-    # machine precision, roundoff discrepancies between two reformulations
-    # of the same recursion grow exponentially (forward instability), so
-    # the 1e-10 agreement is asserted over every iteration the budgeted
-    # runs perform; saturation-length correctness is criterion 1's job.
+    # machine precision, roundoff discrepancies between them grow
+    # exponentially (forward instability), so the 1e-10 agreement is
+    # asserted over every iteration the budgeted runs perform; saturation-
+    # length correctness is criterion 1's job.
     rng = np.random.default_rng(606)
     worst = 0.0
     compared = 0
@@ -159,19 +164,19 @@ def test_criterion_06_width_one_block_matches_scalar():
         j_z = float(rng.uniform(-2.0, 2.0))
         spec = spinchain.build_xxz(length, j_xy, j_z)
         start = spinchain.random_state_vector(length, rng)
-        s_coeffs, _ = scalar.lanczos_run(spec, start, max_iter=12)
+        alphas, betas, _, _ = textbook_lanczos(spec, start, 12)
         b_start = start.reshape(-1, 1)
         b_coeffs, _ = block.block_lanczos_run(spec, b_start, max_iter=12)
-        depth = min(s_coeffs.iterations, b_coeffs.iterations)
+        depth = min(len(betas), b_coeffs.iterations)
         assert depth >= 2
         for k in range(depth + 1):
             got = np.sort(np.linalg.eigvalsh(
                 block.assemble_block_tridiagonal(b_coeffs.prefix(k))))
-            want = scalar.ritz_values(s_coeffs.prefix(k))
+            want = np.linalg.eigvalsh(tridiagonal_matrix(alphas[: k + 1], betas[:k]))
             worst = max(worst, float(np.max(np.abs(got - want))))
             compared += 1
     ok = worst < 1e-10 and compared >= 100
-    report(6, "width-1 block recursion equals scalar recursion", ok,
+    report(6, "width-1 block recursion equals a textbook scalar recursion", ok,
            f"20 random chains, {compared} per-iteration spectra, worst "
            f"Ritz deviation {worst:.2e} vs 1e-10")
     assert compared >= 100

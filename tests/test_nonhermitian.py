@@ -381,6 +381,52 @@ class TestTwoSidedRun:
         assert match_spectra(t_eigenvalues(coeffs), np.linalg.eigvals(mat)) < 1e-6
         assert biorthogonality_check(*pair) < 1e-8
 
+    def test_real_product_with_a_complex_left_start_saturates(self):
+        # the first right product is real while the bases are complex: the
+        # residual is formed in a complex copy of it
+        rng = np.random.default_rng(23)
+        mat = rng.standard_normal((24, 24))
+        right, _ = np.linalg.qr(rng.standard_normal((24, 2)))
+        raw = rng.standard_normal((24, 2)) + 1j * rng.standard_normal((24, 2))
+        left = raw @ np.linalg.inv(raw.T @ right).T
+        coeffs, pair = two_sided_block_run(
+            GeneralOperator.from_matrix(mat), right, left, max_iter=48)
+        assert pair[0].dtype == pair[1].dtype == np.complex128
+        assert match_spectra(t_eigenvalues(coeffs), np.linalg.eigvals(mat)) < 1e-6
+        assert biorthogonality_check(*pair) < 1e-8
+
+    def test_products_that_alias_their_input_are_not_written(self):
+        # the identity returns its input, which is the caller's start at
+        # step 0: the residuals are formed in copies, never in the starts
+        rng = np.random.default_rng(24)
+        r0, l0 = paired_random_start(16, 2, rng, distinct_left=True)
+        saved = r0.copy(), l0.copy()
+        op = GeneralOperator(16, lambda v: v, lambda v: v, scale=1.0)
+        coeffs, _ = two_sided_block_run(op, r0, l0, max_iter=4)
+        assert np.array_equal(r0, saved[0]) and np.array_equal(l0, saved[1])
+        assert coeffs.iterations == 0
+        assert np.max(np.abs(coeffs.a_blocks[0] - np.eye(2))) < 1e-12
+
+    def test_read_only_products_give_the_same_run(self):
+        def frozen(mat):
+            def apply(v):
+                out = mat @ v
+                out.flags.writeable = False
+                return out
+            return apply
+
+        rng = np.random.default_rng(25)
+        mat = rng.standard_normal((20, 20))
+        r0, l0 = paired_random_start(20, 2, rng)
+        plain = GeneralOperator.from_matrix(mat)
+        read_only = GeneralOperator(20, frozen(mat), frozen(np.ascontiguousarray(mat.T)),
+                                    plain.scale)
+        want, _ = two_sided_block_run(plain, r0, l0, max_iter=10)
+        got, _ = two_sided_block_run(read_only, r0, l0, max_iter=10)
+        for name in ("a_blocks", "b_blocks", "c_blocks"):
+            for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
+                assert np.array_equal(g, w)
+
     def test_hermitian_reduction_gives_transposed_couplings(self):
         spec = spinchain.build_xxz(6, j_xy=1.0, j_z=0.7)
         op = GeneralOperator.from_hamiltonian(spec)

@@ -74,6 +74,29 @@ def bit_arithmetic_apply(spec, amps):
     return out
 
 
+def strided_apply(spec, amps):
+    """The strided kernel that ``apply_to_array`` replaced, kept as its
+    bit-level reference: the diagonal times the C-ordered amplitudes, then
+    each XX+YY bond in spec order as one in-place update of the rows viewed
+    as ``(2**(L-i-2), 4, 2**i)``, which swaps the bond's antiparallel
+    two-bit states p = 1 <-> 2 with amplitude coefficient/2."""
+    a = np.ascontiguousarray(amps)
+    out = spec._diagonal.reshape((spec.dim,) + (1,) * (a.ndim - 1)) * a
+    for term in spec.terms:
+        if term.kind == sc.FLIP_KIND:
+            shape = sc._bond_shape(spec.length, term.site) + a.shape[1:]
+            a4, o4 = a.reshape(shape), out.reshape(shape)
+            o4[:, 1:3] += (0.5 * term.coefficient) * a4[:, 2:0:-1]
+    return out
+
+
+def same_bits(got, want):
+    """Equal values and equal signs, signed zeros included, in both parts."""
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            and np.array_equal(np.signbit(got.imag), np.signbit(want.imag)))
+
+
 def random_terms_spec(length, rng, constant):
     """Random kinds and sites (repeats allowed) in random order."""
     terms = tuple(
@@ -400,6 +423,129 @@ class TestKernelProperties:
         bound = 1e-14 * scale * np.max(np.abs(v))
         diff = sc.apply_to_array(shuffled, v) - sc.apply_to_array(spec, v)
         assert np.max(np.abs(diff)) <= bound
+
+
+def signed_zero_amplitudes(rng, shape, complex_values):
+    """Gaussian amplitudes with about a quarter of the entries +0.0 and a
+    quarter -0.0 (in each part when complex)."""
+    def part():
+        x = rng.standard_normal(shape)
+        pick = rng.random(shape)
+        x[pick < 0.25] = 0.0
+        x[(pick >= 0.25) & (pick < 0.5)] = -0.0
+        return x
+    return part() + 1j * part() if complex_values else part()
+
+
+class TestCsrKernel:
+    @given(chain_specs(), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 3, 4]),
+           st.booleans(), st.data())
+    def test_bit_identical_to_the_strided_kernel(self, spec, seed, width,
+                                                 complex_values, data):
+        # the speed-up rests on the CSR rows adding the same products in the
+        # same order as the strided updates, without fused multiply-adds
+        rng = np.random.default_rng(seed)
+        shape = (spec.dim,) if width is None else (spec.dim, width)
+        x = signed_zero_amplitudes(rng, shape, complex_values)
+        name, amps = data.draw(st.sampled_from(list(layouts(x, rng))))
+        before = amps.copy()
+        got = sc.apply_to_array(spec, amps)
+        assert same_bits(got, strided_apply(spec, x)), name
+        assert got.flags.c_contiguous
+        assert same_bits(amps, before)
+
+    @pytest.mark.parametrize("constant", [0.0, -0.0, 1.5])
+    def test_signed_zero_rows_of_a_zero_operator(self, constant):
+        # every product is a signed zero: scipy.sparse's own product, which
+        # starts each row at +0.0, would return +0.0 for the -0.0 rows
+        spec = sc.HamiltonianSpec(3, (sc.CouplingTerm(sc.FLIP_KIND, 0, 0.0),
+                                      sc.CouplingTerm(sc.ZZ_KIND, 1, 0.0)), constant)
+        x = np.array([-1.0, 2.0, -0.0, 0.0, -3.0, 4.0, 5.0, -6.0])
+        want = strided_apply(spec, x)
+        assert same_bits(sc.apply_to_array(spec, x), want)
+        if constant == 0.0:
+            assert np.signbit(want).any()
+
+    def test_rows_hold_the_diagonal_then_each_antiparallel_bond_in_spec_order(self):
+        terms = [(sc.FLIP_KIND, 1, 0.75), (sc.ZZ_KIND, 0, -1.25), (sc.FLIP_KIND, 0, 0.0),
+                 (sc.FLIP_KIND, 1, -2.0), (sc.FLIP_KIND, 2, 0.5)]
+        spec = sc.HamiltonianSpec(4, tuple(sc.CouplingTerm(*t) for t in terms), 0.25)
+        kernel = spec._kernel
+        diagonal = sc.dense_matrix(spec).diagonal()
+        for row in range(spec.dim):
+            want = [(row, diagonal[row])] + [
+                (row ^ (3 << site), 0.5 * coefficient)
+                for kind, site, coefficient in terms
+                if kind == sc.FLIP_KIND and (row >> site & 1) != (row >> site + 1 & 1)]
+            lo, hi = kernel.indptr[row], kernel.indptr[row + 1]
+            got = list(zip(kernel.indices[lo:hi].tolist(), kernel.data[lo:hi].tolist()))
+            assert got == want, row
+        assert kernel.indices.dtype == kernel.indptr.dtype == np.int32
+        assert kernel.nnz == spec.dim + 4 * spec.dim // 2  # zero coefficients kept
+
+    def test_kernel_is_built_once_per_spec_without_the_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Kronecker oracle was used")
+
+        monkeypatch.setattr(sc, "_bond", refuse)
+        monkeypatch.setattr(sc, "sparse_matrix", refuse)
+        spec = random_xxz(8, np.random.default_rng(9))
+        twin = sc.HamiltonianSpec(spec.length, spec.terms, spec.constant)
+        assert "_kernel" not in vars(spec)
+        v = np.random.default_rng(10).standard_normal((spec.dim, 3))
+        first = sc.apply_to_array(spec, v)
+        kept = vars(spec)["_kernel"]
+        assert np.array_equal(sc.apply_to_array(spec, v), first)
+        assert vars(spec)["_kernel"] is kept
+        assert "_sum" not in vars(spec)
+        assert spec == twin and hash(spec) == hash(twin)
+        monkeypatch.undo()
+        assert np.max(np.abs(kept.toarray() - sc.dense_matrix(spec))) <= 1e-15 * 8
+
+    @pytest.mark.parametrize("length, flips, nnz, index", [
+        (1, 0, 2, np.int32),
+        (16, 15, 557056, np.int32),
+        (27, 26, 2**27 * 14, np.int32),  # 1879048192 < 2**31
+        (28, 27, 2**28 + 27 * 2**27, np.int64),  # 3892314112
+    ])
+    def test_entry_count_and_index_dtype(self, monkeypatch, length, flips, nnz, index):
+        monkeypatch.setattr(sc, "_physical_memory", lambda: 2**62)
+        terms = tuple(sc.CouplingTerm(sc.FLIP_KIND, site, 1.0) for site in range(flips))
+        spec = sc.HamiltonianSpec(length, terms + (sc.CouplingTerm(sc.ZZ_KIND, 0, 1.0),)
+                                  if length > 1 else ())
+        assert sc.check_kernel_fits(spec) == (nnz, index)
+
+    def test_oversized_kernel_refused_before_allocation(self, monkeypatch):
+        # 5632 entries: 5632 * 12 + 1025 * 4 = 71684 bytes
+        monkeypatch.setattr(sc, "_physical_memory", lambda: 50_000)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
+        spec = sc.build_xxz(10, 1.0, 1.0)
+        with pytest.raises(ValueError, match=(
+                r"the Hamiltonian kernel of the 10-site chain \(5632 entries\) "
+                r"needs 71684 bytes, more than the 50000 bytes of physical memory")):
+            sc.apply_to_array(spec, np.ones(spec.dim))
+        assert "_kernel" not in vars(spec)
+
+    def test_first_apply_loads_scipy_sparse(self):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from blocklanczos import spinchain as sc\n"
+            "spec = sc.build_xxz(4, 1.0, 1.0)\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "sc.apply_to_array(spec, np.ones(16))\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, check=True, env=env)
+        assert result.stdout.split() == ["False", "True"]
 
 
 class TestExactDiagonalize:
