@@ -6,6 +6,15 @@ the basis as the rows of one C-order ``(cap, dim)`` buffer.
 Ritz energies and reconstruction weights for excited states;
 :func:`blocklanczos.block.block_lanczos_run` is its width-d run.
 
+Every block stays a C-order ``(w, dim)`` row block, the buffer's own
+layout, from the operator product to the next block's rows. The chain is
+applied to the F-ordered transpose of the newest rows and
+:func:`blocklanczos.spinchain.apply_to_array` returns an F-ordered
+product, whose transpose is the row block in which the body forms the
+residual in place; coefficients, projections, norms and the Gram-Schmidt
+factor all work on rows, and each new block is written straight into the
+next rows of the basis. No step copies a block to change its layout.
+
 The basis is kept semi-orthogonal: every overlap between Krylov vectors
 stays at most sqrt(eps), which leaves the projected matrix exact to working
 precision (Simon, Math. Comp. 42, 1984). Each residual is re-orthogonalized
@@ -228,48 +237,47 @@ def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
 
 
 def _project_out(residual: np.ndarray, dual: np.ndarray, stack: np.ndarray) -> None:
-    """One classical Gram-Schmidt pass, in place: residual -= stack^T (dual
-    @ residual) for row-major ``(hi, dim)`` stacks and a ``(dim, w)``
-    residual. ``dual`` is ``stack.conj()`` for an orthonormal basis and the
-    paired basis for a biorthogonal one."""
-    residual -= ((dual @ residual).T @ stack).T
+    """One classical Gram-Schmidt pass, in place: residual -= (dual
+    residual^T)^T stack for a ``(w, dim)`` residual and ``(hi, dim)``
+    stacks, all row-major. ``dual`` is ``stack.conj()`` for an orthonormal
+    basis and the paired basis for a biorthogonal one."""
+    residual -= (dual @ residual.T).T @ stack
 
 
-def _column_norms_sq(residual: np.ndarray) -> np.ndarray:
-    """Squared column norms of a ``(dim, w)`` array: the diagonal of its
-    Gram matrix, one BLAS product, where ``norm(axis=0)`` strides a C-order
-    array column by column at several times the cost."""
-    return np.diagonal(residual.conj().T @ residual).real
+def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared row norms of a ``(w, dim)`` array: the diagonal of its Gram
+    matrix, one BLAS product."""
+    return np.diagonal(rows.conj() @ rows.T).real
 
 
 def _reorthogonalize(residual: np.ndarray, rows: np.ndarray, before: np.ndarray) -> None:
-    """Project the orthonormal ``rows`` out of ``residual`` in place: one
-    pass, and a second only when some column's norm fell below 1/sqrt(2)
-    of its norm before the first (DGKS), ``before`` being the squared
-    column norms of ``residual`` on entry."""
+    """Project the orthonormal ``rows`` out of the ``(w, dim)`` ``residual``
+    in place: one pass, and a second only when some residual row's norm
+    fell below 1/sqrt(2) of its norm before the first (DGKS), ``before``
+    being its squared row norms on entry."""
     dual = rows.conj()  # no copy for a real basis
     _project_out(residual, dual, rows)
-    if np.any(_column_norms_sq(residual) < 0.5 * before):
+    if np.any(_row_norms_sq(residual) < 0.5 * before):
         _project_out(residual, dual, rows)
 
 
 def _gram_schmidt_factor(
     residual: np.ndarray, rows: np.ndarray, scale: float
 ) -> np.ndarray:
-    """Factor residual = Q_new @ B: writes the orthonormal columns of Q_new
-    to the leading rows of ``rows`` and returns the echelon B, (kept, cols).
+    """Factor the ``(cols, dim)`` rows of ``residual`` as B^T Q_new: writes
+    the orthonormal rows of Q_new to the leading rows of ``rows`` and
+    returns the echelon B, (kept, cols). ``residual`` is overwritten.
 
-    Columns are orthogonalized left to right, each against the rows kept so
-    far in two passes of one matrix product; a column whose remainder has
+    Residual rows are orthogonalized in order, each against the rows kept
+    so far in two passes of one matrix product; one whose remainder has
     norm at most ``_RELATIVE_TOL * scale`` (``scale`` the operator's norm
     bound) is deflated: its projection coefficients stay in B but it adds no
     row. No rows: all deflated. A zero operator thus deflates everything.
     """
-    cols = residual.shape[1]
+    cols = residual.shape[0]
     b = np.zeros((cols, cols), dtype=residual.dtype)
     kept = 0
-    for j in range(cols):
-        r = residual[:, j].copy()
+    for j, r in enumerate(residual):
         if kept:  # a width-1 run never projects here
             q = rows[:kept]
             for _ in range(2):
@@ -280,7 +288,7 @@ def _gram_schmidt_factor(
         if nrm <= _RELATIVE_TOL * scale:
             continue  # a dependent direction: projections only
         b[kept, j] = nrm  # a NaN norm is kept, so the caller sees it
-        rows[kept] = r / nrm
+        np.divide(r, nrm, out=rows[kept])
         kept += 1
     return b[:kept]
 
@@ -372,8 +380,9 @@ def _hermitian_recursion(
 ) -> tuple[BlockCoefficients, np.ndarray]:
     """Up to ``max_iter`` expansions from the orthonormal ``(dim, width)``
     ``start``: the Hermitian table of the Hermitized diagonal blocks and the
-    coupling blocks, and the ``(dim, k)`` basis, Krylov vectors as columns.
-    The basis is float64 for a real start and complex128 for a complex one.
+    coupling blocks, and the ``(dim, k)`` basis, Krylov vectors as columns
+    (the transposed row buffer). The basis is float64 for a real start and
+    complex128 for a complex one.
 
     A remainder column of norm at most ``_RELATIVE_TOL`` times the chain's
     norm bound deflates; a fully deflated remainder ends the run (invariant
@@ -384,12 +393,11 @@ def _hermitian_recursion(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     scale = spec.norm_bound
-    psi = np.ascontiguousarray(
-        start, dtype=np.complex128 if np.iscomplexobj(start) else np.float64)
-    dim, width = psi.shape
-    basis = allocate_basis((min((max_iter + 1) * width, dim), dim), psi.dtype)
-    basis[:width] = psi.T
-    hi = width
+    dim, width = start.shape
+    basis = allocate_basis((min((max_iter + 1) * width, dim), dim),
+                           np.complex128 if np.iscomplexobj(start) else np.float64)
+    basis[:width] = start.T
+    rows, hi = basis[:width], width
     a_blocks: list[np.ndarray] = []
     b_blocks: list[np.ndarray] = []
     majorant: _OverlapMajorant | None = _OverlapMajorant(
@@ -397,18 +405,20 @@ def _hermitian_recursion(
     triggered = False
 
     for n in range(max_iter + 1):
-        h_psi = spinchain.apply_to_array(spec, psi)
-        a = psi.conj().T @ h_psi
+        # the product of the rows' F-ordered transpose is F-ordered, so its
+        # transpose is a C-order row block that this body owns
+        residual = spinchain.apply_to_array(spec, rows.T).T
+        a = rows.conj() @ residual.T
         a = 0.5 * (a + a.conj().T)  # exact Hermiticity, kills roundoff skew
         _check_finite(a, "diagonal", spec, n)
         a_blocks.append(a)
         if n == max_iter or hi >= dim:
             break
         # np.dot scales by a 1x1 block as by a scalar, @ runs a slow gemv
-        residual = h_psi - np.dot(psi, a)
+        residual -= np.dot(a.T, rows)
         if n > 0:
-            residual -= np.dot(prev, b_blocks[n - 1].conj().T)
-        gram = residual.conj().T @ residual
+            residual -= np.dot(b_blocks[n - 1].conj(), prev)
+        gram = residual.conj() @ residual.T
         lo, bound = 0, None
         if majorant is not None and n >= _WINDOW_BLOCKS and not triggered:
             r_inv = _cholesky_inverse(gram)
@@ -432,7 +442,7 @@ def _hermitian_recursion(
             majorant = None  # a deflated block: full passes from here on
         elif majorant is not None:
             majorant.advance(n, a, b, b.conj().T, bound)
-        prev, psi = psi, basis[hi : hi + b.shape[0]].T
+        prev, rows = rows, basis[hi : hi + b.shape[0]]
         hi += b.shape[0]
 
     return BlockCoefficients(tuple(a_blocks), tuple(b_blocks)), basis[:hi].T

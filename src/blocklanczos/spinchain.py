@@ -112,10 +112,14 @@ class HamiltonianSpec:
     def add_term(self, term: CouplingTerm) -> HamiltonianSpec:
         """Return a new spec with ``term`` appended (order preserved). If
         this spec's oracle sum (:func:`sparse_matrix`) is built, the new spec
-        keeps it until its own sum is built from it by adding one bond."""
+        keeps it until its own sum is built from it by adding one bond; so it
+        does with this spec's kernel when ``term`` is a ZZ bond, which
+        changes only the kernel's diagonal entries (see ``_kernel``)."""
         spec = HamiltonianSpec(self.length, self.terms + (term,), self.constant)
         if "_sum" in self.__dict__:
             spec.__dict__["_parent_sum"] = self._sum
+        if term.kind == ZZ_KIND and "_kernel" in self.__dict__:
+            spec.__dict__["_parent_kernel"] = self._kernel
         return spec
 
     @property
@@ -160,10 +164,23 @@ class HamiltonianSpec:
         physical memory is refused before anything is allocated (see
         :func:`check_kernel_fits`). Do not modify it in place: summing its
         duplicate entries or sorting its rows would change the product's
-        bits."""
+        bits.
+
+        A spec that :meth:`add_term` made from a spec with a built kernel by
+        adding a ZZ bond has the same rows but for the diagonal entries, the
+        first of each row: its kernel shares the parent's row pointers and
+        column indices, which every kernel keeps read-only, and copies the
+        values with its own diagonal written into the row starts. That is the
+        fresh build bit for bit."""
         import scipy.sparse as sp  # deferred: the first apply loads scipy.sparse
 
         nnz, index = check_kernel_fits(self)
+        parent = self.__dict__.pop("_parent_kernel", None)  # see add_term
+        if parent is not None:
+            data = parent.data.copy()
+            data[parent.indptr[:-1]] = self._diagonal
+            return sp.csr_matrix((data, parent.indices, parent.indptr),
+                                 shape=(self.dim, self.dim))
         rows = np.arange(self.dim, dtype=index)
         flips = [term for term in self.terms if term.kind == FLIP_KIND]
         slot = np.ones_like(rows)  # row lengths, then each row's next free entry
@@ -181,6 +198,7 @@ class HamiltonianSpec:
             indices[slot[flipping]] = flipping ^ (3 << term.site)
             data[slot[flipping]] = 0.5 * term.coefficient
             slot[flipping] += 1
+        indices.flags.writeable = indptr.flags.writeable = False
         return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
 
     @cached_property
@@ -328,11 +346,15 @@ def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     identity; ``scipy.sparse``'s own product starts it at +0.0, which turns
     a row's -0.0 into +0.0.
 
-    Input is cast to float64 or complex128 and copied to C order when it is
-    not so already (an F-ordered stack, a transposed basis, a strided
-    slice); ``out`` is always C-ordered, and the input is never written. A
-    complex input is multiplied by a complex copy of the kernel's values,
-    made for the call.
+    Columns are applied one at a time, each as a contiguous vector, so the
+    bits do not depend on the layout. The output has the input's layout: an
+    F-ordered stack, such as the transposed rows of a Krylov basis, gives an
+    F-ordered product with no copy of either, and a C-ordered stack a
+    C-ordered one; any other input gives an F-ordered product. A C-ordered
+    stack costs a copy of each column and of the output, about twice the
+    time of an F-ordered one. The input is cast to float64 or complex128
+    and never written. A complex input is multiplied by a complex copy of
+    the kernel's values, made once per call.
     """
     from scipy.sparse import _sparsetools  # deferred, as in HamiltonianSpec._kernel
 
@@ -340,16 +362,17 @@ def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     if amps.shape[0] != dim:
         raise ValueError(f"vector of dimension {amps.shape[0]} does not match 2**{spec.length}")
     kernel = spec._kernel
-    a = np.ascontiguousarray(amps, dtype=np.result_type(kernel.dtype, amps))
-    zero = complex(-0.0, -0.0) if np.iscomplexobj(a) else -0.0  # -0.0 in each part
-    out = np.full(a.shape, zero, dtype=a.dtype)
-    columns = math.prod(a.shape[1:])
-    tables = (kernel.indptr, kernel.indices, kernel.data)
-    if columns == 1:
-        _sparsetools.csr_matvec(dim, dim, *tables, a.reshape(-1), out.reshape(-1))
-    else:
-        _sparsetools.csr_matvecs(dim, dim, columns, *tables, a.reshape(-1), out.reshape(-1))
-    return out
+    complex_values = np.iscomplexobj(amps)
+    dtype = np.complex128 if complex_values else np.float64
+    columns = amps.reshape(dim, -1).T
+    # -0.0 in each part, the exact additive identity
+    rows = np.full(columns.shape, complex(-0.0, -0.0) if complex_values else -0.0, dtype)
+    values = kernel.data.astype(dtype, copy=False)
+    for x, y in zip(columns, rows):
+        x = np.ascontiguousarray(x, dtype=dtype)  # no copy for an F-ordered column
+        _sparsetools.csr_matvec(dim, dim, kernel.indptr, kernel.indices, values, x, y)
+    return np.asarray(rows.T.reshape(amps.shape),
+                      order="C" if amps.flags.c_contiguous else "F")
 
 
 def _bond(kind: str, site: int, length: int) -> sp.csr_matrix:

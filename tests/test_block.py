@@ -251,6 +251,50 @@ class TestBlockLanczosRun:
             block.block_lanczos_run(spec, start, max_iter=0)
 
 
+def start_layouts(start):
+    """``start`` as C-ordered, F-ordered and strided arrays and as a view of
+    the rows of a larger buffer, all holding the same values."""
+    if start.ndim == 1:
+        yield "C", np.ascontiguousarray(start)
+        wide = np.zeros(2 * start.size, dtype=start.dtype)
+        wide[::2] = start
+        yield "strided", wide[::2]
+        rows = np.zeros((3, start.size), dtype=start.dtype)
+        rows[1] = start
+        yield "row-buffer", rows[1]
+        return
+    yield "C", np.ascontiguousarray(start)
+    yield "F", np.asfortranarray(start)
+    rows = np.zeros((start.shape[1] + 2, start.shape[0]), dtype=start.dtype)
+    rows[1 : start.shape[1] + 1] = start.T
+    yield "row-buffer-T", rows[1 : start.shape[1] + 1].T
+
+
+class TestStartLayout:
+    """The body copies its start into the rows of its basis and keeps every
+    block row-major from there on, so the start's layout changes no bit."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("complex_start", [False, True], ids=["real", "complex"])
+    def test_same_bits_from_every_start_layout(self, width, complex_start):
+        rng = np.random.default_rng(40 + width)
+        spec = random_xxz_chain(6, rng)
+        q = block.random_orthonormal_block(6, width, rng, complex_amplitudes=complex_start)
+        runs = {name: block.block_lanczos_run(spec, start, max_iter=12)
+                for name, start in start_layouts(q)}
+        if width == 1:
+            runs.update((f"scalar-{name}", scalar.lanczos_run(spec, start, max_iter=12))
+                        for name, start in start_layouts(q[:, 0]))
+        want, want_basis = runs.pop("C")
+        assert want.iterations == 12
+        for name, (coeffs, basis) in runs.items():
+            for got_blocks, want_blocks in ((coeffs.a_blocks, want.a_blocks),
+                                            (coeffs.b_blocks, want.b_blocks)):
+                assert len(got_blocks) == len(want_blocks), name
+                assert all(np.array_equal(g, w) for g, w in zip(got_blocks, want_blocks)), name
+            assert basis.dtype == want_basis.dtype and np.array_equal(basis, want_basis), name
+
+
 class TestGauge:
     """The runs' coupling gauge: the sign of an off-diagonal entry leaves the
     eigenvalues unchanged, so no table refuses a negative one, and the runs

@@ -407,22 +407,33 @@ class TestTwoSidedRun:
         assert coeffs.iterations == 0
         assert np.max(np.abs(coeffs.a_blocks[0] - np.eye(2))) < 1e-12
 
-    def test_read_only_products_give_the_same_run(self):
-        def frozen(mat):
+    @pytest.mark.parametrize("layout", ["read-only", "C-ordered", "F-ordered", "aliasing"])
+    def test_read_only_products_give_the_same_run(self, layout):
+        # each residual is formed in place in the transpose of its product,
+        # or in a row-major copy when the product is not F-ordered, is
+        # read-only or aliases its input: the run's bits do not depend on it
+        def wrapped(mat):
             def apply(v):
+                if layout == "aliasing":
+                    return v[::-1]  # the exchange matrix, as a view of v
                 out = mat @ v
-                out.flags.writeable = False
-                return out
+                if layout == "read-only":
+                    out.flags.writeable = False
+                    return out
+                return np.asarray(out, order=layout[0])
             return apply
 
         rng = np.random.default_rng(25)
         mat = rng.standard_normal((20, 20))
+        if layout == "aliasing":
+            mat = np.eye(20)[::-1]
         r0, l0 = paired_random_start(20, 2, rng)
         plain = GeneralOperator.from_matrix(mat)
-        read_only = GeneralOperator(20, frozen(mat), frozen(np.ascontiguousarray(mat.T)),
-                                    plain.scale)
+        wrapped_op = GeneralOperator(20, wrapped(mat), wrapped(np.ascontiguousarray(mat.T)),
+                                     plain.scale)
         want, _ = two_sided_block_run(plain, r0, l0, max_iter=10)
-        got, _ = two_sided_block_run(read_only, r0, l0, max_iter=10)
+        got, _ = two_sided_block_run(wrapped_op, r0, l0, max_iter=10)
+        assert got.iterations >= 1
         for name in ("a_blocks", "b_blocks", "c_blocks"):
             for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
                 assert np.array_equal(g, w)

@@ -450,11 +450,12 @@ class TestReorthogonalization:
         # almost all of each column lies in the span of the rows
         residual = rows.T @ rng.standard_normal((hi, width))
         residual += 1e-8 * rng.standard_normal((dim, width))
+        residual = np.ascontiguousarray(residual.T)  # the body's (width, dim) rows
         calls = self.count_passes(monkeypatch)
-        scalar._reorthogonalize(residual, rows, scalar._column_norms_sq(residual))
+        scalar._reorthogonalize(residual, rows, scalar._row_norms_sq(residual))
         assert calls == [hi, hi]
-        overlap = np.abs(rows.conj() @ residual).max(axis=0)
-        norms = np.linalg.norm(residual, axis=0)
+        overlap = np.abs(rows.conj() @ residual.T).max(axis=0)
+        norms = np.linalg.norm(residual, axis=1)
         assert np.all(overlap <= 8 * np.finfo(float).eps * norms)
 
 

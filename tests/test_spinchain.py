@@ -451,8 +451,41 @@ class TestCsrKernel:
         before = amps.copy()
         got = sc.apply_to_array(spec, amps)
         assert same_bits(got, strided_apply(spec, x)), name
-        assert got.flags.c_contiguous
+        if amps.flags.c_contiguous or amps.flags.f_contiguous:  # a contiguous input's layout
+            assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+                amps.flags.c_contiguous, amps.flags.f_contiguous), name
         assert same_bits(amps, before)
+
+    @pytest.mark.parametrize("coefficients", [(0.75, -1.5), (0.25, 0.0)],
+                             ids=["whole-terms", "fractional"])
+    def test_zz_stage_shares_the_parent_kernel_structure(self, coefficients):
+        # a ZZ bond changes only the diagonal entries, the first of each row
+        parent = random_xxz(8, np.random.default_rng(12))
+        kernels = [parent._kernel]
+        spec = parent
+        for site, coefficient in zip((2, 5), coefficients):
+            spec = spec.add_term(sc.CouplingTerm(sc.ZZ_KIND, site, coefficient))
+            kernels.append(spec._kernel)
+            fresh = sc.HamiltonianSpec(spec.length, spec.terms, spec.constant)._kernel
+            assert same_bits(kernels[-1].data, fresh.data)
+            for name in ("indices", "indptr"):
+                got, want = getattr(kernels[-1], name), getattr(fresh, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert np.shares_memory(got, getattr(kernels[0], name))
+                assert not got.flags.writeable
+            assert not np.shares_memory(kernels[-1].data, kernels[-2].data)
+            assert "_parent_kernel" not in vars(spec)
+
+    def test_flip_stage_builds_a_fresh_kernel(self):
+        parent = random_xxz(8, np.random.default_rng(13))
+        kernel = parent._kernel
+        child = parent.add_term(sc.CouplingTerm(sc.FLIP_KIND, 3, 0.5))
+        assert "_parent_kernel" not in vars(child)
+        got = child._kernel
+        fresh = sc.HamiltonianSpec(child.length, child.terms, child.constant)._kernel
+        assert not np.shares_memory(got.indices, kernel.indices)
+        assert got.nnz == kernel.nnz + child.dim // 2
+        assert same_bits(got.data, fresh.data) and np.array_equal(got.indices, fresh.indices)
 
     @pytest.mark.parametrize("constant", [0.0, -0.0, 1.5])
     def test_signed_zero_rows_of_a_zero_operator(self, constant):
