@@ -53,9 +53,9 @@ MANIFEST_NAME = "manifest.json"
 # Largest chain dimension for which ``solve`` runs to saturation when
 # ``max_iter`` is omitted: the saturating basis is dim**2 float64 values and
 # the reorthogonalization still O(dim**3) work, since near saturation the
-# overlap estimate triggers often (215 of 1020 expansions at 2**10 states
-# project against the whole basis; the run takes about 0.2 s there and
-# 1 s at 2**11 states).
+# overlap estimate triggers often (187 of 1020 expansions at 2**10 states
+# project against the whole basis and measure the new vector's overlaps;
+# the run takes about 0.16 s there and 0.9 s at 2**11 states).
 SATURATING_SOLVE_DIM_CAP = 2**10
 
 SCENARIO_ARTIFACTS = {

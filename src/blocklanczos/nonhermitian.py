@@ -20,16 +20,19 @@ between different blocks stays at most sqrt(eps), which leaves the
 projected matrix exact to working precision (Day, SIAM J. Matrix Anal.
 Appl. 18, 1997). Steps 0 and 1 project against every stored pair; later
 steps against the last two pairs only. A step projects against every
-stored pair when a majorant of the new blocks' overlaps with the older
-ones crosses sqrt(eps), and so does the step after it. The majorant is the
-Hermitian recursion's omega recurrence carried over to the oblique case,
-one instance per side (:class:`blocklanczos.scalar._OverlapMajorant`),
-with the inverse factors of the SVD split below taken from the pair Gram
-matrix of the unprojected residuals. A pair Gram whose split would leave
-the new pair with a pairing defect eps s_max / s_min above sqrt(eps), or
-that has a zero singular value or a NaN, takes the whole basis too. Every
-step that takes the whole basis runs the same operations as a run that
-always does.
+stored pair when a signed estimate of the new blocks' overlaps with the
+older ones, scaled by the largest norm product of a stored pair, crosses
+sqrt(eps), and so does the step after it. The estimate is the Hermitian
+recursion's signed omega recurrence carried over to the oblique case, one
+instance per side (:class:`blocklanczos.scalar._OverlapEstimate`), with
+the inverse factors of the SVD split below taken from the pair Gram matrix
+of the unprojected residuals; it estimates the overlaps and does not bound
+them (Simon, Math. Comp. 42, 1984; Larsen, DAIMI PB-537, 1998). A pair
+Gram whose split would leave the new pair with a pairing defect
+eps s_max / s_min above sqrt(eps), or that has a zero singular value or a
+NaN, takes the whole basis too. Every step that takes the whole basis runs
+the same operations as a run that always does; its two passes per side
+leave round-off overlaps, from which both estimates restart.
 
 Residual factorization gauge: after re-biorthogonalizing both residual
 blocks, their pair Gram matrix W = S^T R is split through its SVD,
@@ -62,7 +65,7 @@ from blocklanczos.scalar import (
     _WINDOW_BLOCKS,
     BlockCoefficients,
     _check_start,
-    _OverlapMajorant,
+    _OverlapEstimate,
     _project_out,
     _row_norms_sq,
     allocate_basis,
@@ -182,29 +185,37 @@ def _max_row_norm(rows: np.ndarray) -> float:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _window_bounds(
-    majorants: tuple[_OverlapMajorant, _OverlapMajorant], n: int,
+def _window_estimates(
+    estimates: tuple[_OverlapEstimate, _OverlapEstimate], n: int,
     a: np.ndarray, w: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray | None, float]:
-    """Bounds on the overlaps of step n's new right and left blocks with the
-    paired blocks 0 .. n - 2, from the pair Gram matrix ``w`` of the
-    unprojected residuals, and the largest entry they and the new pair's
-    own pairing defect may reach.
+    """Estimates of the overlaps of step n's new right and left blocks with
+    the paired blocks 0 .. n - 2, from the pair Gram matrix ``w`` of the
+    unprojected residuals, and the largest entry that the window test
+    compares with sqrt(eps).
 
     The split of ``w`` through its SVD gives B_n^-1 = Vh^H diag(1/sqrt(s))
     for the right side and C_n^-T = conj(U) diag(1/sqrt(s)) for the left,
     and carries the round-off of ``w`` into the new pair's L^T R - I as
-    eps s_max / s_min. A zero singular value or a NaN makes the largest
-    entry inf or NaN, which no threshold test passes.
+    eps s_max / s_min. The estimates enter the largest entry scaled by the
+    largest norm product ||L_k|| ||R_k|| of a stored pair, which is 1 for
+    orthonormal blocks: on non-normal operators the oblique recurrence's
+    large coefficients magnify the round-off that the signed estimate
+    cannot follow, and unscaled it lagged the measured overlaps by up to
+    about that product (random dense matrices run to saturation). A zero
+    singular value or a NaN makes the largest entry inf or NaN, which no
+    threshold test passes.
     """
     try:
         u, sing, vh = np.linalg.svd(w)
     except np.linalg.LinAlgError:  # a non-finite w: the full pass meets it
         return None, None, math.nan
     root = 1.0 / np.sqrt(sing)
-    right = majorants[0].propagate(n, a, np.abs(vh.conj().T * root))
-    left = majorants[1].propagate(n, a.T, np.abs(u.conj() * root))
-    worst = np.max((right.max(), left.max(), _EPS * sing[0] / sing[-1]))
+    right = estimates[0].propagate(n, a, vh.conj().T * root)
+    left = estimates[1].propagate(n, a.T, u.conj() * root)
+    magnify = np.max(estimates[0].paired[: n + 1] * estimates[0].own[: n + 1])
+    worst = np.max((magnify * np.abs(right).max(), magnify * np.abs(left).max(),
+                    _EPS * sing[0] / sing[-1]))
     return right, left, float(worst)
 
 
@@ -246,7 +257,7 @@ def two_sided_block_run(
     Both residual blocks are re-biorthogonalized in two Gram-Schmidt passes
     per side, with the bases kept as the rows of two ``(cap, dim)``
     buffers. Steps 0 and 1 project against every stored pair; later steps
-    against the last two pairs only, unless the overlap majorant of the
+    against the last two pairs only, unless the overlap estimate of the
     module docstring crosses sqrt(eps), in which case that step and the
     next project against every stored pair. Termination: saturation, when
     either residual block's norm is at most 1e-10 times ``op.scale`` (the
@@ -303,12 +314,14 @@ def two_sided_block_run(
     a_list: list[np.ndarray] = []
     b_list: list[np.ndarray] = []
     c_list: list[np.ndarray] = []
-    # the right side's majorant bounds |L_k^T R_n|, the left side's |R_k^T L_n|
+    # the right side's estimate is of L_k^T R_n, the left side's of R_k^T L_n
     right_norms, left_norms = np.empty((2, cap // width + 1))
     right_norms[0], left_norms[0] = _max_row_norm(right), _max_row_norm(left)
-    majorants = (
-        _OverlapMajorant(right_norms.size, width, op.scale, (left_norms, right_norms)),
-        _OverlapMajorant(right_norms.size, width, op.scale, (right_norms, left_norms)),
+    estimates = (
+        _OverlapEstimate(right_norms.size, width, op.scale, dtype,
+                         (left_norms, right_norms)),
+        _OverlapEstimate(right_norms.size, width, op.scale, dtype,
+                         (right_norms, left_norms)),
     )
     triggered = False
 
@@ -324,14 +337,13 @@ def two_sided_block_run(
         if prev_right is not None:
             r_res -= c_list[n - 1].T @ prev_right
             s_res -= b_list[n - 1] @ prev_left
-        lo, right_bound, left_bound = 0, None, None
+        lo, right_overlaps, left_overlaps = 0, None, None
         if n >= _WINDOW_BLOCKS and not triggered:
-            right_bound, left_bound, worst = _window_bounds(
-                majorants, n, a, _pair_gram(s_res, r_res))
+            right_overlaps, left_overlaps, worst = _window_estimates(
+                estimates, n, a, _pair_gram(s_res, r_res))
             if worst <= _SEMI_ORTHOGONAL:  # NaN-safe: NaN takes the full pass
                 lo = hi - _WINDOW_BLOCKS * width
             else:
-                right_bound = left_bound = None
                 triggered = True
         elif triggered:
             triggered = False  # the step after a trigger: a full pass
@@ -362,8 +374,8 @@ def two_sided_block_run(
         left /= root[:, None]
         hi += width
         right_norms[n + 1], left_norms[n + 1] = _max_row_norm(right), _max_row_norm(left)
-        majorants[0].advance(n, a, b, c, right_bound)
-        majorants[1].advance(n, a.T, c.T, b.T, left_bound)
+        estimates[0].advance(n, a, b, c, right_overlaps if lo else None)
+        estimates[1].advance(n, a.T, c.T, b.T, left_overlaps if lo else None)
         h_right = _residual_rows(op.apply(right.T), right, dtype)
 
     coeffs = BlockCoefficients(tuple(a_list), tuple(b_list), tuple(c_list))

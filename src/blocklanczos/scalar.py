@@ -18,15 +18,20 @@ next rows of the basis. No step copies a block to change its layout.
 The basis is kept semi-orthogonal: every overlap between Krylov vectors
 stays at most sqrt(eps), which leaves the projected matrix exact to working
 precision (Simon, Math. Comp. 42, 1984). Each residual is re-orthogonalized
-against the last two blocks only, and against the whole basis when a
-majorant of its overlaps with the older blocks, propagated from the
-coefficients by the block omega recurrence (Grimes, Lewis and Simon, SIAM
-J. Matrix Anal. Appl. 15, 1994), crosses sqrt(eps); the step after such a
-trigger takes the whole basis too. The first two steps, and every step
+against the last two blocks only, and against the whole basis when a signed
+estimate of its overlaps with the older blocks crosses sqrt(eps); the step
+after such a trigger takes the whole basis too. The estimate is Simon's
+omega recurrence in block form (Grimes, Lewis and Simon, SIAM J. Matrix
+Anal. Appl. 15, 1994) with a round-off term added with the sign of each
+entry, as in PROPACK (Larsen, DAIMI PB-537, 1998): it follows the overlaps
+rather than bounding them, so it crosses sqrt(eps) many steps later than a
+majorant of absolute values would, and whole-basis steps measure the new
+block's overlaps to restart it from. The first two steps, and every step
 after a deflated block or a residual whose Gram matrix is not positive
 definite, take the whole basis. The two-sided recursion of
 :mod:`blocklanczos.nonhermitian` keeps its bases semi-biorthogonal with the
-same majorant, one instance per side.
+same estimate, one instance per side (Day, SIAM J. Matrix Anal. Appl. 18,
+1997).
 
 All three recursions return one coefficient type, :class:`BlockCoefficients`:
 the block tridiagonal table of diagonal blocks A, couplings B below and, for
@@ -71,8 +76,8 @@ from blocklanczos.spinchain import HamiltonianSpec
 # so that the Krylov dimension does not depend on the operator's units.
 _RELATIVE_TOL = 1e-10
 
-# Semi-orthogonality: the overlap bound that triggers a pass over the whole
-# basis, and the trailing blocks every other pass projects against.
+# Semi-orthogonality: the estimated overlap that triggers a pass over the
+# whole basis, and the trailing blocks every other pass projects against.
 _EPS = float(np.finfo(np.float64).eps)
 _SEMI_ORTHOGONAL = math.sqrt(_EPS)
 _WINDOW_BLOCKS = 2
@@ -293,84 +298,115 @@ def _gram_schmidt_factor(
     return b[:kept]
 
 
-class _OverlapMajorant:
-    """Elementwise bounds Omega_k >= |L_k^T R_n| on the overlaps of the
-    newest block R_n of one side of a run of uniform width w with every
-    older block L_k of the paired side.
+class _OverlapEstimate:
+    """Signed estimates Omega_k of the overlaps L_k^T R_n of the newest
+    block R_n of one side of a run of uniform width w with every older block
+    L_k of the paired side. They are estimates, not bounds.
 
     The side follows M R_j = R_{j-1} C_{j-1} + R_j A_j + R_{j+1} B_j and its
     pair M^T L_j = L_{j-1} B_{j-1}^T + L_j A_j^T + L_{j+1} C_j^T. Taking
     L_k^T of the first and the transpose of the second gives, for k < n - 1,
-    Simon's omega recurrence carried over to the oblique case:
+    Simon's omega recurrence (Simon, Math. Comp. 42, 1984), in the block
+    form of Grimes, Lewis and Simon (SIAM J. Matrix Anal. Appl. 15, 1994)
+    and carried over to the oblique case (Day, SIAM J. Matrix Anal. Appl.
+    18, 1997):
 
-        Omega_{k,n+1} = (|A_k| Omega_k + |B_{k-1}| Omega_{k-1}
-                         + |C_k| Omega_{k+1} + Omega_k |A_n|
-                         + Omega_{k,n-1} |C_{n-1}|
-                         + eps scale ||L_k|| ||R_n||) |B_n^-1|
+        Omega_{k,n+1} = (A_k Omega_k + B_{k-1} Omega_{k-1} + C_k Omega_{k+1}
+                         - Omega_k A_n - Omega_{k,n-1} C_{n-1}
+                         + eps scale ||L_k|| ||R_n|| sign) B_n^-1
 
-    with ||.|| a block's largest column norm. The Hermitian recursion is the
-    case L = conj(Q), R = Q, C = B^H with unit norms and |B_n^-1| = |R^-1|,
-    R the Cholesky factor of the next residual's Gram matrix. The left side
-    of a two-sided run is a second instance with A -> A^T, B -> C^T,
-    C -> B^T and the paired norms swapped.
+    with ||.|| a block's largest column norm. Without the eps term the
+    recurrence is exact; that term stands for the step's unknown round-off
+    and is added to every entry with the sign of the sum before it (its
+    phase for a complex entry, + for zero), as PROPACK does (Larsen, DAIMI
+    PB-537, 1998), so it is deterministic and moves each entry away from
+    zero. The signed terms cancel where the true overlaps cancel; a
+    majorant that takes every term in absolute value adds them up instead
+    and, on the Heisenberg chain, overstates the overlaps about 1e6-fold
+    by the time it crosses sqrt(eps).
+
+    The Hermitian recursion is the case L = conj(Q), R = Q, C = B^H with
+    unit norms and B_n^-1 = R^-1, R the Cholesky factor of the next
+    residual's Gram matrix. The left side of a two-sided run is a second
+    instance with A -> A^T, B -> C^T, C -> B^T and the paired norms swapped.
 
     A residual projected against blocks n - 1 and n is left with overlaps
     of round-off size, eps ||L_k|| ||R_{n+1}||, with them, and so is one
-    projected against the whole basis with every block. Storage is
-    O(blocks w^2): the |A|, |B| and |C| stacks and the block-columns of R_n
-    and R_{n-1}.
+    projected twice against every block, as the two-sided run does. A
+    single classical Gram-Schmidt pass against blocks that are only
+    semi-orthogonal, which the Hermitian body makes unless the DGKS rule
+    calls a second, leaves more: their own overlaps times the residual's,
+    in the very pattern that grows fastest. So after its passes over the
+    whole basis the Hermitian body measures the new block's overlaps, one
+    product with the basis, and the estimate restarts from them; restarted
+    from round-off instead, it lagged the true overlaps until they passed
+    1e-3 on saturating L = 8-10 Heisenberg runs, and so it did when every
+    such step made two passes. A block that no later step propagates is
+    not measured. Storage is O(blocks w^2): the A, B and C stacks and the
+    block-columns of R_n and R_{n-1}.
     """
 
-    def __init__(self, blocks: int, width: int, scale: float,
+    def __init__(self, blocks: int, width: int, scale: float, dtype: np.dtype,
                  norms: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-        """``norms`` holds two ``(blocks,)`` arrays, the largest column norm
-        of each block of the paired side and of this side, which the caller
-        fills as blocks are stored; None means orthonormal blocks."""
+        """``dtype`` is the run's, float64 or complex128; ``norms`` holds two
+        ``(blocks,)`` arrays, the largest column norm of each block of the
+        paired side and of this side, which the caller fills as blocks are
+        stored; None means orthonormal blocks."""
         shape = (blocks, width, width)
-        self.abs_a = np.empty(shape)
-        self.abs_b = np.empty(shape)
-        self.abs_c = np.empty(shape)
-        self.cur = np.empty(shape)  # Omega_{k,n}, k < n
-        self.prev = np.empty(shape)  # Omega_{k,n-1}, k < n - 1
+        self.a = np.empty(shape, dtype)
+        self.b = np.empty(shape, dtype)
+        self.c = np.empty(shape, dtype)
+        self.cur = np.empty(shape, dtype)  # Omega_{k,n}, k < n
+        self.prev = np.empty(shape, dtype)  # Omega_{k,n-1}, k < n - 1
         self.noise = _EPS * scale
         self.paired, self.own = (np.ones(blocks),) * 2 if norms is None else norms
 
     def propagate(self, n: int, a: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-        """Bounds on the next block's overlaps with blocks 0 .. n - 2, an
+        """Estimates of the next block's overlaps with blocks 0 .. n - 2, an
         ``(n - 1, w, w)`` stack; ``a`` is step n's diagonal block and
-        ``inverse`` is |B_n^-1|. A non-finite ``inverse`` gives a
-        non-finite bound, which no threshold test passes."""
-        abs_a, abs_b, abs_c, cur = self.abs_a, self.abs_b, self.abs_c, self.cur
-        bound = abs_a[: n - 1] @ cur[: n - 1] + cur[: n - 1] @ np.abs(a)
-        bound += abs_c[: n - 1] @ cur[1:n]
-        bound[1:] += abs_b[: n - 2] @ cur[: n - 2]
-        bound += self.prev[: n - 1] @ abs_c[n - 1]
-        bound += self.noise * self.paired[: n - 1, None, None] * self.own[n]
-        return bound @ inverse
+        ``inverse`` is B_n^-1. A non-finite ``inverse`` gives a non-finite
+        estimate, which no threshold test passes."""
+        a_s, b_s, c_s, cur = self.a, self.b, self.c, self.cur
+        est = a_s[: n - 1] @ cur[: n - 1] - cur[: n - 1] @ a
+        est += c_s[: n - 1] @ cur[1:n]
+        est[1:] += b_s[: n - 2] @ cur[: n - 2]
+        est -= self.prev[: n - 1] @ c_s[n - 1]
+        size = np.abs(est)  # each entry's sign, or phase when complex; 1 at 0
+        signs = np.divide(est, size, out=np.ones_like(est), where=size > 0)
+        est += self.noise * self.paired[: n - 1, None, None] * self.own[n] * signs
+        return est @ inverse
 
     def advance(self, n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                bound: np.ndarray | None) -> None:
-        """Store step n's blocks and make the next block the newest: its
-        overlaps are ``bound`` for blocks 0 .. n - 2 after a windowed pass,
-        and round-off for every block after a full one (``bound`` None).
-        The norms of block n + 1 must be stored first."""
-        self.abs_a[n] = np.abs(a)
-        self.abs_b[n] = np.abs(b)
-        self.abs_c[n] = np.abs(c)
+                estimate: np.ndarray | None,
+                measured: np.ndarray | None = None) -> None:
+        """Store step n's blocks and make the next block the newest.
+
+        Its overlaps with blocks 0 .. n are ``measured`` when given, the
+        ``((n + 1) w, w)`` product of the paired side's blocks with it.
+        Otherwise they are round-off, eps ||L_k|| ||R_{n+1}||, with blocks
+        n - 1 and n, ``estimate`` with blocks 0 .. n - 2 after a windowed
+        pass, and round-off with those too without one (steps 0 and 1, the
+        two-sided run's double passes over the whole basis, and a block no
+        later step propagates). The norms of block n + 1 must be stored
+        first."""
+        self.a[n], self.b[n], self.c[n] = a, b, c
         self.prev, self.cur = self.cur, self.prev
+        if measured is not None:
+            self.cur[: n + 1] = measured.reshape(n + 1, *self.cur.shape[1:])
+            return
         self.cur[: n + 1] = _EPS * self.paired[: n + 1, None, None] * self.own[n + 1]
-        if bound is not None:
-            self.cur[: n - 1] = bound
+        if estimate is not None:
+            self.cur[: n - 1] = estimate
 
 
 def _cholesky_inverse(gram: np.ndarray) -> np.ndarray | None:
-    """|R^-1| for the Cholesky factor R of ``gram``, or None when ``gram``
-    is not positive definite."""
+    """R^-1 for the upper Cholesky factor R of ``gram``, or None when
+    ``gram`` is not positive definite."""
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         return None
-    return np.abs(np.linalg.inv(lower)).T  # |R^-1| for R = lower^H
+    return np.linalg.inv(lower).conj().T  # R^-1 for R = lower^H
 
 
 # overflow surfaces as a non-finite block, which the recursion refuses by name
@@ -400,8 +436,8 @@ def _hermitian_recursion(
     rows, hi = basis[:width], width
     a_blocks: list[np.ndarray] = []
     b_blocks: list[np.ndarray] = []
-    majorant: _OverlapMajorant | None = _OverlapMajorant(
-        basis.shape[0] // width + 1, width, scale)
+    estimate: _OverlapEstimate | None = _OverlapEstimate(
+        basis.shape[0] // width + 1, width, scale, basis.dtype)
     triggered = False
 
     for n in range(max_iter + 1):
@@ -419,17 +455,18 @@ def _hermitian_recursion(
         if n > 0:
             residual -= np.dot(b_blocks[n - 1].conj(), prev)
         gram = residual.conj() @ residual.T
-        lo, bound = 0, None
-        if majorant is not None and n >= _WINDOW_BLOCKS and not triggered:
+        lo, overlaps = 0, None
+        if estimate is not None and n >= _WINDOW_BLOCKS and not triggered:
             r_inv = _cholesky_inverse(gram)
             if r_inv is None:
-                majorant = None  # no Cholesky factor: full passes from here on
+                estimate = None  # no Cholesky factor: full passes from here on
             else:
-                bound = majorant.propagate(n, a, r_inv)
-                if bound.max() <= _SEMI_ORTHOGONAL:  # NaN-safe: NaN takes the full pass
+                overlaps = estimate.propagate(n, a, r_inv)
+                # NaN-safe: NaN takes the full pass
+                if np.abs(overlaps).max() <= _SEMI_ORTHOGONAL:
                     lo = hi - _WINDOW_BLOCKS * width
                 else:
-                    bound, triggered = None, True
+                    triggered = True
         elif triggered:
             triggered = False  # the step after a trigger: a full pass
         _reorthogonalize(residual, basis[lo:hi], np.diagonal(gram).real)
@@ -439,9 +476,13 @@ def _hermitian_recursion(
         _check_finite(b, "coupling", spec, n + 1)
         b_blocks.append(b)
         if b.shape[0] < width:
-            majorant = None  # a deflated block: full passes from here on
-        elif majorant is not None:
-            majorant.advance(n, a, b, b.conj().T, bound)
+            estimate = None  # a deflated block: full passes from here on
+        elif estimate is not None:
+            # the run stops at the next step when it reaches max_iter or dim
+            measured = (basis[:hi].conj() @ basis[hi : hi + width].T
+                        if n >= _WINDOW_BLOCKS and not lo
+                        and n + 1 < max_iter and hi + width < dim else None)
+            estimate.advance(n, a, b, b.conj().T, overlaps, measured)
         prev, rows = rows, basis[hi : hi + b.shape[0]]
         hi += b.shape[0]
 

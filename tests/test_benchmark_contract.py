@@ -4,11 +4,16 @@ The benchmark wraps package functions at their module attributes and reads
 fields of their results. This runs the tiny pass of every workload under
 those wrappers and checks the counts that repeat exactly from run to run,
 so a renamed function or result field fails here and not only in a traced
-benchmark run.
+benchmark run. It also pins the reorthogonalization schedule of the
+``krylov`` workload's full-size solves.
 """
 
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from blocklanczos import block, nonhermitian, scalar
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCH_DIR))
@@ -60,3 +65,48 @@ def test_tiny_noise_pass_counts(monkeypatch, tmp_path):
     assert metrics["incremental.slices"] == 0
     assert set(result["outputs"]["slopes"]) == {"4", "5"}
     assert result["artifact_bytes"] > 0
+
+
+def test_krylov_chain_reorthogonalization_schedule(monkeypatch):
+    """The ``krylov`` workload's L = 16 chain and seed-0 starts: how many
+    steps from step 2 on project against the whole basis in each solve, and
+    the final Gram and biorthogonality defects."""
+    rows = []
+    project = scalar._project_out
+
+    def counting(residual, dual, stack):
+        rows.append(stack.shape[0])
+        project(residual, dual, stack)
+
+    monkeypatch.setattr(scalar, "_project_out", counting)
+    monkeypatch.setattr(nonhermitian, "_project_out", counting)
+
+    def whole_basis_steps(width):
+        # a step's passes all take the same rows, (n + 1) width of them
+        # when they take the whole basis and 2 width on a windowed step
+        steps = sorted({count // width - 1 for count in rows if count > 2 * width})
+        rows.clear()
+        return steps
+
+    workload = worker.Krylov(0, tiny=False)
+    coeffs, basis = scalar.lanczos_run(
+        workload.spec, workload.start, max_iter=worker.SCALAR_EXPANSIONS)
+    scalar_steps = whole_basis_steps(1)
+    scalar_defect = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
+    coeffs, basis = block.block_lanczos_run(
+        workload.spec, workload.block_start, max_iter=worker.BLOCK_EXPANSIONS)
+    block_steps = whole_basis_steps(worker.BLOCK_WIDTH)
+    block_defect = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
+    coeffs, pair = nonhermitian.two_sided_block_run(
+        nonhermitian.GeneralOperator.from_hamiltonian(workload.spec),
+        workload.right, workload.left, max_iter=worker.TWO_SIDED_EXPANSIONS)
+    two_sided_steps = whole_basis_steps(worker.TWO_SIDED_WIDTH)
+    two_sided_defect = nonhermitian.biorthogonality_check(*pair)
+
+    # the absolute-value majorant this estimate replaced took 6, 2 and 4
+    # such steps; where the one scalar trigger falls (steps 50 and 51 here)
+    # moves with round-off, so only the counts are pinned
+    assert len(scalar_steps) <= 2, scalar_steps
+    assert block_steps == two_sided_steps == []
+    limit = np.sqrt(np.finfo(float).eps)
+    assert max(scalar_defect, block_defect, two_sided_defect) <= limit

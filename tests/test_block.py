@@ -319,27 +319,34 @@ class TestGauge:
             assert np.all(np.real(leading) > 0.0)
 
 
-def textbook_block_lanczos(spec, start, max_iter):
+def textbook_block_lanczos(spec, start, max_iter, measured=None):
     """Reference Hermitian block run, kept semi-orthogonal, with the Krylov
-    blocks in a list and the overlap bounds in a dict of (w, w) blocks keyed
-    (k, j) for block k's overlap with block j. Steps 0 and 1 project the
-    residual against every stored block; later steps against the last two
-    only, unless a bound exceeds sqrt(eps); then that step and the next take
-    every block. The bounds follow Simon's omega recurrence in block form,
-    every term in absolute value:
+    blocks in a list and the overlap estimates in a dict of (w, w) blocks
+    keyed (k, j) for block k's overlap with block j. Steps 0 and 1 project
+    the residual against every stored block; later steps against the last
+    two only, unless an estimate exceeds sqrt(eps) in magnitude; then that
+    step and the next take every block. The estimates follow Simon's signed
+    omega recurrence in block form:
 
-        om[k, n+1] = (|A_k| om[k, n] + |B_{k-1}| om[k-1, n] + |B_k^H| om[k+1, n]
-                      + om[k, n] |A_n| + om[k, n-1] |B_{n-1}^H| + eps scale) |R^-1|
+        t = A_k om[k, n] + B_{k-1} om[k-1, n] + B_k^H om[k+1, n]
+            - om[k, n] A_n - om[k, n-1] B_{n-1}^H
+        om[k, n+1] = (t + eps scale phase(t)) R^-1
 
-    with R the upper Cholesky factor of the unprojected residual's Gram
-    matrix, and eps for a new block's overlap with every block it was
-    projected against. They stop for good at a deflated block or a Gram
-    matrix that is not positive definite. One classical Gram-Schmidt pass,
-    a second by the DGKS rule; the new block is the column-by-column
-    Gram-Schmidt factor of the residual, a column whose remainder has norm at
-    most 1e-10 times the norm bound deflating. Returns the full steps from
-    step 2 on, each block's width and, per step that computed them, the
-    bounds as an (n - 1, w, w) stack."""
+    with phase(t) the entrywise t/|t| (1 where t = 0) and R the upper
+    Cholesky factor of the unprojected residual's Gram matrix. A new block's
+    om is eps with the blocks it was projected against after a windowed
+    step, its measured overlaps Q_k^H Q_{n+1} with every block after a
+    whole-basis step from step 2 on, and eps with every block at steps 0
+    and 1. ``measured``, when given, maps a step to another run's measured
+    overlaps, a ((n + 1) w, w) stack, which then stand in for this run's own
+    product: both are of round-off size, and their bits differ between two
+    implementations. The estimates stop for good at a deflated block or a
+    Gram matrix that is not positive definite. One classical Gram-Schmidt pass, a second
+    by the DGKS rule; the new block is the column-by-column Gram-Schmidt
+    factor of the residual, a column whose remainder has norm at most 1e-10
+    times the norm bound deflating. Returns the full steps from step 2 on,
+    each block's width and, per step that computed them, the estimates as
+    an (n - 1, w, w) stack."""
     scale = spec.norm_bound
     dim, width = start.shape
     q, a_s, b_s, om = [start], [], [], {}
@@ -360,20 +367,22 @@ def textbook_block_lanczos(spec, start, max_iter):
             except np.linalg.LinAlgError:
                 estimating = False
             else:
-                inverse = np.abs(sla.solve_triangular(upper, np.eye(width)))
+                inverse = sla.solve_triangular(upper, np.eye(width))
                 new = []
                 for k in range(n - 1):
-                    t = (np.abs(a_s[k]) @ om[k, n] + om[k, n] @ np.abs(a_s[n])
-                         + np.abs(b_s[k].conj().T) @ om[k + 1, n]
-                         + om[k, n - 1] @ np.abs(b_s[n - 1].conj().T) + EPS * scale)
+                    t = (a_s[k] @ om[k, n] - om[k, n] @ a_s[n]
+                         + b_s[k].conj().T @ om[k + 1, n]
+                         - om[k, n - 1] @ b_s[n - 1].conj().T)
                     if k > 0:
-                        t += np.abs(b_s[k - 1]) @ om[k - 1, n]
-                    new.append(t @ inverse)
+                        t += b_s[k - 1] @ om[k - 1, n]
+                    size = np.abs(t)
+                    phase = np.divide(t, size, out=np.ones_like(t), where=size > 0)
+                    new.append((t + EPS * scale * phase) @ inverse)
                 computed[n] = np.array(new)
-                if np.max(new) <= np.sqrt(EPS):
+                if np.max(np.abs(new)) <= np.sqrt(EPS):
                     first = n - 1
                 else:
-                    new, forced = None, True
+                    forced = True
         elif forced:
             forced = False
         if n >= 2 and first == 0:
@@ -399,36 +408,51 @@ def textbook_block_lanczos(spec, start, max_iter):
         b_s.append(b[: len(cols)])
         q.append(np.column_stack(cols))
         estimating = estimating and len(cols) == width
+        seed = (measured or {}).get(n)
         for k in range(n + 1):
-            om[k, n + 1] = np.full((width, width), EPS)
-        for k, bound in enumerate(new or ()):
-            om[k, n + 1] = bound
+            if n >= 2 and first == 0 and seed is not None:
+                om[k, n + 1] = seed[k * width : (k + 1) * width]
+            elif n >= 2 and first == 0:
+                om[k, n + 1] = q[k].conj().T @ q[n + 1]
+            elif k >= first:
+                om[k, n + 1] = np.full((width, width), EPS)
+            else:
+                om[k, n + 1] = new[k]
     return full, tuple(m.shape[1] for m in q), computed
 
 
 class TestHermitianMajorant:
-    """The Hermitian body's overlap bounds and its window-or-full pass
-    schedule at widths 2-4 follow the independent reference above."""
+    """The Hermitian body's signed overlap estimates and its window-or-full
+    pass schedule at widths 2-4 follow the independent reference above,
+    restarted after each whole-basis step from the overlaps the body
+    measured."""
 
     @staticmethod
     def recorded_run(monkeypatch, spec, start, max_iter):
-        """The run's table, its full steps from step 2 on and the bounds
-        its majorant propagated, keyed by step."""
-        computed = {}
-        propagate = scalar._OverlapMajorant.propagate
+        """The run's table, its full steps from step 2 on, the estimates it
+        propagated and the overlaps it measured, both keyed by step."""
+        computed, measured = {}, {}
+        propagate = scalar._OverlapEstimate.propagate
+        advance = scalar._OverlapEstimate.advance
 
-        def recording(majorant, n, a, inverse):
-            computed[n] = propagate(majorant, n, a, inverse)
+        def recording(estimate, n, a, inverse):
+            computed[n] = propagate(estimate, n, a, inverse)
             return computed[n]
 
-        monkeypatch.setattr(scalar._OverlapMajorant, "propagate", recording)
+        def restarting(estimate, n, a, b, c, overlaps, new=None):
+            if new is not None:
+                measured[n] = new.copy()
+            advance(estimate, n, a, b, c, overlaps, new)
+
+        monkeypatch.setattr(scalar._OverlapEstimate, "propagate", recording)
+        monkeypatch.setattr(scalar._OverlapEstimate, "advance", restarting)
         steps = count_steps(monkeypatch)
         coeffs, _ = block.block_lanczos_run(spec, start, max_iter)
         stored = np.cumsum(coeffs.widths)
         full = [n for n in range(2, coeffs.iterations) if steps[n][0] == stored[n]]
         assert all(steps[n][0] == 2 * start.shape[1]
                    for n in range(2, coeffs.iterations) if n not in full)
-        return coeffs, full, computed
+        return coeffs, full, computed, measured
 
     @pytest.mark.parametrize("length, width, seed, complex_start, max_iter", [
         (8, 2, 1, False, 40), (8, 3, 2, True, 40), (7, 4, 3, False, 30)])
@@ -438,15 +462,19 @@ class TestHermitianMajorant:
         spec = random_xxz_chain(length, rng)
         start = block.random_orthonormal_block(
             length, width, rng, complex_amplitudes=complex_start)
-        coeffs, full, computed = self.recorded_run(monkeypatch, spec, start, max_iter)
-        want_full, want_widths, want = textbook_block_lanczos(spec, start, max_iter)
+        coeffs, full, computed, measured = self.recorded_run(
+            monkeypatch, spec, start, max_iter)
+        want_full, want_widths, want = textbook_block_lanczos(
+            spec, start, max_iter, measured)
         assert coeffs.widths == want_widths == (width,) * (max_iter + 1)
         assert 0 < len(full) < (max_iter - 2) // 2  # windowed and full steps mix
         assert full == want_full
         assert computed.keys() == want.keys()
-        for n, bound in want.items():
+        # the body measures after every whole-basis step but the last
+        assert sorted(measured) == [n for n in full if n < max_iter - 1]
+        for n, estimate in want.items():
             # two runs of one algorithm differ by round-off in the coefficients
-            np.testing.assert_allclose(computed[n], bound, rtol=1e-6)
+            np.testing.assert_allclose(computed[n], estimate, rtol=1e-6)
 
     def test_deflating_run_switches_the_majorant_off(self, monkeypatch):
         # the first start column lies in the 8-state one-magnon sector, which
@@ -458,7 +486,9 @@ class TestHermitianMajorant:
         raw = rng.standard_normal((spec.dim, 3))
         raw[[bin(i).count("1") != 1 for i in range(spec.dim)], 0] = 0.0
         start = np.linalg.qr(raw)[0]
-        coeffs, full, computed = self.recorded_run(monkeypatch, spec, start, 30)
+        coeffs, full, computed, measured = self.recorded_run(
+            monkeypatch, spec, start, 30)
+        assert not measured  # the first whole-basis step is the deflating one
         want_full, want_widths, want = textbook_block_lanczos(spec, start, 30)
         assert coeffs.widths == want_widths == (3,) * 8 + (2,) * 23
         assert full == want_full == list(range(7, 30))
@@ -466,8 +496,9 @@ class TestHermitianMajorant:
         for n in range(2, 7):
             np.testing.assert_allclose(computed[n], want[n], rtol=1e-6)
         # the deflating step's Gram matrix is singular to round-off, so its
-        # bound is round-off over round-off: only its verdict is compared
-        assert computed[7].max() > np.sqrt(EPS) and want[7].max() > np.sqrt(EPS)
+        # estimate is round-off over round-off: only its verdict is compared
+        assert np.abs(computed[7]).max() > np.sqrt(EPS)
+        assert np.abs(want[7]).max() > np.sqrt(EPS)
 
 
 class TestAssembly:

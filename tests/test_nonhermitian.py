@@ -503,20 +503,26 @@ class TestTwoSidedRun:
 def textbook_two_sided(mat, right, left, max_iter):
     """Reference two-sided run on a dense matrix, kept semi-biorthogonal:
     both residuals are projected twice against the last two pairs, or
-    against every pair on steps 0 and 1, when the bound below or the split's
-    pairing defect eps s_max / s_min exceeds sqrt(eps), and on the step
-    after. The bounds follow the oblique omega recurrence, one dict of
-    (w, w) blocks per side, keyed (k, j) for the overlap of the paired
-    side's block k with block j, updated block by block:
+    against every pair on steps 0 and 1, when the test value below or the
+    split's pairing defect eps s_max / s_min exceeds sqrt(eps), and on the
+    step after. The estimates follow the signed oblique omega recurrence,
+    one dict of (w, w) blocks per side, keyed (k, j) for the overlap of the
+    paired side's block k with block j, updated block by block:
 
-        om[k, n+1] = (|A_k| om[k, n] + |B_{k-1}| om[k-1, n] + |C_k| om[k+1, n]
-                      + om[k, n] |A_n| + om[k, n-1] |C_{n-1}|
-                      + eps scale |L_k| |R_n|) |B_n^-1|
+        t = A_k om[k, n] + B_{k-1} om[k-1, n] + C_k om[k+1, n]
+            - om[k, n] A_n - om[k, n-1] C_{n-1}
+        om[k, n+1] = (t + eps scale |L_k| |R_n| phase(t)) B_n^-1
 
-    for the right side, and with A, B, C -> A^T, C^T, B^T and the two
-    sides' norms swapped for the left one. Returns the full steps from
-    step 2 on and, per step that computed them, the right and left bounds
-    as two (n - 1, w, w) stacks."""
+    for the right side, with phase(t) the entrywise t/|t| (1 where t = 0),
+    |.| a block's largest column norm and B_n^-1 = Vh^H diag(1/sqrt(s))
+    from the SVD of the unprojected residuals' pair Gram matrix; the left
+    side takes A, B, C -> A^T, C^T, B^T, the two sides' norms swapped and
+    C_n^-T = conj(U) diag(1/sqrt(s)). The test value is the largest
+    estimate magnitude times the largest |L_k| |R_k| of a stored pair. A new
+    block's om is its estimate with the blocks older than the window after
+    a windowed step, and eps |L_k| |R_{n+1}| with every other block.
+    Returns the full steps from step 2 on and, per step that computed them,
+    the right and left estimates as two (n - 1, w, w) stacks."""
     dim, width = right.shape
     scale = max(np.linalg.norm(mat, 1), np.linalg.norm(mat, np.inf))
     rights, lefts, a_s, b_s, c_s = [right], [left], [], [], []
@@ -526,15 +532,17 @@ def textbook_two_sided(mat, right, left, max_iter):
     def norm(block):
         return np.linalg.norm(block, axis=0).max()
 
-    def bounds(om, a_k, b_k, c_k, paired, own, inverse, n):
+    def estimates(om, a_k, b_k, c_k, paired, own, inverse, n):
         out = []
         for k in range(n - 1):
-            t = (np.abs(a_k[k]) @ om[k, n] + om[k, n] @ np.abs(a_k[n])
-                 + np.abs(c_k[k]) @ om[k + 1, n] + om[k, n - 1] @ np.abs(c_k[n - 1])
-                 + EPS * scale * norm(paired[k]) * norm(own[n]))
+            t = (a_k[k] @ om[k, n] - om[k, n] @ a_k[n]
+                 + c_k[k] @ om[k + 1, n] - om[k, n - 1] @ c_k[n - 1])
             if k > 0:
-                t += np.abs(b_k[k - 1]) @ om[k - 1, n]
-            out.append(t @ inverse)
+                t += b_k[k - 1] @ om[k - 1, n]
+            size = np.abs(t)
+            phase = np.divide(t, size, out=np.ones_like(t), where=size > 0)
+            out.append((t + EPS * scale * norm(paired[k]) * norm(own[n]) * phase)
+                       @ inverse)
         return out
 
     for n in range(max_iter + 1):
@@ -549,17 +557,18 @@ def textbook_two_sided(mat, right, left, max_iter):
         first, new_r, new_l = 0, None, None
         if n >= 2 and not forced:
             u, sing, vh = np.linalg.svd(s.T @ r)
-            new_r = bounds(om_right, a_s, b_s, c_s, lefts, rights,
-                           np.abs(vh.T / np.sqrt(sing)), n)
-            new_l = bounds(om_left, [m.T for m in a_s], [m.T for m in c_s],
-                           [m.T for m in b_s], rights, lefts,
-                           np.abs(u / np.sqrt(sing)), n)
+            new_r = estimates(om_right, a_s, b_s, c_s, lefts, rights,
+                              vh.conj().T / np.sqrt(sing), n)
+            new_l = estimates(om_left, [m.T for m in a_s], [m.T for m in c_s],
+                              [m.T for m in b_s], rights, lefts,
+                              u.conj() / np.sqrt(sing), n)
             computed[n] = np.array(new_r), np.array(new_l)
-            worst = max(np.max(new_r), np.max(new_l), EPS * sing[0] / sing[-1])
+            magnify = max(norm(lefts[k]) * norm(rights[k]) for k in range(n + 1))
+            worst = max(magnify * np.abs(new_r).max(), magnify * np.abs(new_l).max(),
+                        EPS * sing[0] / sing[-1])
             if worst <= np.sqrt(EPS):
                 first = n - 1
             else:
-                new_r = new_l = None
                 full.append(n)
                 forced = True
         elif forced:
@@ -572,15 +581,13 @@ def textbook_two_sided(mat, right, left, max_iter):
         u, sing, vh = np.linalg.svd(s.T @ r)
         b_s.append(np.sqrt(sing)[:, None] * vh)
         c_s.append(u * np.sqrt(sing))
-        rights.append(r @ vh.T / np.sqrt(sing))
-        lefts.append(s @ u / np.sqrt(sing))
+        rights.append(r @ vh.conj().T / np.sqrt(sing))
+        lefts.append(s @ u.conj() / np.sqrt(sing))
         for om, side, paired, new in ((om_right, rights, lefts, new_r),
                                       (om_left, lefts, rights, new_l)):
             for k in range(n + 1):
-                om[k, n + 1] = np.full((width, width),
-                                       EPS * norm(paired[k]) * norm(side[n + 1]))
-            for k, bound in enumerate(new or ()):
-                om[k, n + 1] = bound
+                om[k, n + 1] = (new[k] if k < first else np.full(
+                    (width, width), EPS * norm(paired[k]) * norm(side[n + 1])))
     return full, computed
 
 
@@ -650,23 +657,30 @@ class TestSemiBiorthogonality:
         assert len(full) < 38 // 2  # and most steps take the window
         assert biorthogonality_check(*pair) <= np.sqrt(EPS)
 
-    @pytest.mark.parametrize("dim,width,seed,distinct", [
-        (64, 2, 12, False), (48, 1, 15, False), (32, 4, 17, True), (40, 2, 22, True)])
+    @pytest.mark.parametrize("dim,width,seed,distinct,complex_entries", [
+        pytest.param(64, 2, 12, False, False, id="64-2-12-False"),
+        pytest.param(48, 1, 15, False, False, id="48-1-15-False"),
+        pytest.param(32, 4, 17, True, False, id="32-4-17-True"),
+        pytest.param(40, 2, 22, True, False, id="40-2-22-True"),
+        pytest.param(48, 3, 23, True, False, id="48-3-23-True"),
+        pytest.param(48, 2, 24, False, True, id="48-2-24-False-complex")])
     def test_dense_run_matches_textbook_reference(
-            self, monkeypatch, dim, width, seed, distinct):
+            self, monkeypatch, dim, width, seed, distinct, complex_entries):
         # random dense matrices: the run mixes windowed and full steps, and
-        # both its bounds and its full steps follow the reference
+        # both its estimates and its full steps follow the reference
         rng = np.random.default_rng(seed)
         mat = rng.standard_normal((dim, dim))
+        if complex_entries:
+            mat = mat + 1j * rng.standard_normal((dim, dim))
         r0, l0 = paired_random_start(dim, width, rng, distinct_left=distinct)
         computed = {}
-        window_bounds = nonhermitian._window_bounds
+        window_estimates = nonhermitian._window_estimates
 
-        def recording_bounds(majorants, n, a, w):
-            computed[n] = window_bounds(majorants, n, a, w)
+        def recording_estimates(estimates, n, a, w):
+            computed[n] = window_estimates(estimates, n, a, w)
             return computed[n]
 
-        monkeypatch.setattr(nonhermitian, "_window_bounds", recording_bounds)
+        monkeypatch.setattr(nonhermitian, "_window_estimates", recording_estimates)
         (coeffs, pair), steps, _ = self.counted_run(
             monkeypatch, GeneralOperator.from_matrix(mat), r0, l0, max_iter=2 * dim)
         assert coeffs.dimension == dim
@@ -700,21 +714,22 @@ class TestSemiBiorthogonality:
 
 
 class TestWindowBounds:
-    """The shared majorant, run for both sides of a two-sided step."""
+    """The shared signed estimate, run for both sides of a two-sided step."""
 
     @staticmethod
-    def majorants_at_step_2():
-        """Both sides' majorants after two steps of a width-2 unit-norm run
-        with O(1) coefficients, ready to propagate step 2."""
+    def estimates_at_step_2(norm=1.0):
+        """Both sides' estimates after two steps of a width-2 run with O(1)
+        coefficients and every block's largest column norm ``norm``, ready
+        to propagate step 2."""
         rng = np.random.default_rng(31)
-        norms = np.ones(5), np.ones(5)
-        majorants = (scalar._OverlapMajorant(5, 2, 4.0, norms),
-                     scalar._OverlapMajorant(5, 2, 4.0, norms[::-1]))
+        norms = np.full(5, norm), np.full(5, norm)
+        estimates = (scalar._OverlapEstimate(5, 2, 4.0, np.float64, norms),
+                     scalar._OverlapEstimate(5, 2, 4.0, np.float64, norms[::-1]))
         for n in range(2):
             a, b, c = rng.standard_normal((3, 2, 2))
-            majorants[0].advance(n, a, b, c, None)
-            majorants[1].advance(n, a.T, c.T, b.T, None)
-        return majorants, rng.standard_normal((2, 2))
+            estimates[0].advance(n, a, b, c, None, None)
+            estimates[1].advance(n, a.T, c.T, b.T, None, None)
+        return estimates, rng.standard_normal((2, 2))
 
     @staticmethod
     def pair_gram(singular_values):
@@ -722,19 +737,27 @@ class TestWindowBounds:
         return rotation @ np.diag(singular_values) @ rotation.T[::-1]
 
     def test_well_conditioned_pair_takes_the_window(self):
-        majorants, a = self.majorants_at_step_2()
-        right, left, worst = nonhermitian._window_bounds(
-            majorants, 2, a, self.pair_gram([1.0, 0.5]))
+        estimates, a = self.estimates_at_step_2()
+        right, left, worst = nonhermitian._window_estimates(
+            estimates, 2, a, self.pair_gram([1.0, 0.5]))
         assert right.shape == left.shape == (1, 2, 2)
-        assert worst == max(right.max(), left.max()) <= np.sqrt(EPS)
+        assert worst == max(np.abs(right).max(), np.abs(left).max()) <= np.sqrt(EPS)
+
+    def test_pair_norms_scale_the_test_value(self):
+        # blocks of norm 10: every stored pair's norm product is 100, and the
+        # estimates enter the test value magnified by it
+        estimates, a = self.estimates_at_step_2(norm=10.0)
+        right, left, worst = nonhermitian._window_estimates(
+            estimates, 2, a, self.pair_gram([1.0, 0.5]))
+        assert worst == 100.0 * max(np.abs(right).max(), np.abs(left).max())
 
     def test_near_breakdown_pair_takes_the_whole_basis(self):
         # residual norms 1: the breakdown threshold is a singular value of
         # 1e-10, and a split just above it leaves a pairing defect of about
         # eps * 1e10, far above sqrt(eps), that no window would see
-        majorants, a = self.majorants_at_step_2()
-        right, left, worst = nonhermitian._window_bounds(
-            majorants, 2, a, self.pair_gram([1.0, 1.01e-10]))
+        estimates, a = self.estimates_at_step_2()
+        right, left, worst = nonhermitian._window_estimates(
+            estimates, 2, a, self.pair_gram([1.0, 1.01e-10]))
         assert np.isfinite(right).all() and np.isfinite(left).all()
         assert worst > np.sqrt(EPS)
 
@@ -742,8 +765,8 @@ class TestWindowBounds:
                                       [[0.0, 0.0], [0.0, 0.0]],
                                       [[1.0, np.nan], [0.0, 1.0]]])
     def test_singular_or_nan_pair_never_passes(self, gram):
-        majorants, a = self.majorants_at_step_2()
-        worst = nonhermitian._window_bounds(majorants, 2, a, np.array(gram))[2]
+        estimates, a = self.estimates_at_step_2()
+        worst = nonhermitian._window_estimates(estimates, 2, a, np.array(gram))[2]
         assert not worst <= np.sqrt(EPS)
 
 
