@@ -5,12 +5,12 @@ Subpackages by role:
 * :mod:`blocklanczos.spinchain` - chain Hamiltonians, their bit-built CSR kernel,
   dense exact-diagonalization oracle, analytic XY cross-check.
 * :mod:`blocklanczos.scalar` - the one coefficient type of all three
-  recursions, the Hermitian Lanczos recursion body and its width-1 front
+  recursions, the one Lanczos step loop and the Hermitian width-1 front
   end, tridiagonal eigensolve, eigenstate reconstruction.
-* :mod:`blocklanczos.block` - the body's width-d front end with deflation,
+* :mod:`blocklanczos.block` - the Hermitian width-d front end with deflation,
   the one block-tridiagonal assembly, multi-excitation reconstruction.
 * :mod:`blocklanczos.nonhermitian` - two-sided biorthogonal block Lanczos for
-  general square operators.
+  general square operators, the step loop's two-sided case.
 * :mod:`blocklanczos.incremental` - interaction-ramping protocol: append bond
   terms (whole or in fractions) and re-solve with a few seeded Lanczos steps.
 * :mod:`blocklanczos.noise` - coefficient-noise error study, shot-sampled

@@ -10,11 +10,12 @@ rectangular. :func:`block_lanczos_run` returns the Hermitian case of
 :func:`assemble_block_tridiagonal` is the one dense assembly of every such
 table, Hermitian or two-sided, ragged widths included.
 
-The recursion itself is the Hermitian body in :mod:`blocklanczos.scalar`,
-which stores the Krylov vectors as the rows of one ``(cap, dim)`` buffer;
-:func:`block_lanczos_run` is its width-d front end, so a run with d = 1 is
-the scalar recursion by construction. A run with d starting eigenvectors
-of the operator terminates after a single block.
+The recursion itself is the Hermitian case of the step loop in
+:mod:`blocklanczos.scalar`, which stores the Krylov vectors as the rows of
+one ``(cap, dim)`` buffer; :func:`block_lanczos_run` is its width-d front
+end, so a run with d = 1 is the scalar recursion by construction. A run
+with d starting eigenvectors of the operator terminates after a single
+block.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def block_lanczos_run(
 
     ``start`` is a ``(dim, width)`` array with orthonormal columns: its
     Gram matrix must be within 1e-10 of the identity in every entry, as for
-    the scalar and two-sided runs. This is the width-d run of the body that
+    the scalar and two-sided runs. This is the width-d run of the loop that
     :func:`blocklanczos.scalar.lanczos_run` runs at width 1, with its
     re-orthogonalization schedule, and every expansion after a deflation
     covers every stored vector. Each remainder is factored into an

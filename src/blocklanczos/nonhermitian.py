@@ -7,46 +7,16 @@ operator is block tridiagonal but no longer Hermitian; its diagonal blocks
 are A_n with couplings B_n below and C_n above the diagonal, the general
 form of :class:`blocklanczos.scalar.BlockCoefficients` (C given).
 
-Both bases are kept as the rows of two C-order ``(cap, dim)`` buffers, and
-every block as a C-order ``(w, dim)`` row block, the layout of the
-Hermitian recursion in :mod:`blocklanczos.scalar`; both residual blocks are
-re-biorthogonalized with its Gram-Schmidt pass. The
-pass always runs twice per side: the oblique projector I - R L^T is not a
-contraction, so the norm test that lets the Hermitian recursion skip its
-second pass says nothing here.
-
-The bases are kept semi-biorthogonal: every overlap L_k^T R_j and R_k^T L_j
-between different blocks stays at most sqrt(eps), which leaves the
-projected matrix exact to working precision (Day, SIAM J. Matrix Anal.
-Appl. 18, 1997). Steps 0 and 1 project against every stored pair; later
-steps against the last two pairs only. A step projects against every
-stored pair when a signed estimate of the new blocks' overlaps with the
-older ones, scaled by the largest norm product of a stored pair, crosses
-sqrt(eps), and so does the step after it. The estimate is the Hermitian
-recursion's signed omega recurrence carried over to the oblique case, one
-instance per side (:class:`blocklanczos.scalar._OverlapEstimate`), with
-the inverse factors of the SVD split below taken from the pair Gram matrix
-of the unprojected residuals; it estimates the overlaps and does not bound
-them (Simon, Math. Comp. 42, 1984; Larsen, DAIMI PB-537, 1998). A pair
-Gram whose split would leave the new pair with a pairing defect
-eps s_max / s_min above sqrt(eps), or that has a zero singular value or a
-NaN, takes the whole basis too. Every step that takes the whole basis runs
-the same operations as a run that always does; its two passes per side
-leave round-off overlaps, from which both estimates restart.
-
-Residual factorization gauge: after re-biorthogonalizing both residual
-blocks, their pair Gram matrix W = S^T R is split through its SVD,
+The run is the two-sided case of the step loop of
+:mod:`blocklanczos.scalar`, whose module docstring gives the row-block
+layout and the semi-biorthogonal window-or-whole-basis schedule. This
+module adds the factor: after re-biorthogonalizing both residual blocks,
+their pair Gram matrix W = S^T R is split through its SVD,
 W = U diag(s) Vh, as C = U diag(sqrt(s)) and B = diag(sqrt(s)) Vh, with
 the new basis pair scaled accordingly. On a real symmetric operator with
 identical starts this reduces to C = B^T and reproduces the Hermitian block
-recursion.
-
-Termination uses the one relative constant of the Hermitian recursion,
-1e-10. A side saturates when its residual block's norm is at most 1e-10
-times the operator's ``scale``. Serious breakdown, where both residuals are
-still nonzero but the smallest singular value of W is at most 1e-10 times
-the product of their norms, raises :class:`SeriousBreakdownError` carrying
-the iteration index; no look-ahead cure is attempted.
+recursion. The split of the unprojected residuals' W gives both sides'
+overlap estimates their inverse factors.
 """
 
 from __future__ import annotations
@@ -59,16 +29,7 @@ import numpy as np
 
 from blocklanczos.block import assemble_block_tridiagonal
 from blocklanczos.scalar import (
-    _EPS,
-    _RELATIVE_TOL,
-    _SEMI_ORTHOGONAL,
-    _WINDOW_BLOCKS,
-    BlockCoefficients,
-    _check_start,
-    _OverlapEstimate,
-    _project_out,
-    _row_norms_sq,
-    allocate_basis,
+    _EPS, _RELATIVE_TOL, BlockCoefficients, _block_recursion, _check_start,
 )
 from blocklanczos.spinchain import HamiltonianSpec, apply_to_array
 
@@ -99,8 +60,8 @@ class GeneralOperator:
     with its input: :func:`two_sided_block_run` passes the F-ordered
     transpose of a row block and forms the residual in place in the
     product's transpose when the product is a writable F-ordered array of
-    its own, as the chain kernel's products are, and in a row-major copy
-    otherwise (a dense backing's C-ordered product, for one).
+    its own, as the chain kernel's and the dense backing's products are,
+    and in a row-major copy otherwise.
 
     The two actions must be mutually consistent under the plain (non
     conjugating) pairing: u . (M v) == (M^T u) . v. ``scale`` is an upper
@@ -130,9 +91,10 @@ class GeneralOperator:
             raise ValueError(
                 f"dense backing capped at {DENSE_DIMENSION_CAP}, got {mat.shape[0]}"
             )
-        mat_t = np.ascontiguousarray(mat.T)
         scale = max(np.linalg.norm(mat, 1), np.linalg.norm(mat, np.inf))
-        return cls(mat.shape[0], lambda v: mat @ v, lambda v: mat_t @ v, scale)
+        # (v^T M^T)^T: the F-ordered transpose of a row block gives an
+        # F-ordered product, whose transpose is the row block itself
+        return cls(mat.shape[0], lambda v: (v.T @ mat.T).T, lambda v: (v.T @ mat).T, scale)
 
     @classmethod
     def from_hamiltonian(cls, spec: HamiltonianSpec) -> GeneralOperator:
@@ -179,71 +141,70 @@ def paired_random_start(
     return right, left
 
 
-def _max_row_norm(rows: np.ndarray) -> float:
-    """Largest row norm of a ``(w, dim)`` block."""
-    return float(np.sqrt(_row_norms_sq(rows).max()))
+class _TwoSidedParts:
+    """The two-sided run's parts for the step loop of
+    :mod:`blocklanczos.scalar`: a right side applying ``M`` and a left one
+    applying ``M^T``, each paired with the other; the SVD split of the pair
+    Gram matrix, for the estimates and the factor; two passes per side."""
 
+    orthonormal = False
+    label = "the two-sided Lanczos recursion left the finite range"
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _window_estimates(
-    estimates: tuple[_OverlapEstimate, _OverlapEstimate], n: int,
-    a: np.ndarray, w: np.ndarray,
-) -> tuple[np.ndarray | None, np.ndarray | None, float]:
-    """Estimates of the overlaps of step n's new right and left blocks with
-    the paired blocks 0 .. n - 2, from the pair Gram matrix ``w`` of the
-    unprojected residuals, and the largest entry that the window test
-    compares with sqrt(eps).
+    def __init__(self, op: GeneralOperator) -> None:
+        self.scale = op.scale
+        self.applies = (op.apply, op.apply_transpose)
 
-    The split of ``w`` through its SVD gives B_n^-1 = Vh^H diag(1/sqrt(s))
-    for the right side and C_n^-T = conj(U) diag(1/sqrt(s)) for the left,
-    and carries the round-off of ``w`` into the new pair's L^T R - I as
-    eps s_max / s_min. The estimates enter the largest entry scaled by the
-    largest norm product ||L_k|| ||R_k|| of a stored pair, which is 1 for
-    orthonormal blocks: on non-normal operators the oblique recurrence's
-    large coefficients magnify the round-off that the signed estimate
-    cannot follow, and unscaled it lagged the measured overlaps by up to
-    about that product (random dense matrices run to saturation). A zero
-    singular value or a NaN makes the largest entry inf or NaN, which no
-    threshold test passes.
-    """
-    try:
+    @staticmethod
+    def paired(blocks: tuple[np.ndarray, ...], side: int) -> np.ndarray:
+        return blocks[1 - side]
+
+    @staticmethod
+    def diagonal(a: np.ndarray) -> np.ndarray:
+        return a
+
+    @staticmethod
+    @np.errstate(divide="ignore", invalid="ignore")  # s = 0: inf, NaN fail the test
+    def split(w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float] | None:
+        """B_n^-1 = Vh^H diag(1/sqrt(s)) for the right side and C_n^-T =
+        conj(U) diag(1/sqrt(s)) for the left from the SVD of the pair Gram
+        ``w``, and the pairing defect eps s_max / s_min that the split
+        carries into the new pair's L^T R - I as the test-value floor; None
+        for a non-finite ``w``, which has no SVD."""
+        if not np.isfinite(w).all():
+            return None
         u, sing, vh = np.linalg.svd(w)
-    except np.linalg.LinAlgError:  # a non-finite w: the full pass meets it
-        return None, None, math.nan
-    root = 1.0 / np.sqrt(sing)
-    right = estimates[0].propagate(n, a, vh.conj().T * root)
-    left = estimates[1].propagate(n, a.T, u.conj() * root)
-    magnify = np.max(estimates[0].paired[: n + 1] * estimates[0].own[: n + 1])
-    worst = np.max((magnify * np.abs(right).max(), magnify * np.abs(left).max(),
-                    _EPS * sing[0] / sing[-1]))
-    return right, left, float(worst)
+        root = 1.0 / np.sqrt(sing)
+        return (vh.conj().T * root, u.conj() * root), _EPS * sing[0] / sing[-1]
 
+    @staticmethod
+    def second_pass_norms(w: np.ndarray) -> None:
+        return None  # I - R L^T is not a contraction: no norm test, two passes
 
-def _pair_gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The plain pairing ``left @ right.T`` of two ``(w, dim)`` row blocks,
-    given to BLAS as the transpose of a C-order ``(dim, w)`` copy of
-    ``left``.
-
-    OpenBLAS sums a product with so few rows in an order set by its
-    operands' layouts, and this layout keeps the order of a ``(dim, w)``
-    column recursion, in which the golden ``nonhermitian_demo`` run was
-    recorded: without the copy its spectrum error moves from 5.1e-10 to
-    1.1e-9 on round-off alone. The copy is a strided pass over the block,
-    several times the cost of a width-2 product itself."""
-    return np.ascontiguousarray(left.T).T @ right.T
-
-
-def _residual_rows(product: np.ndarray, source: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """The ``(w, dim)`` transpose of the ``(dim, w)`` operator ``product``
-    of ``source`` as a writable C-order ``dtype`` block that shares no
-    memory with ``source``, so the residual can be formed in it in place.
-    It is copied only when it is not one already: when the product is not
-    F-ordered, is read-only, or aliases its input."""
-    rows = product.T
-    if (rows.dtype == dtype and rows.flags.c_contiguous and rows.flags.writeable
-            and not np.may_share_memory(rows, source)):
-        return rows
-    return np.array(rows, dtype=dtype, order="C")
+    def factor(self, residuals: tuple[np.ndarray, ...], new: tuple[np.ndarray, ...],
+               n: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The SVD split of the module docstring; None when a side saturated."""
+        r_res, s_res = residuals
+        r_norm = float(np.linalg.norm(r_res))
+        s_norm = float(np.linalg.norm(s_res))
+        if min(r_norm, s_norm) <= _RELATIVE_TOL * self.scale:
+            return None  # one side saturated: clean invariant-subspace termination
+        w = s_res @ r_res.T
+        if not np.isfinite(w).all():
+            return w, w  # no SVD: the loop refuses it as the coupling by name
+        u, sing, vh = np.linalg.svd(w)
+        if sing[-1] <= _RELATIVE_TOL * r_norm * s_norm:
+            raise SeriousBreakdownError(
+                n + 1,
+                f"pair Gram smallest singular value {sing[-1]:.3e} with "
+                f"residual norms {r_norm:.3e}, {s_norm:.3e}",
+            )
+        root = np.sqrt(sing)
+        right, left = new[0][: root.size], new[1][: root.size]
+        np.matmul(vh.conj(), r_res, out=right)
+        np.matmul(u.T.conj(), s_res, out=left)
+        right /= root[:, None]
+        left /= root[:, None]
+        return root[:, None] * vh, u * root[None, :]
 
 
 def two_sided_block_run(
@@ -254,32 +215,24 @@ def two_sided_block_run(
 ) -> tuple[BlockCoefficients, tuple[np.ndarray, np.ndarray]]:
     """Advance the coupled left/right recursions for up to ``max_iter`` expansions.
 
-    Both residual blocks are re-biorthogonalized in two Gram-Schmidt passes
-    per side, with the bases kept as the rows of two ``(cap, dim)``
-    buffers. Steps 0 and 1 project against every stored pair; later steps
-    against the last two pairs only, unless the overlap estimate of the
-    module docstring crosses sqrt(eps), in which case that step and the
-    next project against every stored pair. Termination: saturation, when
-    either residual block's norm is at most 1e-10 times ``op.scale`` (the
-    reachable subspace on that side is exhausted; a zero operator ends
-    after step 0); or serious breakdown, when both residuals are still
-    nonzero but their pair Gram matrix has a smallest singular value at
-    most 1e-10 times the product of their norms, in which case
-    :class:`SeriousBreakdownError` is raised.
-
-    Every block is a C-order ``(w, dim)`` row block: the starts and each
-    new pair are written into the rows of the bases, and the operators are
-    applied to the rows' transposes (the first right product to the start
-    itself, since it fixes the bases' dtype). Each residual is formed in
-    place in the transpose of the array its operator product returned, or
-    in a row-major copy when that array is not F-ordered, is read-only or
-    shares memory with the product's input, so the caller's starts are
-    never written.
+    The step loop and its schedule are those of :mod:`blocklanczos.scalar`.
+    Termination, relative to the one constant 1e-10 of the Hermitian
+    recursion: saturation, when either residual block's norm is at most
+    1e-10 times ``op.scale`` (the reachable subspace on that side is
+    exhausted; a zero operator ends after step 0); or serious breakdown,
+    when both residuals are still nonzero but their pair Gram matrix has a
+    smallest singular value at most 1e-10 times the product of their norms,
+    in which case :class:`SeriousBreakdownError` is raised (no look-ahead
+    cure is attempted). A non-finite diagonal or coupling block, from an
+    operator that returns NaN or overflows, is refused with a ValueError
+    naming the step. The first right product is of the start itself, since
+    it fixes the bases' dtype; no product is written into the caller's
+    starts (see :class:`GeneralOperator`).
 
     Returns the general-form table and the ``(left, right)`` bases, two
     ``(dim, coeffs.dimension)`` arrays (transposed views of the row buffers)
     whose columns are paired block after block with ``left.T @ right = I``,
-    up to the semi-biorthogonality of the module docstring.
+    up to the semi-biorthogonality of the schedule.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -295,91 +248,16 @@ def two_sided_block_run(
         raise ValueError(
             f"start blocks have dimension {right.shape[0]}, operator {op.dimension}"
         )
-    width = right.shape[1]
     _check_start(right, "start pair is not biorthonormal", left)
 
-    dim = op.dimension
     # The first product fixes the bases' dtype: a complex operator makes
     # every later block complex even from a real start.
     product = op.apply(right)
-    dtype = np.result_type(right, left, product)
-    h_right = _residual_rows(product, right, dtype)
-    cap = min((max_iter + 1) * width, dim)
-    rights = allocate_basis((cap, dim), dtype)
-    lefts = allocate_basis((cap, dim), dtype)
-    rights[:width] = right.T
-    lefts[:width] = left.T
-    right, left, hi = rights[:width], lefts[:width], width
-    prev_right = prev_left = None
-    a_list: list[np.ndarray] = []
-    b_list: list[np.ndarray] = []
-    c_list: list[np.ndarray] = []
-    # the right side's estimate is of L_k^T R_n, the left side's of R_k^T L_n
-    right_norms, left_norms = np.empty((2, cap // width + 1))
-    right_norms[0], left_norms[0] = _max_row_norm(right), _max_row_norm(left)
-    estimates = (
-        _OverlapEstimate(right_norms.size, width, op.scale, dtype,
-                         (left_norms, right_norms)),
-        _OverlapEstimate(right_norms.size, width, op.scale, dtype,
-                         (right_norms, left_norms)),
-    )
-    triggered = False
-
-    for n in range(max_iter + 1):
-        a = _pair_gram(left, h_right)
-        a_list.append(a)
-        if n == max_iter or hi >= dim:
-            break
-        r_res = h_right
-        s_res = _residual_rows(op.apply_transpose(left.T), left, dtype)
-        r_res -= a.T @ right
-        s_res -= a @ left
-        if prev_right is not None:
-            r_res -= c_list[n - 1].T @ prev_right
-            s_res -= b_list[n - 1] @ prev_left
-        lo, right_overlaps, left_overlaps = 0, None, None
-        if n >= _WINDOW_BLOCKS and not triggered:
-            right_overlaps, left_overlaps, worst = _window_estimates(
-                estimates, n, a, _pair_gram(s_res, r_res))
-            if worst <= _SEMI_ORTHOGONAL:  # NaN-safe: NaN takes the full pass
-                lo = hi - _WINDOW_BLOCKS * width
-            else:
-                triggered = True
-        elif triggered:
-            triggered = False  # the step after a trigger: a full pass
-        for _ in range(2):
-            _project_out(r_res, lefts[lo:hi], rights[lo:hi])
-            _project_out(s_res, rights[lo:hi], lefts[lo:hi])
-        r_norm = float(np.linalg.norm(r_res))
-        s_norm = float(np.linalg.norm(s_res))
-        if min(r_norm, s_norm) <= _RELATIVE_TOL * op.scale:
-            break  # one side saturated: clean invariant-subspace termination
-        w = _pair_gram(s_res, r_res)
-        u, sing, vh = np.linalg.svd(w)
-        if sing[-1] <= _RELATIVE_TOL * r_norm * s_norm:
-            raise SeriousBreakdownError(
-                n + 1,
-                f"pair Gram smallest singular value {sing[-1]:.3e} with "
-                f"residual norms {r_norm:.3e}, {s_norm:.3e}",
-            )
-        root = np.sqrt(sing)
-        b, c = root[:, None] * vh, u * root[None, :]
-        b_list.append(b)
-        c_list.append(c)
-        prev_right, prev_left = right, left
-        right, left = rights[hi : hi + width], lefts[hi : hi + width]
-        np.matmul(vh.conj(), r_res, out=right)
-        np.matmul(u.T.conj(), s_res, out=left)
-        right /= root[:, None]
-        left /= root[:, None]
-        hi += width
-        right_norms[n + 1], left_norms[n + 1] = _max_row_norm(right), _max_row_norm(left)
-        estimates[0].advance(n, a, b, c, right_overlaps if lo else None)
-        estimates[1].advance(n, a.T, c.T, b.T, left_overlaps if lo else None)
-        h_right = _residual_rows(op.apply(right.T), right, dtype)
-
+    (a_list, b_list, c_list), (rights, lefts) = _block_recursion(
+        _TwoSidedParts(op), (right, left), np.result_type(right, left, product),
+        max_iter, product)
     coeffs = BlockCoefficients(tuple(a_list), tuple(b_list), tuple(c_list))
-    return coeffs, (lefts[:hi].T, rights[:hi].T)
+    return coeffs, (lefts.T, rights.T)
 
 
 def match_spectra(computed: np.ndarray, reference: np.ndarray) -> float:

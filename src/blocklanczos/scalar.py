@@ -1,50 +1,49 @@
-"""Hermitian Lanczos recursion in exact-arithmetic emulation.
+"""Lanczos recursions in exact-arithmetic emulation: the one step loop.
 
-One private body advances d orthonormal Krylov vectors per step and keeps
-the basis as the rows of one C-order ``(cap, dim)`` buffer.
-:func:`lanczos_run` is its width-1 run, whose tridiagonal eigenpairs give
-Ritz energies and reconstruction weights for excited states;
-:func:`blocklanczos.block.block_lanczos_run` is its width-d run.
+One private step loop advances every recursion of the package, d Krylov
+vectors per side and step, each side's basis kept as the rows of one
+C-order ``(cap, dim)`` buffer. The Hermitian recursion has one side,
+paired with its own conjugate: :func:`lanczos_run` is its width-1 run,
+whose tridiagonal eigenpairs give Ritz energies and reconstruction weights
+for excited states, and :func:`blocklanczos.block.block_lanczos_run` its
+width-d run. The two-sided run of :mod:`blocklanczos.nonhermitian` has a
+right and a left side, each paired with the other. A small parts object
+per recursion supplies what differs, chiefly the factor of the residuals
+into the next block.
 
-Every block stays a C-order ``(w, dim)`` row block, the buffer's own
-layout, from the operator product to the next block's rows. The chain is
-applied to the F-ordered transpose of the newest rows and
-:func:`blocklanczos.spinchain.apply_to_array` returns an F-ordered
-product, whose transpose is the row block in which the body forms the
-residual in place; coefficients, projections, norms and the Gram-Schmidt
-factor all work on rows, and each new block is written straight into the
-next rows of the basis. No step copies a block to change its layout.
+Every block stays a C-order ``(w, dim)`` row block from the operator
+product to the next block's rows: an operator is applied to the F-ordered
+transpose of the newest rows, and the transpose of its F-ordered product
+is the row block in which the residual is formed in place.
 
-The basis is kept semi-orthogonal: every overlap between Krylov vectors
-stays at most sqrt(eps), which leaves the projected matrix exact to working
-precision (Simon, Math. Comp. 42, 1984). Each residual is re-orthogonalized
-against the last two blocks only, and against the whole basis when a signed
-estimate of its overlaps with the older blocks crosses sqrt(eps); the step
-after such a trigger takes the whole basis too. The estimate is Simon's
-omega recurrence in block form (Grimes, Lewis and Simon, SIAM J. Matrix
-Anal. Appl. 15, 1994) with a round-off term added with the sign of each
-entry, as in PROPACK (Larsen, DAIMI PB-537, 1998): it follows the overlaps
-rather than bounding them, so it crosses sqrt(eps) many steps later than a
-majorant of absolute values would, and whole-basis steps measure the new
-block's overlaps to restart it from. The first two steps, and every step
-after a deflated block or a residual whose Gram matrix is not positive
-definite, take the whole basis. The two-sided recursion of
-:mod:`blocklanczos.nonhermitian` keeps its bases semi-biorthogonal with the
-same estimate, one instance per side (Day, SIAM J. Matrix Anal. Appl. 18,
-1997).
+Each step takes the diagonal block A_n, subtracts the three-term
+recurrence from each side's residual (side 0 with A, B, C, its pair with
+A^T, C^T, B^T) and re-orthogonalizes, keeping every overlap between blocks
+at most sqrt(eps), which leaves the projected matrix exact to working
+precision (Simon, Math. Comp. 42, 1984; Day, SIAM J. Matrix Anal. Appl.
+18, 1997). Steps 0 and 1 project against the whole basis, later steps
+against the last two blocks only unless the window test value crosses
+sqrt(eps), and then that step and the next take the whole basis. The value
+is the largest signed overlap estimate of :class:`_OverlapEstimate` (one
+per side), magnified by the largest norm product of a stored pair, or the
+two-sided split's pairing defect eps s_max / s_min when that is larger.
+A deflated block, or a residual without a factor for the estimate (a Gram
+matrix that is not positive definite, a non-finite pair Gram), makes every
+later step take the whole basis. A non-finite diagonal or coupling block
+is refused with a ValueError that names the step.
+
+Re-orthogonalization is the classical Gram-Schmidt pass
+:func:`_project_out`. The Hermitian recursion makes a second pass only
+when the first shrinks some residual row below 1/sqrt(2) of its norm (the
+"twice is enough" rule of Daniel, Gragg, Kaufman and Stewart, Math. Comp.
+30, 1976) and restarts its estimate from measured overlaps after each
+whole-basis step; the two-sided run always makes two passes per side,
+since its oblique projector I - R L^T is not a contraction.
 
 All three recursions return one coefficient type, :class:`BlockCoefficients`:
 the block tridiagonal table of diagonal blocks A, couplings B below and, for
 the two-sided run, C above the diagonal (C = B^H otherwise). The scalar
 run's table is its width-1 Hermitian case, read as ``alphas`` and ``betas``.
-
-Re-orthogonalization is one classical Gram-Schmidt pass,
-:func:`_project_out`, which the two-sided recursion of
-:mod:`blocklanczos.nonhermitian` shares. Here a second pass follows only
-when the first one shrinks some residual column below 1/sqrt(2) of its norm
-(the "twice is enough" rule of Daniel, Gragg, Kaufman and Stewart, Math.
-Comp. 30, 1976): a column that kept most of its norm is already orthogonal
-to working precision after one pass.
 
 ``scipy.linalg`` serves only the tridiagonal eigensolve, so it is imported
 at the first :func:`ritz_values` or :func:`tridiagonal_eigensolve` call,
@@ -255,15 +254,34 @@ def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
     return np.diagonal(rows.conj() @ rows.T).real
 
 
-def _reorthogonalize(residual: np.ndarray, rows: np.ndarray, before: np.ndarray) -> None:
-    """Project the orthonormal ``rows`` out of the ``(w, dim)`` ``residual``
-    in place: one pass, and a second only when some residual row's norm
+def _max_row_norm(rows: np.ndarray) -> float:
+    """Largest row norm of a ``(w, dim)`` block."""
+    return float(np.sqrt(_row_norms_sq(rows).max()))
+
+
+def _reorthogonalize(residual: np.ndarray, dual: np.ndarray, stack: np.ndarray,
+                     before: np.ndarray | None) -> None:
+    """Project the ``(hi, dim)`` ``stack``, paired by ``dual``, out of the
+    ``(w, dim)`` ``residual`` in place: one pass and a second one, always
+    when ``before`` is None and otherwise only when some residual row's norm
     fell below 1/sqrt(2) of its norm before the first (DGKS), ``before``
     being its squared row norms on entry."""
-    dual = rows.conj()  # no copy for a real basis
-    _project_out(residual, dual, rows)
-    if np.any(_row_norms_sq(residual) < 0.5 * before):
-        _project_out(residual, dual, rows)
+    _project_out(residual, dual, stack)
+    if before is None or np.any(_row_norms_sq(residual) < 0.5 * before):
+        _project_out(residual, dual, stack)
+
+
+def _residual_rows(product: np.ndarray, source: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The ``(w, dim)`` transpose of the ``(dim, w)`` operator ``product``
+    of ``source`` as a writable C-order ``dtype`` block that shares no
+    memory with ``source``, so the residual can be formed in it in place.
+    It is copied only when it is not one already: when the product is not
+    F-ordered, is read-only, or aliases its input."""
+    rows = product.T
+    if (rows.dtype == dtype and rows.flags.c_contiguous and rows.flags.writeable
+            and not np.may_share_memory(rows, source)):
+        return rows
+    return np.array(rows, dtype=dtype, order="C")
 
 
 def _gram_schmidt_factor(
@@ -334,10 +352,10 @@ class _OverlapEstimate:
     of round-off size, eps ||L_k|| ||R_{n+1}||, with them, and so is one
     projected twice against every block, as the two-sided run does. A
     single classical Gram-Schmidt pass against blocks that are only
-    semi-orthogonal, which the Hermitian body makes unless the DGKS rule
+    semi-orthogonal, which the Hermitian recursion makes unless the DGKS rule
     calls a second, leaves more: their own overlaps times the residual's,
     in the very pattern that grows fastest. So after its passes over the
-    whole basis the Hermitian body measures the new block's overlaps, one
+    whole basis the Hermitian recursion measures the new block's overlaps, one
     product with the basis, and the estimate restarts from them; restarted
     from round-off instead, it lagged the true overlaps until they passed
     1e-3 on saturating L = 8-10 Heisenberg runs, and so it did when every
@@ -399,103 +417,190 @@ class _OverlapEstimate:
             self.cur[: n - 1] = estimate
 
 
-def _cholesky_inverse(gram: np.ndarray) -> np.ndarray | None:
-    """R^-1 for the upper Cholesky factor R of ``gram``, or None when
-    ``gram`` is not positive definite."""
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
-    return np.linalg.inv(lower).conj().T  # R^-1 for R = lower^H
+def _window_test(estimates: tuple[_OverlapEstimate, ...], n: int, a: np.ndarray,
+                 inverses: tuple[np.ndarray, ...], floor: float,
+                 ) -> tuple[tuple[np.ndarray, ...], float]:
+    """Each side's estimates of its next block's overlaps with the paired
+    blocks 0 .. n - 2 (``a`` is step n's diagonal block), and the value the
+    window test compares with sqrt(eps): their largest entry times the
+    largest norm product ||L_k|| ||R_k|| of a stored pair, or ``floor`` if
+    larger. The product is 1 for orthonormal blocks; on non-normal
+    operators the oblique recurrence magnifies round-off that the signed
+    estimate cannot follow, and unscaled it lagged the measured overlaps by
+    up to about that product. A NaN makes the value NaN, which fails."""
+    overlaps = tuple(estimate.propagate(n, side_a, inverse)
+                     for estimate, side_a, inverse in zip(estimates, (a, a.T), inverses))
+    magnify = np.max(estimates[0].paired[: n + 1] * estimates[0].own[: n + 1])
+    return overlaps, float(np.max((*(magnify * np.abs(o).max() for o in overlaps), floor)))
 
 
-# overflow surfaces as a non-finite block, which the recursion refuses by name
+class _HermitianParts:
+    """The Hermitian recursion's parts for the step loop: one side paired
+    with its own conjugate, Hermitized diagonal blocks, the Cholesky factor
+    of the residual's Gram matrix for the estimate, the DGKS pass rule and
+    the deflating Gram-Schmidt factor."""
+
+    orthonormal = True
+
+    def __init__(self, spec: HamiltonianSpec) -> None:
+        self.scale = spec.norm_bound
+        self.label = f"the Lanczos recursion on the {spec.length}-site chain overflowed"
+        # looked up at call time, so a wrapped spinchain.apply_to_array is seen
+        self.applies = (lambda v: spinchain.apply_to_array(spec, v),)
+
+    @staticmethod
+    def paired(blocks: tuple[np.ndarray, ...], side: int) -> np.ndarray:
+        return blocks[0].conj()  # no copy for a real basis
+
+    @staticmethod
+    def diagonal(a: np.ndarray) -> np.ndarray:
+        return 0.5 * (a + a.conj().T)  # exact Hermiticity, kills roundoff skew
+
+    @staticmethod
+    def split(gram: np.ndarray) -> tuple[tuple[np.ndarray], float] | None:
+        """R^-1 for the upper Cholesky factor R of ``gram``, or None when it
+        is not positive definite."""
+        try:
+            lower = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+        return (np.linalg.inv(lower).conj().T,), 0.0  # R^-1 for R = lower^H
+
+    @staticmethod
+    def second_pass_norms(gram: np.ndarray) -> np.ndarray:
+        return np.diagonal(gram).real
+
+    def factor(self, residuals: tuple[np.ndarray, ...], new: tuple[np.ndarray, ...],
+               n: int) -> tuple[np.ndarray, np.ndarray] | None:
+        b = _gram_schmidt_factor(residuals[0], new[0], self.scale)
+        return (b, b.conj().T) if b.shape[0] else None  # no rows: invariant subspace
+
+
+# a non-finite block is refused by name, and a window test that meets an
+# inf or a NaN never passes, so numpy's warnings about them are noise
 @np.errstate(over="ignore", invalid="ignore")
-def _hermitian_recursion(
-    spec: HamiltonianSpec, start: np.ndarray, max_iter: int
-) -> tuple[BlockCoefficients, np.ndarray]:
-    """Up to ``max_iter`` expansions from the orthonormal ``(dim, width)``
-    ``start``: the Hermitian table of the Hermitized diagonal blocks and the
-    coupling blocks, and the ``(dim, k)`` basis, Krylov vectors as columns
-    (the transposed row buffer). The basis is float64 for a real start and
-    complex128 for a complex one.
+def _block_recursion(
+    parts, starts: tuple[np.ndarray, ...], dtype: np.dtype, max_iter: int,
+    first: np.ndarray | None = None,
+) -> tuple[tuple[list[np.ndarray], ...], tuple[np.ndarray, ...]]:
+    """Up to ``max_iter`` expansions from one ``(dim, width)`` start per
+    side, under the schedule of the module docstring; ``first`` is side 0's
+    step-0 operator product when the caller has made it already.
 
-    A remainder column of norm at most ``_RELATIVE_TOL`` times the chain's
-    norm bound deflates; a fully deflated remainder ends the run (invariant
-    space). A non-finite block, which only an overflowing chain produces,
-    is refused with a ValueError naming the chain and the step. Which rows
-    each residual is projected against follows the module docstring.
+    ``parts`` holds each side's operator in ``applies``; ``paired(blocks,
+    k)`` pairs side k's blocks; ``diagonal`` finishes A_n; ``split`` gives
+    each side's inverse factor and the test-value floor from the residuals'
+    pair Gram matrix, or None; ``second_pass_norms`` feeds
+    :func:`_reorthogonalize` (None: two passes; otherwise the step's
+    overlaps are measured after a whole-basis step); and ``factor`` writes
+    each side's next block and returns (B_n, C_n), or None to end the run.
+    Returns the A, B and C lists and each side's ``(k, dim)`` basis rows.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    scale = spec.norm_bound
-    dim, width = start.shape
-    basis = allocate_basis((min((max_iter + 1) * width, dim), dim),
-                           np.complex128 if np.iscomplexobj(start) else np.float64)
-    basis[:width] = start.T
-    rows, hi = basis[:width], width
-    a_blocks: list[np.ndarray] = []
-    b_blocks: list[np.ndarray] = []
-    estimate: _OverlapEstimate | None = _OverlapEstimate(
-        basis.shape[0] // width + 1, width, scale, basis.dtype)
+    dim, width = starts[0].shape
+    residual = None if first is None else _residual_rows(first, starts[0], dtype)
+    cap = min((max_iter + 1) * width, dim)
+    bases = tuple(allocate_basis((cap, dim), dtype) for _ in starts)
+    for basis, start in zip(bases, starts):
+        basis[:width] = start.T
+
+    def apply(side: int, rows: np.ndarray) -> np.ndarray:
+        # the F-ordered transpose of a row block goes in, and the transpose
+        # of the product is the row block the residual is formed in
+        return _residual_rows(parts.applies[side](rows.T), rows, dtype)
+
+    def check_finite(block: np.ndarray, kind: str, step: int) -> None:
+        if not np.isfinite(block).all():
+            raise ValueError(
+                f"{parts.label} at step {step}: its {kind} block is not finite")
+
+    rows, prev, hi = tuple(basis[:width] for basis in bases), (), width
+    if residual is None:
+        residual = apply(0, rows[0])
+    a_list: list[np.ndarray] = []
+    b_list: list[np.ndarray] = []
+    c_list: list[np.ndarray] = []
+    blocks = cap // width + 1
+    norms = None
+    if not parts.orthonormal:  # each block's largest row norm, per side
+        norms = np.empty((len(bases), blocks))
+        norms[:, 0] = [_max_row_norm(r) for r in rows]
+    estimates = tuple(
+        _OverlapEstimate(blocks, width, parts.scale, dtype,
+                         None if norms is None else (norms[1 - k], norms[k]))
+        for k in range(len(bases)))
     triggered = False
 
     for n in range(max_iter + 1):
-        # the product of the rows' F-ordered transpose is F-ordered, so its
-        # transpose is a C-order row block that this body owns
-        residual = spinchain.apply_to_array(spec, rows.T).T
-        a = rows.conj() @ residual.T
-        a = 0.5 * (a + a.conj().T)  # exact Hermiticity, kills roundoff skew
-        _check_finite(a, "diagonal", spec, n)
-        a_blocks.append(a)
+        a = parts.diagonal(parts.paired(rows, 0) @ residual.T)
+        check_finite(a, "diagonal", n)
+        a_list.append(a)
         if n == max_iter or hi >= dim:
             break
-        # np.dot scales by a 1x1 block as by a scalar, @ runs a slow gemv
-        residual -= np.dot(a.T, rows)
-        if n > 0:
-            residual -= np.dot(b_blocks[n - 1].conj(), prev)
-        gram = residual.conj() @ residual.T
-        lo, overlaps = 0, None
-        if estimate is not None and n >= _WINDOW_BLOCKS and not triggered:
-            r_inv = _cholesky_inverse(gram)
-            if r_inv is None:
-                estimate = None  # no Cholesky factor: full passes from here on
+        residuals = (residual, *(apply(k, rows[k]) for k in range(1, len(rows))))
+        # side 0 takes A^T and C_{n-1}^T, its pair A and B_{n-1}; np.dot
+        # scales by a 1x1 block as by a scalar, @ runs a slow gemv
+        for k, res in enumerate(residuals):
+            res -= np.dot((a.T, a)[k], rows[k])
+            if n > 0:
+                res -= np.dot((c_list[-1].T, b_list[-1])[k], prev[k])
+        gram = parts.paired(residuals, 0) @ residuals[0].T
+        lo, overlaps = 0, ()
+        if estimates and n >= _WINDOW_BLOCKS and not triggered:
+            split = parts.split(gram)
+            if split is None:
+                estimates = ()  # no factor: whole-basis steps from here on
             else:
-                overlaps = estimate.propagate(n, a, r_inv)
-                # NaN-safe: NaN takes the full pass
-                if np.abs(overlaps).max() <= _SEMI_ORTHOGONAL:
+                overlaps, worst = _window_test(estimates, n, a, *split)
+                if worst <= _SEMI_ORTHOGONAL:  # NaN-safe: NaN takes the whole basis
                     lo = hi - _WINDOW_BLOCKS * width
                 else:
                     triggered = True
         elif triggered:
-            triggered = False  # the step after a trigger: a full pass
-        _reorthogonalize(residual, basis[lo:hi], np.diagonal(gram).real)
-        b = _gram_schmidt_factor(residual, basis[hi:], scale)
-        if b.shape[0] == 0:
-            break  # invariant subspace: clean termination
-        _check_finite(b, "coupling", spec, n + 1)
-        b_blocks.append(b)
-        if b.shape[0] < width:
-            estimate = None  # a deflated block: full passes from here on
-        elif estimate is not None:
-            # the run stops at the next step when it reaches max_iter or dim
-            measured = (basis[:hi].conj() @ basis[hi : hi + width].T
-                        if n >= _WINDOW_BLOCKS and not lo
-                        and n + 1 < max_iter and hi + width < dim else None)
-            estimate.advance(n, a, b, b.conj().T, overlaps, measured)
-        prev, rows = rows, basis[hi : hi + b.shape[0]]
-        hi += b.shape[0]
+            triggered = False  # the step after a trigger: the whole basis
+        window = tuple(basis[lo:hi] for basis in bases)
+        before = parts.second_pass_norms(gram)
+        for k, res in enumerate(residuals):
+            _reorthogonalize(res, parts.paired(window, k), window[k], before)
+        couplings = parts.factor(residuals, tuple(basis[hi:] for basis in bases), n)
+        if couplings is None:
+            break
+        b, c = couplings
+        check_finite(b, "coupling", n + 1)
+        b_list.append(b)
+        c_list.append(c)
+        kept = b.shape[0]
+        prev, rows = rows, tuple(basis[hi : hi + kept] for basis in bases)
+        if norms is not None:
+            norms[:, n + 1] = [_max_row_norm(r) for r in rows]
+        if kept < width:
+            estimates = ()  # a deflated block: whole-basis steps from here on
+        # the run stops at the next step when it reaches max_iter or dim
+        measure = (before is not None and n >= _WINDOW_BLOCKS and not lo
+                   and n + 1 < max_iter and hi + width < dim)
+        for k, (estimate, side) in enumerate(zip(estimates, ((a, b, c), (a.T, c.T, b.T)))):
+            measured = (parts.paired(tuple(basis[:hi] for basis in bases), k) @ rows[k].T
+                        if measure else None)
+            estimate.advance(n, *side, overlaps[k] if lo else None, measured)
+        hi += kept
+        residual = apply(0, rows[0])
 
-    return BlockCoefficients(tuple(a_blocks), tuple(b_blocks)), basis[:hi].T
+    return (a_list, b_list, c_list), tuple(basis[:hi] for basis in bases)
 
 
-def _check_finite(
-    block: np.ndarray, kind: str, spec: HamiltonianSpec, step: int
-) -> None:
-    if not np.isfinite(block).all():
-        raise ValueError(
-            f"the Lanczos recursion on the {spec.length}-site chain overflowed "
-            f"at step {step}: its {kind} block is not finite")
+def _hermitian_recursion(
+    spec: HamiltonianSpec, start: np.ndarray, max_iter: int
+) -> tuple[BlockCoefficients, np.ndarray]:
+    """Up to ``max_iter`` expansions from the orthonormal ``(dim, width)``
+    ``start``: the Hermitian table and the ``(dim, k)`` basis, Krylov
+    vectors as columns, float64 for a real start and complex128 otherwise.
+    A non-finite block, which only an overflowing chain produces, is
+    refused with a ValueError naming the chain and the step."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    dtype = np.complex128 if np.iscomplexobj(start) else np.float64
+    (a_list, b_list, _), (basis,) = _block_recursion(
+        _HermitianParts(spec), (start,), dtype, max_iter)
+    return BlockCoefficients(tuple(a_list), tuple(b_list)), basis.T
 
 
 def _check_start(start: np.ndarray, refusal: str, left: np.ndarray | None = None) -> None:

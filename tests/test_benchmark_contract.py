@@ -79,7 +79,6 @@ def test_krylov_chain_reorthogonalization_schedule(monkeypatch):
         project(residual, dual, stack)
 
     monkeypatch.setattr(scalar, "_project_out", counting)
-    monkeypatch.setattr(nonhermitian, "_project_out", counting)
 
     def whole_basis_steps(width):
         # a step's passes all take the same rows, (n + 1) width of them

@@ -421,11 +421,11 @@ def textbook_block_lanczos(spec, start, max_iter, measured=None):
     return full, tuple(m.shape[1] for m in q), computed
 
 
-class TestHermitianMajorant:
-    """The Hermitian body's signed overlap estimates and its window-or-full
-    pass schedule at widths 2-4 follow the independent reference above,
-    restarted after each whole-basis step from the overlaps the body
-    measured."""
+class TestHermitianEstimate:
+    """The Hermitian recursion's signed overlap estimates and its
+    window-or-full pass schedule at widths 2-4 follow the independent
+    reference above, restarted after each whole-basis step from the
+    overlaps the recursion measured."""
 
     @staticmethod
     def recorded_run(monkeypatch, spec, start, max_iter):
@@ -476,7 +476,7 @@ class TestHermitianMajorant:
             # two runs of one algorithm differ by round-off in the coefficients
             np.testing.assert_allclose(computed[n], estimate, rtol=1e-6)
 
-    def test_deflating_run_switches_the_majorant_off(self, monkeypatch):
+    def test_deflating_run_switches_the_estimate_off(self, monkeypatch):
         # the first start column lies in the 8-state one-magnon sector, which
         # the chain conserves: its Krylov space is exhausted after 8 vectors,
         # so block 8 narrows from 3 columns to 2 and every later step takes

@@ -322,6 +322,23 @@ class TestTwoSidedRun:
             two_sided_block_run(op, right, left, max_iter=3)
         assert calls == []  # refused before the first operator product
 
+    @pytest.mark.parametrize("kind, fragment", [
+        ("nan", "at step 0: its diagonal block"),
+        ("overflow", "at step 1: its coupling block"),
+    ])
+    def test_non_finite_block_refused(self, kind, fragment):
+        # a NaN product, or residuals whose pair Gram overflows, is refused
+        # by the step rather than met by an SVD that does not converge
+        rng = np.random.default_rng(26)
+        if kind == "nan":
+            op = GeneralOperator(16, lambda v: v * np.nan, lambda v: v * np.nan, 1.0)
+        else:
+            op = GeneralOperator.from_matrix(1e300 * rng.standard_normal((16, 16)))
+        r0, l0 = paired_random_start(16, 2, rng)
+        with pytest.raises(ValueError, match=f"two-sided Lanczos recursion left the "
+                                             f"finite range {fragment} is not finite"):
+            two_sided_block_run(op, r0, l0, max_iter=4)
+
     def test_bad_max_iter_rejected(self):
         op = GeneralOperator.from_matrix(np.eye(4))
         e1 = unit_column(4)
@@ -416,7 +433,7 @@ class TestTwoSidedRun:
             def apply(v):
                 if layout == "aliasing":
                     return v[::-1]  # the exchange matrix, as a view of v
-                out = mat @ v
+                out = (v.T @ mat.T).T  # the arithmetic of from_matrix
                 if layout == "read-only":
                     out.flags.writeable = False
                     return out
@@ -429,8 +446,7 @@ class TestTwoSidedRun:
             mat = np.eye(20)[::-1]
         r0, l0 = paired_random_start(20, 2, rng)
         plain = GeneralOperator.from_matrix(mat)
-        wrapped_op = GeneralOperator(20, wrapped(mat), wrapped(np.ascontiguousarray(mat.T)),
-                                     plain.scale)
+        wrapped_op = GeneralOperator(20, wrapped(mat), wrapped(mat.T), plain.scale)
         want, _ = two_sided_block_run(plain, r0, l0, max_iter=10)
         got, _ = two_sided_block_run(wrapped_op, r0, l0, max_iter=10)
         assert got.iterations >= 1
@@ -594,7 +610,8 @@ def textbook_two_sided(mat, right, left, max_iter):
 class TestSemiBiorthogonality:
     """From step 2 on the two-sided run projects both residuals against the
     last two stored pairs only, and against every stored pair when the
-    oblique overlap majorant crosses sqrt(eps) and on the step after."""
+    signed oblique overlap estimate crosses sqrt(eps) and on the step
+    after."""
 
     @staticmethod
     def counted_run(monkeypatch, op, right, left, max_iter):
@@ -602,7 +619,7 @@ class TestSemiBiorthogonality:
         passes (each ``apply`` opens a new entry) and its counts of
         ``apply`` and ``apply_transpose`` calls."""
         steps, transposes = [], []
-        project = nonhermitian._project_out
+        project = scalar._project_out
 
         def counting_project(residual, dual, stack):
             steps[-1].append(stack.shape[0])
@@ -616,7 +633,7 @@ class TestSemiBiorthogonality:
             transposes.append(v.shape)
             return op.apply_transpose(v)
 
-        monkeypatch.setattr(nonhermitian, "_project_out", counting_project)
+        monkeypatch.setattr(scalar, "_project_out", counting_project)
         counted = GeneralOperator(op.dimension, counting_apply, counting_transpose,
                                   op.scale)
         result = two_sided_block_run(counted, right, left, max_iter)
@@ -674,13 +691,14 @@ class TestSemiBiorthogonality:
             mat = mat + 1j * rng.standard_normal((dim, dim))
         r0, l0 = paired_random_start(dim, width, rng, distinct_left=distinct)
         computed = {}
-        window_estimates = nonhermitian._window_estimates
+        window_test = scalar._window_test
 
-        def recording_estimates(estimates, n, a, w):
-            computed[n] = window_estimates(estimates, n, a, w)
-            return computed[n]
+        def recording_test(estimates, n, a, inverses, floor):
+            overlaps, worst = window_test(estimates, n, a, inverses, floor)
+            computed[n] = overlaps
+            return overlaps, worst
 
-        monkeypatch.setattr(nonhermitian, "_window_estimates", recording_estimates)
+        monkeypatch.setattr(scalar, "_window_test", recording_test)
         (coeffs, pair), steps, _ = self.counted_run(
             monkeypatch, GeneralOperator.from_matrix(mat), r0, l0, max_iter=2 * dim)
         assert coeffs.dimension == dim
@@ -736,10 +754,21 @@ class TestWindowBounds:
         rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
         return rotation @ np.diag(singular_values) @ rotation.T[::-1]
 
+    @staticmethod
+    def window_test(estimates, a, gram):
+        """Both sides' step-2 estimates and the window test's value, from
+        the split of the pair Gram ``gram``; a split that refuses ``gram``
+        leaves the loop no estimate, so its test value is NaN."""
+        split = nonhermitian._TwoSidedParts.split(np.array(gram))
+        if split is None:
+            return None, None, np.nan
+        (right, left), worst = scalar._window_test(estimates, 2, a, *split)
+        return right, left, worst
+
     def test_well_conditioned_pair_takes_the_window(self):
         estimates, a = self.estimates_at_step_2()
-        right, left, worst = nonhermitian._window_estimates(
-            estimates, 2, a, self.pair_gram([1.0, 0.5]))
+        right, left, worst = self.window_test(
+            estimates, a, self.pair_gram([1.0, 0.5]))
         assert right.shape == left.shape == (1, 2, 2)
         assert worst == max(np.abs(right).max(), np.abs(left).max()) <= np.sqrt(EPS)
 
@@ -747,8 +776,8 @@ class TestWindowBounds:
         # blocks of norm 10: every stored pair's norm product is 100, and the
         # estimates enter the test value magnified by it
         estimates, a = self.estimates_at_step_2(norm=10.0)
-        right, left, worst = nonhermitian._window_estimates(
-            estimates, 2, a, self.pair_gram([1.0, 0.5]))
+        right, left, worst = self.window_test(
+            estimates, a, self.pair_gram([1.0, 0.5]))
         assert worst == 100.0 * max(np.abs(right).max(), np.abs(left).max())
 
     def test_near_breakdown_pair_takes_the_whole_basis(self):
@@ -756,8 +785,8 @@ class TestWindowBounds:
         # 1e-10, and a split just above it leaves a pairing defect of about
         # eps * 1e10, far above sqrt(eps), that no window would see
         estimates, a = self.estimates_at_step_2()
-        right, left, worst = nonhermitian._window_estimates(
-            estimates, 2, a, self.pair_gram([1.0, 1.01e-10]))
+        right, left, worst = self.window_test(
+            estimates, a, self.pair_gram([1.0, 1.01e-10]))
         assert np.isfinite(right).all() and np.isfinite(left).all()
         assert worst > np.sqrt(EPS)
 
@@ -766,7 +795,7 @@ class TestWindowBounds:
                                       [[1.0, np.nan], [0.0, 1.0]]])
     def test_singular_or_nan_pair_never_passes(self, gram):
         estimates, a = self.estimates_at_step_2()
-        worst = nonhermitian._window_estimates(estimates, 2, a, np.array(gram))[2]
+        worst = self.window_test(estimates, a, gram)[2]
         assert not worst <= np.sqrt(EPS)
 
 

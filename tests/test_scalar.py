@@ -465,7 +465,8 @@ class TestReorthogonalization:
         residual += 1e-8 * rng.standard_normal((dim, width))
         residual = np.ascontiguousarray(residual.T)  # the body's (width, dim) rows
         calls = self.count_passes(monkeypatch)
-        scalar._reorthogonalize(residual, rows, scalar._row_norms_sq(residual))
+        scalar._reorthogonalize(
+            residual, rows.conj(), rows, scalar._row_norms_sq(residual))
         assert calls == [hi, hi]
         overlap = np.abs(rows.conj() @ residual.T).max(axis=0)
         norms = np.linalg.norm(residual, axis=1)
@@ -493,8 +494,8 @@ def count_steps(monkeypatch):
 
 class TestSemiOrthogonality:
     """From step 2 on the Hermitian body projects each residual against the
-    last two blocks only, and against the whole basis when the overlap
-    majorant crosses sqrt(eps) and on the step after."""
+    last two blocks only, and against the whole basis when the signed
+    overlap estimate crosses sqrt(eps) and on the step after."""
 
     def test_pass_schedule(self, monkeypatch):
         spec = sc.build_xxz(12, 1.0, 1.0)
