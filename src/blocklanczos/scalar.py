@@ -45,11 +45,17 @@ the block tridiagonal table of diagonal blocks A, couplings B below and, for
 the two-sided run, C above the diagonal (C = B^H otherwise). The scalar
 run's table is its width-1 Hermitian case, read as ``alphas`` and ``betas``.
 
-``scipy.linalg`` serves only the tridiagonal eigensolve, so it is imported
-at the first :func:`ritz_values` or :func:`tridiagonal_eigensolve` call,
-not with the package. Of the CLI commands, ``incremental`` and the width-1
-``solve`` load it at their first Ritz solve; ``noise-sweep``,
-``cost-table`` and a block ``solve`` (dense numpy eigensolves) never do.
+Each step's thin products between ``(w, dim)`` blocks run near memory
+speed: a multi-row block's update ``block -= coefficients @ rows`` is one
+in-place gemm (:func:`_subtract_product`), and the inner products between
+blocks of 3 or more rows are summed over column panels (:func:`_inner`).
+
+``scipy.linalg`` serves the tridiagonal eigensolve and that gemm, so it is
+imported at the first :func:`ritz_values` or :func:`tridiagonal_eigensolve`
+call or the first step of a width >= 2 run, not with the package. Of the
+CLI commands, ``incremental`` and the width-1 ``solve`` load it at their
+first Ritz solve, and a block ``solve`` of width >= 2 at its first step;
+``noise-sweep`` and ``cost-table`` never do.
 ``scipy.sparse`` loads with the first operator product,
 :func:`blocklanczos.spinchain.apply_to_array`, which builds the chain's
 CSR kernel (``solve`` and ``incremental``), or the first reference-oracle
@@ -80,6 +86,13 @@ _RELATIVE_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 _SEMI_ORTHOGONAL = math.sqrt(_EPS)
 _WINDOW_BLOCKS = 2
+
+# Thin block products: the column panel of :func:`_inner`; the BLAS routine
+# of :func:`_subtract_product` per run dtype, and the deepest stack it takes
+# (zgemm's inner block in scipy-openblas 0.3.31; dgemm's is 384).
+_PANEL = 1 << 14
+_GEMM = {np.dtype(np.float64): "dgemm", np.dtype(np.complex128): "zgemm"}
+_GEMM_DEPTH = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,18 +253,73 @@ def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
         ) from err
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y.T`` for row-major ``(p, dim)`` and ``(q, dim)`` blocks.
+
+    With p, q >= 3 and dim > ``_PANEL`` it is summed over ``_PANEL``-column
+    panels: OpenBLAS runs such a thin product over the whole length at a
+    fraction of memory speed (0.41 against 0.16 ms for 4 x 4 at dim 2^16
+    on a 2-vCPU Xeon guest, one BLAS thread), and a panel of a few rows
+    stays in cache. Thinner products already run at memory speed, and
+    panels would slow them down."""
+    dim = x.shape[1]
+    if min(x.shape[0], y.shape[0]) < 3 or dim <= _PANEL:
+        return x @ y.T
+    out = x[:, :_PANEL] @ y[:, :_PANEL].T
+    for lo in range(_PANEL, dim, _PANEL):
+        out += x[:, lo : lo + _PANEL] @ y[:, lo : lo + _PANEL].T
+    return out
+
+
+def _subtract_product(out: np.ndarray, coef: np.ndarray, rows: np.ndarray) -> None:
+    """``out -= coef @ rows`` in place for a C-order, writable ``(w, dim)``
+    float64 or complex128 block ``out`` and ``(hi, dim)`` rows.
+
+    A single row is updated by ``np.dot``, which scales by a 1x1 ``coef``
+    as by a scalar: a gemm with a single-row output packs all of ``rows``.
+    More rows take one BLAS gemm with beta = 1 on the F-ordered
+    transposes, without the block-sized temporary of numpy's ``out -= coef
+    @ rows``, written and then read back, and bit-identical to it up to
+    ``_GEMM_DEPTH`` rows. Deeper, BLAS adds each inner block of the sum to
+    ``out`` in turn, which rounds differently, so those stacks, beside
+    which the temporary is small, keep numpy's expression. f2py hands back
+    an updated copy, and leaves ``out`` as it was, when the transpose of
+    ``out`` is not an F-ordered, writable array of the routine's dtype, so
+    a multi-row ``out`` that is not one is refused with a ValueError."""
+    if out.shape[0] == 1:
+        out -= np.dot(coef, rows)
+        return
+    gemm = _GEMM.get(out.dtype)
+    if (gemm is None or not (out.flags.c_contiguous and out.flags.writeable)
+            or np.result_type(out, coef, rows) != out.dtype):
+        raise ValueError(
+            f"cannot update a {out.dtype} block in place (C-contiguous "
+            f"{out.flags.c_contiguous}, writeable {out.flags.writeable}) with "
+            f"{coef.dtype} coefficients and {rows.dtype} rows")
+    if rows.shape[0] > _GEMM_DEPTH:
+        out -= coef @ rows
+        return
+    from scipy.linalg import blas  # deferred: a width-1 run never loads it
+
+    getattr(blas, gemm)(-1.0, rows.T, coef.T, beta=1.0, c=out.T, overwrite_c=True)
+
+
 def _project_out(residual: np.ndarray, dual: np.ndarray, stack: np.ndarray) -> None:
     """One classical Gram-Schmidt pass, in place: residual -= (dual
     residual^T)^T stack for a ``(w, dim)`` residual and ``(hi, dim)``
     stacks, all row-major. ``dual`` is ``stack.conj()`` for an orthonormal
     basis and the paired basis for a biorthogonal one."""
-    residual -= (dual @ residual.T).T @ stack
+    coef = _inner(dual, residual).T
+    if residual.shape[0] == 1:
+        residual -= coef @ stack  # not np.dot: a complex 1x1 coef rounds apart
+    else:
+        _subtract_product(residual, coef, stack)
 
 
 def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
     """Squared row norms of a ``(w, dim)`` array: the diagonal of its Gram
     matrix, one BLAS product."""
-    return np.diagonal(rows.conj() @ rows.T).real
+    return np.diagonal(_inner(rows.conj(), rows)).real
 
 
 def _max_row_norm(rows: np.ndarray) -> float:
@@ -531,19 +599,18 @@ def _block_recursion(
     triggered = False
 
     for n in range(max_iter + 1):
-        a = parts.diagonal(parts.paired(rows, 0) @ residual.T)
+        a = parts.diagonal(_inner(parts.paired(rows, 0), residual))
         check_finite(a, "diagonal", n)
         a_list.append(a)
         if n == max_iter or hi >= dim:
             break
         residuals = (residual, *(apply(k, rows[k]) for k in range(1, len(rows))))
-        # side 0 takes A^T and C_{n-1}^T, its pair A and B_{n-1}; np.dot
-        # scales by a 1x1 block as by a scalar, @ runs a slow gemv
+        # side 0 takes A^T and C_{n-1}^T, its pair A and B_{n-1}
         for k, res in enumerate(residuals):
-            res -= np.dot((a.T, a)[k], rows[k])
+            _subtract_product(res, (a.T, a)[k], rows[k])
             if n > 0:
-                res -= np.dot((c_list[-1].T, b_list[-1])[k], prev[k])
-        gram = parts.paired(residuals, 0) @ residuals[0].T
+                _subtract_product(res, (c_list[-1].T, b_list[-1])[k], prev[k])
+        gram = _inner(parts.paired(residuals, 0), residuals[0])
         lo, overlaps = 0, ()
         if estimates and n >= _WINDOW_BLOCKS and not triggered:
             split = parts.split(gram)
@@ -578,7 +645,7 @@ def _block_recursion(
         measure = (before is not None and n >= _WINDOW_BLOCKS and not lo
                    and n + 1 < max_iter and hi + width < dim)
         for k, (estimate, side) in enumerate(zip(estimates, ((a, b, c), (a.T, c.T, b.T)))):
-            measured = (parts.paired(tuple(basis[:hi] for basis in bases), k) @ rows[k].T
+            measured = (_inner(parts.paired(tuple(basis[:hi] for basis in bases), k), rows[k])
                         if measure else None)
             estimate.advance(n, *side, overlaps[k] if lo else None, measured)
         hi += kept

@@ -476,6 +476,23 @@ class TestHermitianEstimate:
             # two runs of one algorithm differ by round-off in the coefficients
             np.testing.assert_allclose(computed[n], estimate, rtol=1e-6)
 
+    @pytest.mark.parametrize("width, complex_start", [(3, False), (4, True)])
+    def test_panelled_products_match_reference(self, monkeypatch, width, complex_start):
+        # at L = 15 (dim 2^15) the run's products between blocks of 3 or
+        # more rows are summed over column panels
+        rng = np.random.default_rng(15 + width)
+        spec = random_xxz_chain(15, rng)
+        assert spec.dim > scalar._PANEL
+        start = block.random_orthonormal_block(
+            15, width, rng, complex_amplitudes=complex_start)
+        coeffs, full, computed, measured = self.recorded_run(monkeypatch, spec, start, 8)
+        want_full, want_widths, want = textbook_block_lanczos(spec, start, 8, measured)
+        assert coeffs.widths == want_widths == (width,) * 9
+        assert full == want_full
+        assert computed.keys() == want.keys() == set(range(2, 8))
+        for n, estimate in want.items():
+            np.testing.assert_allclose(computed[n], estimate, rtol=1e-6)
+
     def test_deflating_run_switches_the_estimate_off(self, monkeypatch):
         # the first start column lies in the 8-state one-magnon sector, which
         # the chain conserves: its Krylov space is exhausted after 8 vectors,

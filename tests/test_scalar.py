@@ -473,6 +473,61 @@ class TestReorthogonalization:
         assert np.all(overlap <= 8 * np.finfo(float).eps * norms)
 
 
+class TestThinProducts:
+    """The step loop's thin block products: the in-place multi-row update
+    and the panelled inner product."""
+
+    @staticmethod
+    def draw(rng, shape, complex_entries):
+        m = rng.standard_normal(shape)
+        return m + 1j * rng.standard_normal(shape) if complex_entries else m
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("depth", [1, 2, 5])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_update_matches_numpy(self, width, depth, complex_entries):
+        rng = np.random.default_rng(10 * width + depth)
+        dim, hi = 1000, depth * width
+        out = self.draw(rng, (width, dim), complex_entries)
+        coef = self.draw(rng, (width, hi), complex_entries)
+        rows = self.draw(rng, (hi, dim), complex_entries)
+        want = out - coef @ rows
+        scalar._subtract_product(out, coef, rows)
+        # the a-priori bound of a length-hi dot product, plus the subtraction
+        bound = (hi + 1) * EPS * (np.abs(want) + np.abs(coef) @ np.abs(rows))
+        assert np.all(np.abs(out - want) <= bound)
+
+    @pytest.mark.parametrize("fault", ["fortran", "read-only", "float32"])
+    def test_update_refuses_out_it_would_copy(self, fault):
+        # f2py would update a copy of such an out and leave out as it was
+        rng = np.random.default_rng(11)
+        out = rng.standard_normal((3, 500))
+        coef, rows = rng.standard_normal((3, 6)), rng.standard_normal((6, 500))
+        if fault == "fortran":
+            out = np.asfortranarray(out)  # its transpose is C-ordered
+        elif fault == "read-only":
+            out.flags.writeable = False
+        else:
+            out = out.astype(np.float32)
+        before = out.copy()
+        with pytest.raises(ValueError, match="cannot update"):
+            scalar._subtract_product(out, coef, rows)
+        assert np.array_equal(out, before)
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (8, 4), (2, 4)],
+                             ids=["3x3", "4x4", "8x4", "2x4"])
+    def test_inner_matches_plain_product(self, shape, complex_entries):
+        rng = np.random.default_rng(12)
+        dim = 3 * scalar._PANEL + 123  # panelled, and not a multiple of a panel
+        x = self.draw(rng, (shape[0], dim), complex_entries)
+        y = self.draw(rng, (shape[1], dim), complex_entries)
+        want = x @ y.T
+        got = scalar._inner(x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.all(np.abs(got - want) <= 2 * dim * EPS * (np.abs(x) @ np.abs(y).T))
+
+
 def count_steps(monkeypatch):
     """Per expansion of the Hermitian body, the row counts of its
     Gram-Schmidt passes: each operator application opens a new entry."""
