@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from blocklanczos.scalar import (
-    BlockCoefficients, _check_start, _hermitian_recursion, reconstruct_state,
+    BlockCoefficients, _block_recursion, _check_start, _HermitianParts, reconstruct_state,
 )
 from blocklanczos.spinchain import HamiltonianSpec
 
@@ -90,16 +90,8 @@ def block_lanczos_run(
     entry (width**2 per block when nothing deflates).
     """
     start = np.asarray(start)
-    if start.ndim != 2 or start.shape[1] == 0:
-        raise ValueError(
-            f"start must be a (dimension, width) array with width >= 1, "
-            f"got shape {start.shape}"
-        )
-    if start.shape[0] != spec.dim:
-        raise ValueError(f"start has dimension {start.shape[0]} but spec has {spec.dim}")
-    _check_start(start, "start block not orthonormal")
-
-    coeffs, basis = _hermitian_recursion(spec, start, max_iter)
+    _check_start((start,), spec.dim, "start block not orthonormal")
+    coeffs, (basis,) = _block_recursion(_HermitianParts(spec), (start,), max_iter)
     if counter is not None:
         counter.record("A0", *coeffs.a_blocks[0].shape)
         for n, b in enumerate(coeffs.b_blocks, start=1):

@@ -57,11 +57,12 @@ class GeneralOperator:
     array and returning an array of the same shape.
 
     A product may come back in any layout, read-only, or sharing memory
-    with its input: :func:`two_sided_block_run` passes the F-ordered
-    transpose of a row block and forms the residual in place in the
-    product's transpose when the product is a writable F-ordered array of
-    its own, as the chain kernel's and the dense backing's products are,
-    and in a row-major copy otherwise.
+    with its input: :func:`two_sided_block_run` passes the right start
+    first and then the F-ordered transpose of a row block, and forms the
+    residual in place in the product's transpose when the product is a
+    writable F-ordered array of its own, as the chain kernel's and the
+    dense backing's products of a row block are, and in a row-major copy
+    otherwise.
 
     The two actions must be mutually consistent under the plain (non
     conjugating) pairing: u . (M v) == (M^T u) . v. ``scale`` is an upper
@@ -225,39 +226,19 @@ def two_sided_block_run(
     in which case :class:`SeriousBreakdownError` is raised (no look-ahead
     cure is attempted). A non-finite diagonal or coupling block, from an
     operator that returns NaN or overflows, is refused with a ValueError
-    naming the step. The first right product is of the start itself, since
-    it fixes the bases' dtype; no product is written into the caller's
-    starts (see :class:`GeneralOperator`).
+    naming the step. The step loop makes the first right product, of the
+    start itself, which fixes the bases' dtype; no product is written into
+    the caller's starts (see :class:`GeneralOperator`).
 
     Returns the general-form table and the ``(left, right)`` bases, two
     ``(dim, coeffs.dimension)`` arrays (transposed views of the row buffers)
     whose columns are paired block after block with ``left.T @ right = I``,
     up to the semi-biorthogonality of the schedule.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    right = (np.asarray(right_start, dtype=np.float64)
-             if not np.iscomplexobj(right_start) else np.asarray(right_start))
-    left = (np.asarray(left_start, dtype=np.float64)
-            if not np.iscomplexobj(left_start) else np.asarray(left_start))
-    if right.ndim != 2 or right.shape != left.shape or right.shape[1] == 0:
-        raise ValueError(
-            f"start blocks must be equal-shape (dimension x width) arrays with "
-            f"width >= 1, got shapes {right.shape} and {left.shape}")
-    if right.shape[0] != op.dimension:
-        raise ValueError(
-            f"start blocks have dimension {right.shape[0]}, operator {op.dimension}"
-        )
-    _check_start(right, "start pair is not biorthonormal", left)
-
-    # The first product fixes the bases' dtype: a complex operator makes
-    # every later block complex even from a real start.
-    product = op.apply(right)
-    (a_list, b_list, c_list), (rights, lefts) = _block_recursion(
-        _TwoSidedParts(op), (right, left), np.result_type(right, left, product),
-        max_iter, product)
-    coeffs = BlockCoefficients(tuple(a_list), tuple(b_list), tuple(c_list))
-    return coeffs, (lefts.T, rights.T)
+    starts = (np.asarray(right_start), np.asarray(left_start))
+    _check_start(starts, op.dimension, "start pair is not biorthonormal")
+    coeffs, (right, left) = _block_recursion(_TwoSidedParts(op), starts, max_iter)
+    return coeffs, (left, right)
 
 
 def match_spectra(computed: np.ndarray, reference: np.ndarray) -> float:

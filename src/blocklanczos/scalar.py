@@ -40,6 +40,10 @@ when the first shrinks some residual row below 1/sqrt(2) of its norm (the
 whole-basis step; the two-sided run always makes two passes per side,
 since its oblique projector I - R L^T is not a contraction.
 
+The loop owns every run from its checks to its finished table (see
+:func:`_block_recursion`), and :func:`_check_start` is the one start check
+of its three front ends.
+
 All three recursions return one coefficient type, :class:`BlockCoefficients`:
 the block tridiagonal table of diagonal blocks A, couplings B below and, for
 the two-sided run, C above the diagonal (C = B^H otherwise). The scalar
@@ -87,12 +91,10 @@ _EPS = float(np.finfo(np.float64).eps)
 _SEMI_ORTHOGONAL = math.sqrt(_EPS)
 _WINDOW_BLOCKS = 2
 
-# Thin block products: the column panel of :func:`_inner`; the BLAS routine
-# of :func:`_subtract_product` per run dtype, and the deepest stack it takes
-# (zgemm's inner block in scipy-openblas 0.3.31; dgemm's is 384).
+# Thin block products: the column panel of :func:`_inner` and the BLAS
+# routine of :func:`_subtract_product` per run dtype.
 _PANEL = 1 << 14
 _GEMM = {np.dtype(np.float64): "dgemm", np.dtype(np.complex128): "zgemm"}
-_GEMM_DEPTH = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,13 +281,10 @@ def _subtract_product(out: np.ndarray, coef: np.ndarray, rows: np.ndarray) -> No
     as by a scalar: a gemm with a single-row output packs all of ``rows``.
     More rows take one BLAS gemm with beta = 1 on the F-ordered
     transposes, without the block-sized temporary of numpy's ``out -= coef
-    @ rows``, written and then read back, and bit-identical to it up to
-    ``_GEMM_DEPTH`` rows. Deeper, BLAS adds each inner block of the sum to
-    ``out`` in turn, which rounds differently, so those stacks, beside
-    which the temporary is small, keep numpy's expression. f2py hands back
-    an updated copy, and leaves ``out`` as it was, when the transpose of
-    ``out`` is not an F-ordered, writable array of the routine's dtype, so
-    a multi-row ``out`` that is not one is refused with a ValueError."""
+    @ rows``, written and then read back. f2py hands back an updated copy,
+    and leaves ``out`` as it was, when the transpose of ``out`` is not an
+    F-ordered, writable array of the routine's dtype, so a multi-row
+    ``out`` that is not one is refused with a ValueError."""
     if out.shape[0] == 1:
         out -= np.dot(coef, rows)
         return
@@ -296,9 +295,6 @@ def _subtract_product(out: np.ndarray, coef: np.ndarray, rows: np.ndarray) -> No
             f"cannot update a {out.dtype} block in place (C-contiguous "
             f"{out.flags.c_contiguous}, writeable {out.flags.writeable}) with "
             f"{coef.dtype} coefficients and {rows.dtype} rows")
-    if rows.shape[0] > _GEMM_DEPTH:
-        out -= coef @ rows
-        return
     from scipy.linalg import blas  # deferred: a width-1 run never loads it
 
     getattr(blas, gemm)(-1.0, rows.T, coef.T, beta=1.0, c=out.T, overwrite_c=True)
@@ -309,11 +305,7 @@ def _project_out(residual: np.ndarray, dual: np.ndarray, stack: np.ndarray) -> N
     residual^T)^T stack for a ``(w, dim)`` residual and ``(hi, dim)``
     stacks, all row-major. ``dual`` is ``stack.conj()`` for an orthonormal
     basis and the paired basis for a biorthogonal one."""
-    coef = _inner(dual, residual).T
-    if residual.shape[0] == 1:
-        residual -= coef @ stack  # not np.dot: a complex 1x1 coef rounds apart
-    else:
-        _subtract_product(residual, coef, stack)
+    _subtract_product(residual, _inner(dual, residual).T, stack)
 
 
 def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
@@ -548,12 +540,11 @@ class _HermitianParts:
 # inf or a NaN never passes, so numpy's warnings about them are noise
 @np.errstate(over="ignore", invalid="ignore")
 def _block_recursion(
-    parts, starts: tuple[np.ndarray, ...], dtype: np.dtype, max_iter: int,
-    first: np.ndarray | None = None,
-) -> tuple[tuple[list[np.ndarray], ...], tuple[np.ndarray, ...]]:
+    parts, starts: tuple[np.ndarray, ...], max_iter: int,
+) -> tuple[BlockCoefficients, tuple[np.ndarray, ...]]:
     """Up to ``max_iter`` expansions from one ``(dim, width)`` start per
-    side, under the schedule of the module docstring; ``first`` is side 0's
-    step-0 operator product when the caller has made it already.
+    side, checked by :func:`_check_start`, under the schedule of the module
+    docstring.
 
     ``parts`` holds each side's operator in ``applies``; ``paired(blocks,
     k)`` pairs side k's blocks; ``diagonal`` finishes A_n; ``split`` gives
@@ -562,11 +553,23 @@ def _block_recursion(
     :func:`_reorthogonalize` (None: two passes; otherwise the step's
     overlaps are measured after a whole-basis step); and ``factor`` writes
     each side's next block and returns (B_n, C_n), or None to end the run.
-    Returns the A, B and C lists and each side's ``(k, dim)`` basis rows.
+
+    The loop owns the run: it refuses ``max_iter`` < 1 and a basis larger
+    than physical memory before any operator product, then applies side
+    0's operator to its start. That product fixes the run's dtype,
+    float64 or complex128: a complex operator makes every block complex
+    even from a real start. No product is written into a start. Returns the
+    table, with C only for two sides, and each side's ``(dim, k)`` basis,
+    the Krylov vectors as columns (transposed views of the row buffers).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     dim, width = starts[0].shape
-    residual = None if first is None else _residual_rows(first, starts[0], dtype)
     cap = min((max_iter + 1) * width, dim)
+    _check_basis_fits((cap, dim), np.result_type(np.float64, *starts))
+    first = parts.applies[0](starts[0])
+    dtype = np.result_type(np.float64, *starts, first)
+    residual = _residual_rows(first, starts[0], dtype)
     bases = tuple(allocate_basis((cap, dim), dtype) for _ in starts)
     for basis, start in zip(bases, starts):
         basis[:width] = start.T
@@ -582,8 +585,6 @@ def _block_recursion(
                 f"{parts.label} at step {step}: its {kind} block is not finite")
 
     rows, prev, hi = tuple(basis[:width] for basis in bases), (), width
-    if residual is None:
-        residual = apply(0, rows[0])
     a_list: list[np.ndarray] = []
     b_list: list[np.ndarray] = []
     c_list: list[np.ndarray] = []
@@ -651,31 +652,25 @@ def _block_recursion(
         hi += kept
         residual = apply(0, rows[0])
 
-    return (a_list, b_list, c_list), tuple(basis[:hi] for basis in bases)
+    c_blocks = tuple(c_list) if len(bases) == 2 else None
+    return (BlockCoefficients(tuple(a_list), tuple(b_list), c_blocks),
+            tuple(basis[:hi].T for basis in bases))
 
 
-def _hermitian_recursion(
-    spec: HamiltonianSpec, start: np.ndarray, max_iter: int
-) -> tuple[BlockCoefficients, np.ndarray]:
-    """Up to ``max_iter`` expansions from the orthonormal ``(dim, width)``
-    ``start``: the Hermitian table and the ``(dim, k)`` basis, Krylov
-    vectors as columns, float64 for a real start and complex128 otherwise.
-    A non-finite block, which only an overflowing chain produces, is
-    refused with a ValueError naming the chain and the step."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    dtype = np.complex128 if np.iscomplexobj(start) else np.float64
-    (a_list, b_list, _), (basis,) = _block_recursion(
-        _HermitianParts(spec), (start,), dtype, max_iter)
-    return BlockCoefficients(tuple(a_list), tuple(b_list)), basis.T
-
-
-def _check_start(start: np.ndarray, refusal: str, left: np.ndarray | None = None) -> None:
-    """Refuse a ``(dim, width)`` start whose Gram matrix differs from the
-    identity by more than 1e-10 in some entry: ``start^H start``, or for a
-    two-sided run's pair ``left^T start``."""
-    gram = start.conj().T @ start if left is None else left.T @ start
-    defect = float(np.max(np.abs(gram - np.eye(start.shape[1]))))
+def _check_start(starts: tuple[np.ndarray, ...], dim: int, refusal: str) -> None:
+    """Refuse starts that are not equal-shape ``(dim, width)`` arrays with
+    width >= 1, and then, with ``refusal``, starts whose Gram matrix
+    differs from the identity by more than 1e-10 in some entry: ``start^H
+    start`` for one side, ``left^T right`` for a two-sided run's (right,
+    left) pair."""
+    shapes = [start.shape for start in starts]
+    if len(set(shapes)) > 1 or len(shapes[0]) != 2 or shapes[0][0] != dim or not shapes[0][1]:
+        raise ValueError(
+            f"starts must be equal-shape (dimension x width) arrays of dimension "
+            f"{dim} and width >= 1, got shapes {', '.join(map(str, shapes))}")
+    right, left = starts[0], starts[-1]
+    gram = left.T @ right if len(starts) > 1 else right.conj().T @ right
+    defect = float(np.max(np.abs(gram - np.eye(right.shape[1]))))
     if not defect <= 1e-10:  # NaN-safe: a non-finite start is refused here
         raise ValueError(f"{refusal}: Gram defect {defect:.3e}")
 
@@ -704,14 +699,14 @@ def lanczos_run(
     Returns the width-1 Hermitian table, whose ``alphas`` and ``betas`` are
     the tridiagonal entries, and the orthonormal basis as a
     ``(dim, coeffs.dimension)`` array whose columns are the Krylov vectors;
-    it is float64 when the start is real.
+    it is float64 when the start is real. The start is checked as a
+    ``(dim, 1)`` column, so a start of another shape is refused with the
+    shapes of that column view.
     """
-    start = np.asarray(start)
-    if start.shape != (spec.dim,):
-        raise ValueError(f"start of shape {start.shape} is not ({spec.dim},)")
-    _check_start(start[:, None], "start not normalized")
-
-    return _hermitian_recursion(spec, start[:, None], max_iter)
+    start = np.asarray(start)[..., None]
+    _check_start((start,), spec.dim, "start not normalized")
+    coeffs, (basis,) = _block_recursion(_HermitianParts(spec), (start,), max_iter)
+    return coeffs, basis
 
 
 # kept: `benchmarks/worker.py` calls it

@@ -7,16 +7,17 @@ of the open XY chain as an independent cross-check. Every coupling is real,
 so the oracle is float64 throughout: its two bond operators are built from
 the complex single-site Sx, Sy, Sz and keep only their (exact) real parts.
 
-The kernel that applies H is a CSR matrix in the standard
-exact-diagonalization row layout (Sandvik, arXiv:1101.3281, section 4),
-built by bit arithmetic once per spec, on first use, and kept with it. Row
-x holds the diagonal entry first (the constant and every ZZ bond, which
-each spec also keeps as one read-only array), then one entry per XX+YY
-bond that is antiparallel in x, in spec order: column ``x ^ (3 << site)``,
-value coefficient/2. The product walks each row in that order, so every
-output element is the diagonal product plus each flip product in spec
-order, one rounding at a time (see :func:`apply_to_array`). The Kronecker
-oracle never shares this layout; it is assembled separately.
+H is applied as its diagonal (the constant and every ZZ bond, kept with
+each spec as one read-only array) plus a CSR kernel of the off-diagonal
+part in the standard exact-diagonalization row layout (Sandvik,
+arXiv:1101.3281, section 4), built by bit arithmetic once per spec, on
+first use, and kept with it. Row x holds one entry per XX+YY bond that is
+antiparallel in x, in spec order: column ``x ^ (3 << site)``, value
+coefficient/2. The product starts each row from the diagonal product and
+walks the row in that order, so every output element is the diagonal
+product plus each flip product in spec order, one rounding at a time (see
+:func:`apply_to_array`). The Kronecker oracle never shares this layout; it
+is assembled separately.
 
 Conventions (fixed and tested):
   * spin operators are S = sigma/2, so ZZ bonds contribute +-1/4 per unit
@@ -112,14 +113,14 @@ class HamiltonianSpec:
     def add_term(self, term: CouplingTerm) -> HamiltonianSpec:
         """Return a new spec with ``term`` appended (order preserved). If
         this spec's oracle sum (:func:`sparse_matrix`) is built, the new spec
-        keeps it until its own sum is built from it by adding one bond; so it
-        does with this spec's kernel when ``term`` is a ZZ bond, which
-        changes only the kernel's diagonal entries (see ``_kernel``)."""
+        keeps it until its own sum is built from it by adding one bond. A ZZ
+        bond changes only the diagonal, so the new spec shares this spec's
+        built kernel (see ``_kernel``), which holds the XX+YY bonds only."""
         spec = HamiltonianSpec(self.length, self.terms + (term,), self.constant)
         if "_sum" in self.__dict__:
             spec.__dict__["_parent_sum"] = self._sum
         if term.kind == ZZ_KIND and "_kernel" in self.__dict__:
-            spec.__dict__["_parent_kernel"] = self._kernel
+            spec.__dict__["_kernel"] = self._kernel
         return spec
 
     @property
@@ -158,32 +159,19 @@ class HamiltonianSpec:
     @cached_property
     def _kernel(self) -> sp.csr_matrix:
         """The CSR kernel of :func:`apply_to_array`, built on first use and
-        kept: row x is the diagonal entry, then column ``x ^ (3 << site)``
-        with value coefficient/2 for each XX+YY bond antiparallel in x, in
-        spec order, zero coefficients included. A kernel larger than
-        physical memory is refused before anything is allocated (see
-        :func:`check_kernel_fits`). Do not modify it in place: summing its
-        duplicate entries or sorting its rows would change the product's
-        bits.
-
-        A spec that :meth:`add_term` made from a spec with a built kernel by
-        adding a ZZ bond has the same rows but for the diagonal entries, the
-        first of each row: its kernel shares the parent's row pointers and
-        column indices, which every kernel keeps read-only, and copies the
-        values with its own diagonal written into the row starts. That is the
-        fresh build bit for bit."""
+        kept: row x holds column ``x ^ (3 << site)`` with value
+        coefficient/2 for each XX+YY bond antiparallel in x, in spec order,
+        zero coefficients included. A kernel larger than physical memory is
+        refused before anything is allocated (see :func:`check_kernel_fits`).
+        Its arrays are read-only: summing its duplicate entries or sorting
+        its rows would change the product's bits. It depends on the XX+YY
+        bonds alone, so :meth:`add_term` hands it on with a ZZ bond."""
         import scipy.sparse as sp  # deferred: the first apply loads scipy.sparse
 
         nnz, index = check_kernel_fits(self)
-        parent = self.__dict__.pop("_parent_kernel", None)  # see add_term
-        if parent is not None:
-            data = parent.data.copy()
-            data[parent.indptr[:-1]] = self._diagonal
-            return sp.csr_matrix((data, parent.indices, parent.indptr),
-                                 shape=(self.dim, self.dim))
         rows = np.arange(self.dim, dtype=index)
         flips = [term for term in self.terms if term.kind == FLIP_KIND]
-        slot = np.ones_like(rows)  # row lengths, then each row's next free entry
+        slot = np.zeros_like(rows)  # row lengths, then each row's next free entry
         for term in flips:
             slot += _antiparallel(rows, term.site)
         indptr = np.zeros(self.dim + 1, dtype=index)
@@ -191,14 +179,12 @@ class HamiltonianSpec:
         slot[:] = indptr[:-1]
         indices = np.empty(nnz, dtype=index)
         data = np.empty(nnz)
-        indices[slot], data[slot] = rows, self._diagonal
-        slot += 1
         for term in flips:  # recomputed, so the build holds O(dim) besides the kernel
             flipping = np.flatnonzero(_antiparallel(rows, term.site))
             indices[slot[flipping]] = flipping ^ (3 << term.site)
             data[slot[flipping]] = 0.5 * term.coefficient
             slot[flipping] += 1
-        indices.flags.writeable = indptr.flags.writeable = False
+        data.flags.writeable = indices.flags.writeable = indptr.flags.writeable = False
         return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
 
     @cached_property
@@ -312,16 +298,17 @@ def _check_fits_memory(nbytes: int, what: str, remedy: str) -> int:
 def check_kernel_fits(spec: HamiltonianSpec) -> tuple[int, type]:
     """Entry count and index dtype of the spec's CSR kernel (see
     :func:`apply_to_array`), after refusing with a ValueError a kernel whose
-    data, indices and row pointers would not fit in physical memory.
-    Allocates nothing. Every XX+YY bond is antiparallel in half the basis,
-    so the kernel has dim * (1 + flips/2) entries; the indices are int32
-    below 2**31 entries and int64 from there on."""
+    data, indices and row pointers would not fit in physical memory
+    together with the spec's float64 diagonal. Allocates nothing. Every
+    XX+YY bond is antiparallel in half the basis, so the kernel has
+    flips * dim/2 entries; the indices are int32 below 2**31 entries and
+    int64 from there on."""
     flips = sum(term.kind == FLIP_KIND for term in spec.terms)
-    nnz = spec.dim + flips * (spec.dim // 2)
+    nnz = flips * (spec.dim // 2)
     index = np.int32 if nnz < 2**31 else np.int64
     width = np.dtype(index).itemsize
     _check_fits_memory(
-        nnz * (8 + width) + (spec.dim + 1) * width,
+        nnz * (8 + width) + (spec.dim + 1) * width + 8 * spec.dim,
         f"the Hamiltonian kernel of the {spec.length}-site chain ({nnz} "
         f"entries)", "the chain length or its number of XX+YY terms")
     return nnz, index
@@ -330,21 +317,22 @@ def check_kernel_fits(spec: HamiltonianSpec) -> tuple[int, type]:
 def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     """H @ amps for a single vector (dim,) or stacked columns (dim, k).
 
-    One product with the spec's CSR kernel (``HamiltonianSpec._kernel``),
-    built on the first call and kept with the spec. Row x of the kernel
-    holds the diagonal entry (the constant plus every ZZ bond, see
-    ``HamiltonianSpec._diagonal``), then one entry per XX+YY bond that is
-    antiparallel in x, in spec order: a bond on sites (i, i+1) swaps the
-    antiparallel pairs of bits i and i+1 with amplitude coefficient/2.
+    Each column takes two steps: the product with the spec's diagonal
+    (``HamiltonianSpec._diagonal``: the constant plus every ZZ bond) is
+    written to the output, and one product with the spec's CSR kernel of
+    the XX+YY bonds (``HamiltonianSpec._kernel``, built on the first call
+    and kept with the spec) adds to it. Row x of the kernel holds one entry
+    per XX+YY bond that is antiparallel in x, in spec order: a bond on
+    sites (i, i+1) swaps the antiparallel pairs of bits i and i+1 with
+    amplitude coefficient/2.
 
     The row loop of ``scipy.sparse`` (``_sparsetools``) walks each row in
     that order, adding each product to a running sum without fused
     multiply-adds, so every output element is the diagonal product plus
     each flip product in spec order, rounded once per operation: the bits
     of one diagonal pass followed by one strided update per bond. The loop
-    is called directly so that the sum starts at -0.0, the exact additive
-    identity; ``scipy.sparse``'s own product starts it at +0.0, which turns
-    a row's -0.0 into +0.0.
+    is called directly so that each row's sum starts from the diagonal
+    product.
 
     Columns are applied one at a time, each as a contiguous vector, so the
     bits do not depend on the layout. The output has the input's layout: an
@@ -361,15 +349,14 @@ def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
     dim = spec.dim
     if amps.shape[0] != dim:
         raise ValueError(f"vector of dimension {amps.shape[0]} does not match 2**{spec.length}")
-    kernel = spec._kernel
-    complex_values = np.iscomplexobj(amps)
-    dtype = np.complex128 if complex_values else np.float64
+    kernel, diagonal = spec._kernel, spec._diagonal
+    dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
     columns = amps.reshape(dim, -1).T
-    # -0.0 in each part, the exact additive identity
-    rows = np.full(columns.shape, complex(-0.0, -0.0) if complex_values else -0.0, dtype)
+    rows = np.empty(columns.shape, dtype)
     values = kernel.data.astype(dtype, copy=False)
     for x, y in zip(columns, rows):
         x = np.ascontiguousarray(x, dtype=dtype)  # no copy for an F-ordered column
+        np.multiply(diagonal, x, out=y)
         _sparsetools.csr_matvec(dim, dim, kernel.indptr, kernel.indices, values, x, y)
     return np.asarray(rows.T.reshape(amps.shape),
                       order="C" if amps.flags.c_contiguous else "F")

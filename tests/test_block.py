@@ -54,6 +54,32 @@ class TestBlockVector:
             else:
                 run()
 
+    @pytest.mark.parametrize("front_end", ["scalar", "block", "two-sided"])
+    @pytest.mark.parametrize("fault, message", [
+        ("max_iter", r"max_iter must be >= 1, got 0"),
+        ("shape", r"starts must be equal-shape \(dimension x width\) arrays of "
+                  r"dimension 64 and width >= 1, got shapes \(32, 1\)"),
+    ], ids=["max_iter", "shape"])
+    def test_front_ends_share_the_run_refusals(self, monkeypatch, front_end, fault,
+                                               message):
+        # one start check and one step loop refuse for every front end,
+        # before any operator product
+        calls = []
+        monkeypatch.setattr(sc, "apply_to_array", lambda *args: calls.append(args))
+        monkeypatch.setattr(nonhermitian, "apply_to_array", lambda *args: calls.append(args))
+        spec = heisenberg(6)
+        v = sc.random_state_vector(6 if fault == "max_iter" else 5,
+                                   np.random.default_rng(4))
+        max_iter = 0 if fault == "max_iter" else 2
+        op = nonhermitian.GeneralOperator.from_hamiltonian(spec)
+        run = {"scalar": lambda: scalar.lanczos_run(spec, v, max_iter),
+               "block": lambda: block.block_lanczos_run(spec, v[:, None], max_iter),
+               "two-sided": lambda: nonhermitian.two_sided_block_run(
+                   op, v[:, None], v[:, None], max_iter)}[front_end]
+        with pytest.raises(ValueError, match=message):
+            run()
+        assert calls == []
+
 
 class TestBlockCoefficients:
     def test_hermiticity_validated(self):

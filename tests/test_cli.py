@@ -498,7 +498,8 @@ class TestErrorHandling:
     def test_kernel_larger_than_memory_refused_before_drawing(
             self, tmp_path, capsys, monkeypatch):
         # a (3, 1024) float64 basis (24576 bytes) fits in 50000 bytes; the
-        # 10-site chain's kernel, 5632 entries (71684 bytes), does not
+        # 10-site chain's kernel, 4608 entries, and its diagonal (67588 bytes
+        # together) do not
         monkeypatch.setattr(spinchain, "_physical_memory", lambda: 50_000)
 
         def no_draw(*args, **kwargs):
@@ -509,8 +510,8 @@ class TestErrorHandling:
         assert cli.main(["--config", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == (
-            "error: the Hamiltonian kernel of the 10-site chain (5632 entries) "
-            "needs 71684 bytes, more than the 50000 bytes of physical memory; "
+            "error: the Hamiltonian kernel of the 10-site chain (4608 entries) "
+            "needs 67588 bytes, more than the 50000 bytes of physical memory; "
             "lower the chain length or its number of XX+YY terms\n")
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()

@@ -345,6 +345,19 @@ class TestTwoSidedRun:
         with pytest.raises(ValueError):
             two_sided_block_run(op, e1, e1, max_iter=0)
 
+    def test_oversized_basis_refused_before_the_first_product(self, monkeypatch):
+        # each side's (64, 64) float64 basis needs 32768 bytes
+        calls = []
+        op = GeneralOperator(64, lambda v: calls.append(v) or v,
+                             lambda v: calls.append(v) or v, scale=1.0)
+        right, left = paired_random_start(64, 2, np.random.default_rng(3))
+        monkeypatch.setattr(spinchain, "_physical_memory", lambda: 30_000)
+        with pytest.raises(ValueError, match=(
+                r"a Krylov basis of shape \(64, 64\) needs 32768 bytes, more than "
+                r"the 30000 bytes of physical memory")):
+            two_sided_block_run(op, right, left, max_iter=40)
+        assert calls == []
+
     def test_dimension_mismatch_rejected(self):
         op = GeneralOperator.from_matrix(np.eye(4))
         with pytest.raises(ValueError):

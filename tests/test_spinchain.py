@@ -459,31 +459,39 @@ class TestCsrKernel:
     @pytest.mark.parametrize("coefficients", [(0.75, -1.5), (0.25, 0.0)],
                              ids=["whole-terms", "fractional"])
     def test_zz_stage_shares_the_parent_kernel_structure(self, coefficients):
-        # a ZZ bond changes only the diagonal entries, the first of each row
+        # a ZZ bond changes only the diagonal, which the kernel does not hold
         parent = random_xxz(8, np.random.default_rng(12))
-        kernels = [parent._kernel]
+        kernel = parent._kernel
         spec = parent
         for site, coefficient in zip((2, 5), coefficients):
             spec = spec.add_term(sc.CouplingTerm(sc.ZZ_KIND, site, coefficient))
-            kernels.append(spec._kernel)
-            fresh = sc.HamiltonianSpec(spec.length, spec.terms, spec.constant)._kernel
-            assert same_bits(kernels[-1].data, fresh.data)
+            assert vars(spec)["_kernel"] is kernel
+            fresh = sc.HamiltonianSpec(spec.length, spec.terms, spec.constant)
+            assert same_bits(spec._kernel.data, fresh._kernel.data)
             for name in ("indices", "indptr"):
-                got, want = getattr(kernels[-1], name), getattr(fresh, name)
+                got, want = getattr(spec._kernel, name), getattr(fresh._kernel, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert np.shares_memory(got, getattr(kernels[0], name))
-                assert not got.flags.writeable
-            assert not np.shares_memory(kernels[-1].data, kernels[-2].data)
-            assert "_parent_kernel" not in vars(spec)
+            assert same_bits(spec._diagonal, fresh._diagonal)
+            assert not np.shares_memory(spec._diagonal, parent._diagonal)
+            x = np.random.default_rng(site).standard_normal((spec.dim, 2))
+            assert same_bits(sc.apply_to_array(spec, x), strided_apply(fresh, x))
+
+    def test_kernel_arrays_are_read_only(self):
+        kernel = random_xxz(6, np.random.default_rng(14))._kernel
+        for name in ("data", "indices", "indptr"):
+            array = getattr(kernel, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
 
     def test_flip_stage_builds_a_fresh_kernel(self):
         parent = random_xxz(8, np.random.default_rng(13))
         kernel = parent._kernel
         child = parent.add_term(sc.CouplingTerm(sc.FLIP_KIND, 3, 0.5))
-        assert "_parent_kernel" not in vars(child)
+        assert "_kernel" not in vars(child)
         got = child._kernel
         fresh = sc.HamiltonianSpec(child.length, child.terms, child.constant)._kernel
-        assert not np.shares_memory(got.indices, kernel.indices)
+        assert got is not kernel and not np.shares_memory(got.indices, kernel.indices)
         assert got.nnz == kernel.nnz + child.dim // 2
         assert same_bits(got.data, fresh.data) and np.array_equal(got.indices, fresh.indices)
 
@@ -500,13 +508,15 @@ class TestCsrKernel:
             assert np.signbit(want).any()
 
     def test_rows_hold_the_diagonal_then_each_antiparallel_bond_in_spec_order(self):
+        # the diagonal, the start of each row's sum, is kept beside the
+        # kernel, whose rows hold the flips only
         terms = [(sc.FLIP_KIND, 1, 0.75), (sc.ZZ_KIND, 0, -1.25), (sc.FLIP_KIND, 0, 0.0),
                  (sc.FLIP_KIND, 1, -2.0), (sc.FLIP_KIND, 2, 0.5)]
         spec = sc.HamiltonianSpec(4, tuple(sc.CouplingTerm(*t) for t in terms), 0.25)
         kernel = spec._kernel
-        diagonal = sc.dense_matrix(spec).diagonal()
+        assert same_bits(spec._diagonal, sc.dense_matrix(spec).diagonal())
         for row in range(spec.dim):
-            want = [(row, diagonal[row])] + [
+            want = [
                 (row ^ (3 << site), 0.5 * coefficient)
                 for kind, site, coefficient in terms
                 if kind == sc.FLIP_KIND and (row >> site & 1) != (row >> site + 1 & 1)]
@@ -514,7 +524,7 @@ class TestCsrKernel:
             got = list(zip(kernel.indices[lo:hi].tolist(), kernel.data[lo:hi].tolist()))
             assert got == want, row
         assert kernel.indices.dtype == kernel.indptr.dtype == np.int32
-        assert kernel.nnz == spec.dim + 4 * spec.dim // 2  # zero coefficients kept
+        assert kernel.nnz == 4 * spec.dim // 2  # zero coefficients kept
 
     def test_kernel_is_built_once_per_spec_without_the_oracle(self, monkeypatch):
         def refuse(*args):
@@ -533,13 +543,14 @@ class TestCsrKernel:
         assert "_sum" not in vars(spec)
         assert spec == twin and hash(spec) == hash(twin)
         monkeypatch.undo()
-        assert np.max(np.abs(kept.toarray() - sc.dense_matrix(spec))) <= 1e-15 * 8
+        operator = kept.toarray() + np.diag(spec._diagonal)
+        assert np.max(np.abs(operator - sc.dense_matrix(spec))) <= 1e-15 * 8
 
     @pytest.mark.parametrize("length, flips, nnz, index", [
-        (1, 0, 2, np.int32),
-        (16, 15, 557056, np.int32),
-        (27, 26, 2**27 * 14, np.int32),  # 1879048192 < 2**31
-        (28, 27, 2**28 + 27 * 2**27, np.int64),  # 3892314112
+        (1, 0, 0, np.int32),
+        (16, 15, 491520, np.int32),
+        (27, 26, 26 * 2**26, np.int32),  # 1744830464 < 2**31
+        (28, 27, 27 * 2**27, np.int64),  # 3623878656
     ])
     def test_entry_count_and_index_dtype(self, monkeypatch, length, flips, nnz, index):
         monkeypatch.setattr(sc, "_physical_memory", lambda: 2**62)
@@ -549,7 +560,7 @@ class TestCsrKernel:
         assert sc.check_kernel_fits(spec) == (nnz, index)
 
     def test_oversized_kernel_refused_before_allocation(self, monkeypatch):
-        # 5632 entries: 5632 * 12 + 1025 * 4 = 71684 bytes
+        # 4608 entries and the diagonal: 4608 * 12 + 1025 * 4 + 1024 * 8 = 67588 bytes
         monkeypatch.setattr(sc, "_physical_memory", lambda: 50_000)
 
         def no_allocation(*args, **kwargs):
@@ -558,8 +569,8 @@ class TestCsrKernel:
         monkeypatch.setattr(np, "arange", no_allocation)
         spec = sc.build_xxz(10, 1.0, 1.0)
         with pytest.raises(ValueError, match=(
-                r"the Hamiltonian kernel of the 10-site chain \(5632 entries\) "
-                r"needs 71684 bytes, more than the 50000 bytes of physical memory")):
+                r"the Hamiltonian kernel of the 10-site chain \(4608 entries\) "
+                r"needs 67588 bytes, more than the 50000 bytes of physical memory")):
             sc.apply_to_array(spec, np.ones(spec.dim))
         assert "_kernel" not in vars(spec)
 
