@@ -231,13 +231,20 @@ class BlockCoefficients:
         return cls(tuple(groups["A"]), tuple(groups["B"]), tuple(groups["C"]))
 
 
-def _check_basis_fits(shape: tuple[int, int], dtype: np.dtype) -> int:
-    """Bytes of a Krylov basis buffer of ``shape``; one larger than physical
-    memory is refused with a ValueError (see
+def _check_basis_fits(shape: tuple[int, int], dtype: np.dtype, count: int = 1) -> int:
+    """Bytes of ``count`` Krylov basis buffers of ``shape``; one buffer
+    larger than physical memory, or ``count`` of them that together are, is
+    refused with a ValueError (see
     :func:`blocklanczos.spinchain._check_fits_memory`)."""
-    return spinchain._check_fits_memory(
+    remedy = "max_iter or the dimension"
+    nbytes = spinchain._check_fits_memory(
         math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize,
-        f"a Krylov basis of shape {tuple(shape)}", "max_iter or the dimension")
+        f"a Krylov basis of shape {tuple(shape)}", remedy)
+    if count > 1:
+        return spinchain._check_fits_memory(
+            count * nbytes,
+            f"a Krylov basis of {count} buffers of shape {tuple(shape)}", remedy)
+    return nbytes
 
 
 def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
@@ -555,18 +562,19 @@ def _block_recursion(
     each side's next block and returns (B_n, C_n), or None to end the run.
 
     The loop owns the run: it refuses ``max_iter`` < 1 and a basis larger
-    than physical memory before any operator product, then applies side
-    0's operator to its start. That product fixes the run's dtype,
-    float64 or complex128: a complex operator makes every block complex
-    even from a real start. No product is written into a start. Returns the
-    table, with C only for two sides, and each side's ``(dim, k)`` basis,
-    the Krylov vectors as columns (transposed views of the row buffers).
+    than physical memory, one side's or every side's together, before any
+    operator product, then applies side 0's operator to its start. That
+    product fixes the run's dtype, float64 or complex128: a complex
+    operator makes every block complex even from a real start. No product
+    is written into a start. Returns the table, with C only for two sides,
+    and each side's ``(dim, k)`` basis, the Krylov vectors as columns
+    (transposed views of the row buffers).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     dim, width = starts[0].shape
     cap = min((max_iter + 1) * width, dim)
-    _check_basis_fits((cap, dim), np.result_type(np.float64, *starts))
+    _check_basis_fits((cap, dim), np.result_type(np.float64, *starts), len(starts))
     first = parts.applies[0](starts[0])
     dtype = np.result_type(np.float64, *starts, first)
     residual = _residual_rows(first, starts[0], dtype)

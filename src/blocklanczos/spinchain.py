@@ -16,8 +16,15 @@ antiparallel in x, in spec order: column ``x ^ (3 << site)``, value
 coefficient/2. The product starts each row from the diagonal product and
 walks the row in that order, so every output element is the diagonal
 product plus each flip product in spec order, one rounding at a time (see
-:func:`apply_to_array`). The Kronecker oracle never shares this layout; it
-is assembled separately.
+:func:`apply_to_array`).
+
+The Kronecker oracle never shares this layout, so the two routes check each
+other. Each of its bonds is ``I (x) pair (x) I`` around a 4x4 Kronecker
+product of the single-site operators, written as CSR arrays by Kronecker
+index arithmetic on the pair (:func:`_bond`), never by the kernel's bit
+flips; the sum is a sparse fold of those bonds (:func:`sparse_matrix`).
+ARPACK runs on that sum through the same ``csr_matvec`` row loop that
+``sum @ x`` runs (:func:`ground_state`).
 
 Conventions (fixed and tested):
   * spin operators are S = sigma/2, so ZZ bonds contribute +-1/4 per unit
@@ -363,12 +370,31 @@ def apply_to_array(spec: HamiltonianSpec, amps: np.ndarray) -> np.ndarray:
 
 
 def _bond(kind: str, site: int, length: int) -> sp.csr_matrix:
-    """The unit-coefficient bond ``I (x) pair (x) I`` on sites (site, site+1)."""
+    """The unit-coefficient bond ``I_hi (x) pair (x) I_lo`` on sites (site,
+    site+1), hi = 2**(length-site-2) and lo = 2**site, written directly as
+    CSR arrays by Kronecker index arithmetic.
+
+    Row (h, p, l), index (4h + p) * lo + l, holds column (h, q, l) with
+    value ``pair[p, q]`` for each nonzero ``pair[p, q]``. No row of either
+    pair holds more than one, so no bond row does and every row is sorted.
+    The arrays are those of ``scipy.sparse.kron(kron(I_hi, pair), I_lo,
+    format="csr")``, dtypes included, without its COO round trip. Only the
+    pair's indices and values enter, never the kernel's basis bits."""
     import scipy.sparse as sp  # deferred, as in HamiltonianSpec._sum
 
     pair = _ZZ_PAIR if kind == ZZ_KIND else _FLIP_PAIR
-    above = sp.identity(2 ** (length - site - 2))
-    return sp.kron(sp.kron(above, pair), sp.identity(2**site), format="csr")
+    hi, lo = 2 ** (length - site - 2), 2**site
+    dim = 4 * hi * lo
+    index = np.int32 if dim < 2**31 else np.int64
+    p, q = np.nonzero(pair)  # row-major: ascending p, at most one entry per p
+    per_row = np.zeros((1, 4, 1), dtype=index)
+    per_row[0, p] = 1
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(np.broadcast_to(per_row, (hi, 4, lo)), out=indptr[1:])
+    indices = (np.arange(0, dim, 4 * lo, dtype=index)[:, None, None]
+               + (q * lo).astype(index)[:, None] + np.arange(lo, dtype=index))
+    data = np.repeat(np.tile(pair[p, q], hi), lo)
+    return sp.csr_matrix((data, indices.ravel(), indptr), shape=(dim, dim))
 
 
 def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
@@ -376,9 +402,10 @@ def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
 
     Deliberately independent of :func:`apply_to_array`: each bond is a
     two-site product of single-site Sx, Sy, Sz matrices between identities,
-    not the kernel's bit-arithmetic rows, so the two routes cross-validate
-    each other. The sum is a float64 fold in spec order, ``constant * I``
-    then ``mat + coefficient * bond`` per term.
+    embedded by Kronecker index arithmetic (:func:`_bond`), not the
+    kernel's bit-arithmetic rows, so the two routes cross-validate each
+    other. The sum is a float64 fold in spec order, ``constant * I`` then
+    ``mat + coefficient * bond`` per term.
 
     The sum is built once per spec and kept with it, like the spec's
     diagonal. A spec made by :meth:`HamiltonianSpec.add_term` from a spec
@@ -420,21 +447,35 @@ def eigenvalues(spec: HamiltonianSpec) -> np.ndarray:
 def ground_state(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
     """Lowest eigenpair: the energy and the normalized float64 ``(dim,)`` state.
 
-    ARPACK's implicitly restarted Lanczos on the sparse assembly, started
-    from a fixed-seed vector so that earlier ARPACK calls cannot change it.
+    ARPACK's implicitly restarted Lanczos (Lehoucq, Sorensen & Yang,
+    *ARPACK Users' Guide*, SIAM 1998) on the Kronecker sum of
+    :func:`sparse_matrix`, started from a fixed-seed vector so that earlier
+    ARPACK calls cannot change it. Each ARPACK product runs the row loop
+    that ``sum @ x`` runs, ``_sparsetools.csr_matvec`` on the sum's arrays
+    into a zeroed float64 vector, called directly to skip scipy's per-call
+    sparse dispatch: the same bits as ``eigsh(sparse_matrix(spec), ...)``.
     Capped at ``DENSE_SITE_CAP`` sites. A spec whose terms are all zero is
     ``constant * I`` (ARPACK rejects the zero matrix): it gets ``constant``
     and basis state 0, as dense eigh does, without assembling the matrix. An
     ARPACK failure, such as a matrix whose finite couplings overflow, is
     raised as a ValueError."""
-    from scipy.sparse.linalg import ArpackError, eigsh  # deferred, as in sparse_matrix
+    from scipy.sparse import _sparsetools  # deferred, as in sparse_matrix
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     _check_dense_size(spec)
     if not any(term.coefficient for term in spec.terms):
         return spec.constant, np.eye(1, spec.dim)[0]
-    v0 = np.random.default_rng(0).standard_normal(spec.dim)
+    dim, mat = spec.dim, sparse_matrix(spec)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        y = np.zeros(dim)
+        _sparsetools.csr_matvec(dim, dim, mat.indptr, mat.indices, mat.data, x, y)
+        return y
+
+    v0 = np.random.default_rng(0).standard_normal(dim)
     try:
-        vals, vecs = eigsh(sparse_matrix(spec), k=1, which="SA", v0=v0, tol=0.0)
+        vals, vecs = eigsh(LinearOperator(mat.shape, matvec=product, dtype=np.float64),
+                           k=1, which="SA", v0=v0, tol=0.0)
     except ArpackError as err:
         raise ValueError(
             f"no ground state of the {spec.length}-site chain with "

@@ -13,7 +13,8 @@ directory; that home is a per-session temporary directory, so no run
 writes a ``.hypothesis/`` directory into the tree.
 
 The ``eigvalsh_calls`` fixture counts ``np.linalg.eigvalsh`` calls, so a
-test can pin how many dense eigensolves a routine makes.
+test can pin how many dense eigensolves a routine makes; ``bond_calls``
+counts the bonds the Kronecker oracle builds (``spinchain._bond`` calls).
 
 test_acceptance.py registers one line per criterion through
 ``record_criterion``; the hook below reprints them as a summary section at
@@ -60,6 +61,22 @@ def eigvalsh_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.fixture
+def bond_calls(monkeypatch):
+    """A list that gains the arguments of each ``spinchain._bond`` call."""
+    from blocklanczos import spinchain
+
+    calls = []
+    real = spinchain._bond
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spinchain, "_bond", counting)
     return calls
 
 

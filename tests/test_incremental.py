@@ -6,7 +6,6 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from blocklanczos import incremental, scalar, spinchain
 from blocklanczos.textio import write_csv
@@ -242,18 +241,18 @@ class TestRunIncremental:
         {"dlambda_fractions": 2},
         {"scenario": "random-start", "start_state": ProductState.from_string("uduudd")},
     ], ids=["sliced", "random-start"])
-    def test_kept_sums_leave_trajectory_bit_identical(self, monkeypatch, kron_calls,
+    def test_kept_sums_leave_trajectory_bit_identical(self, monkeypatch, bond_calls,
                                                       overrides):
         config = small_chain_config(j_z=3.0, **overrides)
         kept = run_incremental(config)
-        krons_kept = len(kron_calls)
+        bonds_kept = len(bond_calls)
         for name in ("ground_state", "ground_energy"):
             oracle = getattr(spinchain, name)
             monkeypatch.setattr(spinchain, name,
                                 lambda spec, oracle=oracle: oracle(fresh_copy(spec)))
         assert run_incremental(config).rows == kept.rows
         # every stage folded from constant * I: more bonds built
-        assert len(kron_calls) - krons_kept > krons_kept
+        assert len(bond_calls) - bonds_kept > bonds_kept
 
     def test_more_iterations_never_raise_step_energy(self):
         # Variational principle within one fixed partial Hamiltonian.
@@ -268,47 +267,33 @@ class TestRunIncremental:
         assert energies[2] <= energies[1] + 1e-12
 
 
-@pytest.fixture
-def kron_calls(monkeypatch):
-    """Counts every ``scipy.sparse.kron`` call made while the test runs."""
-    calls = []
-    kron = scipy.sparse.kron
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return kron(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse, "kron", counting)
-    return calls
-
-
 class TestBondReuseScope:
-    """Bonds the oracle builds in one ramp, two krons each: every stage adds
-    one bond to the previous whole-term stage's kept sum."""
+    """Bonds the oracle builds in one ramp (``bond_calls``, see conftest.py):
+    every stage adds one bond to the previous whole-term stage's kept sum."""
 
     LENGTH = 6
-    DISTINCT_BOND_KRONS = 2 * 2 * (LENGTH - 1)  # flip-flop and ZZ on every link
+    DISTINCT_BONDS = 2 * (LENGTH - 1)  # flip-flop and ZZ on every link
 
-    def test_each_bond_built_once_per_ramp(self, kron_calls):
+    def test_each_bond_built_once_per_ramp(self, bond_calls):
         config = small_chain_config(length=self.LENGTH)
         ramp = build_ramp(config)
         oracle_terms = len(ramp.base.terms) + sum(
             len(spec.terms) for _, _, spec in ramp.stages())
         run_incremental(config)
-        assert len(kron_calls) == self.DISTINCT_BOND_KRONS
-        assert self.DISTINCT_BOND_KRONS < 2 * oracle_terms  # 20 instead of 90
+        assert len(bond_calls) == self.DISTINCT_BONDS
+        assert self.DISTINCT_BONDS < oracle_terms  # 10 instead of 45
 
     @pytest.mark.parametrize("count, start", [
         (2, None), (3, None), (2, "ududud"), (3, "ududud"),
     ], ids=["2", "3", "product-2", "product-3"])
-    def test_sliced_ramp_builds_one_bond_per_slice(self, kron_calls, count, start):
+    def test_sliced_ramp_builds_one_bond_per_slice(self, bond_calls, count, start):
         # each slice adds its own scaled bond to the last whole-term sum,
         # from a product start too: the base's sum is built before stage 1
         start_state = None if start is None else ProductState.from_string(start)
         run_incremental(small_chain_config(length=self.LENGTH, dlambda_fractions=count,
                                            start_state=start_state))
         flips = zz = self.LENGTH - 1
-        assert len(kron_calls) == 2 * (flips + count * zz)  # 30 and 40
+        assert len(bond_calls) == flips + count * zz  # 15 and 20
 
     @pytest.mark.parametrize("overrides", [
         {}, {"dlambda_fractions": 3}, {"descending_order": True},
@@ -316,30 +301,22 @@ class TestBondReuseScope:
         {"scenario": "random-start", "start_state": ProductState.from_string("ududud"),
          "dlambda_fractions": 3},
     ], ids=["whole", "sliced", "descending", "random-start", "sliced-random-start"])
-    def test_one_bond_fold_per_stage(self, monkeypatch, overrides):
+    def test_one_bond_fold_per_stage(self, bond_calls, overrides):
         # after the first assembly each stage extends a kept partial sum
-        folds = []
-        bond = spinchain._bond
-
-        def counting(*args):
-            folds.append(args)
-            return bond(*args)
-
-        monkeypatch.setattr(spinchain, "_bond", counting)
         config = small_chain_config(length=self.LENGTH, **overrides)
         base_terms = len(build_ramp(config).base.terms)
         stages = len(run_incremental(config))
         # the base chain is folded whole: one fold per base term
-        assert len(folds) == base_terms + stages
+        assert len(bond_calls) == base_terms + stages
 
-    def test_back_to_back_ramps_share_nothing(self, kron_calls):
+    def test_back_to_back_ramps_share_nothing(self, bond_calls):
         config = small_chain_config(length=self.LENGTH)
         run_incremental(config)
         run_incremental(config)
-        assert len(kron_calls) == 2 * self.DISTINCT_BOND_KRONS
+        assert len(bond_calls) == 2 * self.DISTINCT_BONDS
         spec = spinchain.build_xxz(self.LENGTH, 1.0, 1.0)
         spinchain.sparse_matrix(spec)
-        assert len(kron_calls) == 2 * self.DISTINCT_BOND_KRONS + 2 * len(spec.terms)
+        assert len(bond_calls) == 2 * self.DISTINCT_BONDS + len(spec.terms)
 
     @pytest.mark.parametrize("fail_at_stage", [None, 3], ids=["returns", "raises"])
     def test_no_sum_outlives_a_ramp(self, monkeypatch, fail_at_stage):

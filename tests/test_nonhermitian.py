@@ -358,6 +358,24 @@ class TestTwoSidedRun:
             two_sided_block_run(op, right, left, max_iter=40)
         assert calls == []
 
+    def test_two_bases_refused_together_before_the_first_product(self, monkeypatch):
+        # each side's (64, 64) float64 basis fits in 40000 bytes, both do not
+        calls = []
+        op = GeneralOperator(64, lambda v: calls.append(v) or v,
+                             lambda v: calls.append(v) or v, scale=1.0)
+        right, left = paired_random_start(64, 2, np.random.default_rng(3))
+        monkeypatch.setattr(spinchain, "_physical_memory", lambda: 40_000)
+        with pytest.raises(ValueError, match=(
+                r"a Krylov basis of 2 buffers of shape \(64, 64\) needs 65536 bytes, "
+                r"more than the 40000 bytes of physical memory")):
+            two_sided_block_run(op, right, left, max_iter=40)
+        assert calls == []
+        # one side of the same size is accepted
+        start = block.random_orthonormal_block(6, 2, np.random.default_rng(3))
+        _, basis = block.block_lanczos_run(spinchain.build_xxz(6, 1.0, 1.0), start,
+                                           max_iter=40)
+        assert basis.shape[0] == 64
+
     def test_dimension_mismatch_rejected(self):
         op = GeneralOperator.from_matrix(np.eye(4))
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
+from blocklanczos import incremental
 from blocklanczos import spinchain as sc
 
 from reference_values import (
@@ -796,6 +797,105 @@ class TestBondReuse:
             step = whole.add_term(term)
             assert_same_csr(sc.sparse_matrix(step), sc.sparse_matrix(target))
         assert bond.call_count == 1 + len(target.terms)  # target folds all
+
+
+def kron_bond(kind, site, length):
+    """The bond route ``spinchain._bond`` replaced, kept as its reference:
+    two ``scipy.sparse.kron`` calls around the 4x4 pair, rows sorted."""
+    pair = sc._ZZ_PAIR if kind == sc.ZZ_KIND else sc._FLIP_PAIR
+    above = sparse.identity(2 ** (length - site - 2))
+    bond = sparse.kron(sparse.kron(above, pair), sparse.identity(2**site), format="csr")
+    bond.sort_indices()
+    return bond
+
+
+def kron_fold(spec):
+    """The oracle's fold, ``constant * I`` then ``mat + coefficient * bond``
+    in spec order, over :func:`kron_bond` bonds."""
+    mat = spec.constant * sparse.identity(spec.dim, format="csr")
+    for term in spec.terms:
+        mat = mat + term.coefficient * kron_bond(term.kind, term.site, spec.length)
+    return mat
+
+
+def arpack_on_the_sum(spec):
+    """``eigsh`` called on the kept sum itself, with the oracle's settings."""
+    v0 = np.random.default_rng(0).standard_normal(spec.dim)
+    vals, vecs = eigsh(sc.sparse_matrix(spec), k=1, which="SA", v0=v0, tol=0.0)
+    return float(vals[0]), vecs[:, 0]
+
+
+def ramp_stage(scenario, index):
+    """Stage ``index`` of a shipped ramp scenario, built from the base's sum
+    as ``run_incremental`` builds it."""
+    ramp = incremental.build_ramp(incremental.default_config(scenario))
+    sc.sparse_matrix(ramp.base)
+    for n, (_, _, spec) in enumerate(ramp.stages()):
+        sc.sparse_matrix(spec)
+        if n == index:
+            return spec
+    raise IndexError(index)
+
+
+class TestKroneckerReference:
+    """The oracle's direct CSR bonds and its ARPACK product against the
+    ``scipy.sparse.kron`` bonds and the ``sum @ x`` product they replaced."""
+
+    @pytest.mark.parametrize("length", range(2, 11))
+    def test_bond_arrays_equal_the_kron_build(self, length):
+        for kind in sc.TERM_KINDS:
+            for site in range(length - 1):
+                got = sc._bond(kind, site, length)
+                assert type(got) is sparse.csr_matrix
+                assert_same_csr(got, kron_bond(kind, site, length))
+
+    @given(ramp_like_specs(), st.data())
+    def test_add_term_chain_sum_equals_the_kron_fold(self, spec, data):
+        want = kron_fold(spec)
+        assert_same_csr(sc.sparse_matrix(spec), want)
+        for term in data.draw(st.lists(terms_of(spec.length), max_size=6)):
+            spec = spec.add_term(term)
+            want = want + term.coefficient * kron_bond(term.kind, term.site, spec.length)
+            assert_same_csr(sc.sparse_matrix(spec), want)
+
+    def test_no_source_file_calls_sparse_kron(self, monkeypatch):
+        # numpy's kron builds the 4x4 pairs; scipy's is never named in src
+        import ast
+        import pathlib
+        import scipy.sparse._construct as construct
+
+        for path in pathlib.Path(sc.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    assert not any(alias.name == "kron" for alias in node.names), path
+                if isinstance(node, ast.Attribute) and node.attr == "kron":
+                    assert isinstance(node.value, ast.Name) and node.value.id == "np", path
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.sparse.kron was called")
+
+        monkeypatch.setattr(sparse, "kron", refuse)
+        monkeypatch.setattr(construct, "kron", refuse)
+        spec = random_xxz(6, np.random.default_rng(1))
+        sc.ground_state(spec)
+        sc.eigenvalues(spec.add_term(sc.CouplingTerm(sc.ZZ_KIND, 2, 0.5)))
+
+    @pytest.mark.parametrize("spec", [spec for spec in ORACLE_SPECS.values() if spec.terms],
+                             ids=[name for name, spec in ORACLE_SPECS.items() if spec.terms])
+    def test_ground_state_is_arpack_on_the_sum_bit_for_bit(self, spec):
+        energy, state = sc.ground_state(spec)
+        want_energy, want_state = arpack_on_the_sum(spec)
+        assert energy.hex() == want_energy.hex()
+        assert state.dtype == want_state.dtype and state.tobytes() == want_state.tobytes()
+
+    @pytest.mark.parametrize("scenario", ["small", "large", "random-start"])
+    def test_ramp_stage_ground_state_is_arpack_on_the_sum_bit_for_bit(self, scenario):
+        spec = ramp_stage(scenario, 4)
+        assert_same_csr(sc.sparse_matrix(spec), kron_fold(spec))
+        energy, state = sc.ground_state(spec)
+        want_energy, want_state = arpack_on_the_sum(spec)
+        assert energy.hex() == want_energy.hex()
+        assert state.tobytes() == want_state.tobytes()
 
 
 class TestGroundOracle:
