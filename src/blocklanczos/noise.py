@@ -6,16 +6,30 @@ noise of width eta perturbs every stored coefficient entry, both sets go
 through the recursion's own block assembly, and the mean absolute error
 between the sorted clean and perturbed spectra measures the damage. A
 sweep solves each problem's clean spectrum once and reuses it for every
-eta; eta = 0 costs no eigensolve, since its error is exactly 0. The
-shot-sampling study reads every scalar coefficient as a success probability
-and replaces it with a binomial estimate at a given shot count, and a small
-cost formula scores grouped operator application by auxiliary-register
-count.
+eta; eta = 0 costs no eigensolve, since its error is exactly 0.
+
+The sweep's time is almost all dense eigensolves, and ``np.linalg.eigvalsh``
+holds the GIL while LAPACK runs. So the sweep calls numpy's own LAPACK
+``dsyevd`` through ``ctypes``, which releases it, with numpy's arguments,
+and gets numpy's eigenvalues bit for bit. When the process may use two
+CPUs and OpenBLAS runs one thread per call, one helper thread solves every
+other matrix while the main thread builds and solves the next; the main
+thread does all drawing and assembly, and at most two assemblies are alive
+at once. Without the LAPACK symbol the sweep calls ``eigvalsh`` itself,
+one solve at a time.
+
+The shot-sampling study reads every scalar coefficient as a success
+probability and replaces it with a binomial estimate at a given shot count,
+and a small cost formula scores grouped operator application by
+auxiliary-register count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +102,7 @@ def perturbed_assemblies(
             block.assemble_block_tridiagonal(perturb_coefficients(problem, noise)))
 
 
+# kept: `benchmarks/worker.py` traces it
 def perturb_and_mae(problem: scalar.BlockCoefficients, noise: NoiseModel,
                     reference: np.ndarray) -> float:
     """Mean absolute eigenvalue error between clean and perturbed spectra,
@@ -159,6 +174,154 @@ def noise_seed(trial: int, eta_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _bind_dsyevd():
+    """numpy's own LAPACK ``dsyevd`` through ``ctypes``, and whether two
+    solves may run at once.
+
+    ``np.linalg.eigvalsh`` holds the GIL while LAPACK runs; a ``ctypes``
+    call of the same routine releases it. The routine is the ILP64 symbol of
+    numpy's OpenBLAS, looked up in the extension that ``eigvalsh`` calls; it
+    is None where that symbol does not resolve. Two solves run at once only
+    when this process may use two CPUs and OpenBLAS runs each call on one
+    thread: with two BLAS threads a second solve slows the sweep down.
+    """
+    try:
+        lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        dsyevd = lapack.scipy_dsyevd_64_
+    except (AttributeError, OSError):
+        return None, False
+    char, int64, double = (ctypes.POINTER(kind) for kind in (
+        ctypes.c_char, ctypes.c_int64, ctypes.c_double))
+    dsyevd.argtypes = (char, char, int64, double, int64, double, double, int64,
+                       int64, int64, int64)
+    dsyevd.restype = None
+    try:
+        blas_threads = lapack.scipy_openblas_get_num_threads64_
+        blas_threads.argtypes, blas_threads.restype = (), ctypes.c_int
+        two_at_a_time = blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:
+        two_at_a_time = False
+    return dsyevd, two_at_a_time
+
+
+def _eigvalsh(dsyevd, mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``mat``, a noise assembly, bit for bit those
+    of ``np.linalg.eigvalsh(mat)``.
+
+    With ``dsyevd`` None this is that call. Otherwise it is numpy's own
+    LAPACK call, ``dsyevd`` with ``jobz='N'``, ``uplo='L'`` and the queried
+    workspace sizes, made without the GIL on ``mat`` itself, which it
+    overwrites. numpy hands LAPACK a column-major copy, and LAPACK reads this
+    C-order buffer as its transpose, so the two agree because every noise
+    assembly is exactly symmetric: its A blocks are ``(x + x.T) / 2`` sums
+    and B^T mirrors B. Non-convergence raises ``np.linalg.LinAlgError``, as
+    numpy's does.
+    """
+    if dsyevd is None:
+        return np.linalg.eigvalsh(mat)
+    if not (mat.dtype == np.float64 and mat.flags.c_contiguous and mat.flags.writeable
+            and mat.ndim == 2 and mat.shape[0] == mat.shape[1]):
+        raise ValueError("expected a writeable C-order square float64 matrix")
+    byref, int64, double = ctypes.byref, ctypes.c_int64, ctypes.c_double
+    jobz, uplo = ctypes.c_char(b"N"), ctypes.c_char(b"L")
+    n, info = int64(len(mat)), int64()
+    values = np.empty(len(mat))
+
+    def call(work, lwork, iwork, liwork):
+        doubles = ctypes.POINTER(double)
+        dsyevd(byref(jobz), byref(uplo), byref(n), mat.ctypes.data_as(doubles), byref(n),
+               values.ctypes.data_as(doubles), work, byref(int64(lwork)), iwork,
+               byref(int64(liwork)), byref(info))
+
+    work, iwork = double(), int64()
+    call(byref(work), -1, byref(iwork), -1)  # workspace query
+    work, iwork = (double * int(work.value))(), (int64 * iwork.value)()
+    call(work, len(work), iwork, len(iwork))
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return values
+
+
+def _sweep_assemblies(block_size, block_counts, etas, trials, base_seed):
+    """The sweep's solves in order, as ``((block_count, seed, eta), matrix)``:
+    per (block_count, trial) problem, its clean assembly under eta None, then
+    one item per eta with its perturbed assembly, None at eta = 0."""
+    for count in block_counts:
+        for trial in range(trials):
+            seed = trial_seed(base_seed, block_size, count, trial)
+            problem = synthetic_problem(block_size, count, seed)
+            yield (count, seed, None), block.assemble_block_tridiagonal(problem)
+            for eta_index, eta in enumerate(etas):
+                noise = NoiseModel(eta, noise_seed(seed, eta_index))
+                yield (count, seed, float(eta)), (
+                    None if noise.eta == 0.0 else
+                    block.assemble_block_tridiagonal(perturb_coefficients(problem, noise)))
+
+
+def _spectra(dsyevd, two_at_a_time, items):
+    """``(key, values)`` for each ``(key, matrix)`` of ``items``, in order:
+    the matrix's eigenvalues by :func:`_eigvalsh`, None for a None matrix.
+
+    With ``two_at_a_time``, one helper thread solves every other matrix
+    while this thread builds the next and solves it; then it collects the
+    helper's values. At most two matrices are alive at once, the helper
+    calls only :func:`_eigvalsh`, and it is joined before this returns or
+    raises.
+    """
+    if not two_at_a_time:
+        for key, mat in items:
+            yield key, None if mat is None else _eigvalsh(dsyevd, mat)
+        return
+    inbox, outbox = [], []
+    handed, solved = threading.Semaphore(0), threading.Semaphore(0)
+
+    def helper():
+        while True:
+            handed.acquire()
+            mat = inbox.pop()
+            if mat is None:
+                return
+            try:
+                values = _eigvalsh(dsyevd, mat)
+            except Exception as exc:  # re-raised by the main thread
+                values = exc
+            mat = None  # freed before the main thread builds the next one
+            outbox.append(values)
+            solved.release()
+
+    def collect():
+        solved.acquire()
+        values = outbox.pop()
+        if isinstance(values, Exception):
+            raise values
+        return values
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        batch, at_helper = [], None  # [key, values] items awaiting output
+        for key, mat in items:
+            item = [key, None]
+            batch.append(item)
+            if mat is not None and at_helper is None:
+                inbox.append(mat)
+                handed.release()
+                at_helper = item
+            elif mat is not None:
+                item[1] = _eigvalsh(dsyevd, mat)
+                at_helper[1] = collect()
+                yield from batch
+                batch, at_helper = [], None
+            del mat  # not alive while the next one is built
+        if at_helper is not None:
+            at_helper[1] = collect()
+        yield from batch
+    finally:
+        inbox.append(None)
+        handed.release()
+        thread.join()
+
+
 def mae_sweep(
     block_size: int,
     block_counts: list[int],
@@ -170,22 +333,23 @@ def mae_sweep(
 
     One synthetic problem is drawn per (block_count, trial) and its clean
     spectrum solved once; every eta perturbs that same problem with its own
-    noise stream, so the eta trend is measured on common ground.
+    noise stream, so the eta trend is measured on common ground. Where
+    :func:`_bind_dsyevd` allows it, the spectra are solved two at a time
+    (:func:`_spectra`); every row is the same bit for bit either way.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    dsyevd, two_at_a_time = _bind_dsyevd()
+    items = _sweep_assemblies(block_size, block_counts, etas, trials, base_seed)
     rows = []
-    for count in block_counts:
-        for trial in range(trials):
-            seed = trial_seed(base_seed, block_size, count, trial)
-            problem = synthetic_problem(block_size, count, seed)
-            reference = block.block_ritz_values(problem)
-            for eta_index, eta in enumerate(etas):
-                noise = NoiseModel(eta, noise_seed(seed, eta_index))
-                rows.append(SweepRow(
-                    block_size, count, float(eta), seed,
-                    perturb_and_mae(problem, noise, reference),
-                ))
+    for (count, seed, eta), values in _spectra(dsyevd, two_at_a_time, items):
+        if eta is None:
+            reference = values
+        else:
+            rows.append(SweepRow(
+                block_size, count, eta, seed,
+                0.0 if values is None else float(np.mean(np.abs(values - reference))),
+            ))
     return rows
 
 
@@ -268,13 +432,17 @@ def check_fittable_etas(etas: list[float]) -> None:
 
 
 def check_sweep_fits(block_size: int, block_counts: list[int]) -> None:
-    """Refuse, before any draw, a sweep whose largest dense assembly, a
-    float64 matrix of side ``block_size * max(block_counts)``, would not fit
-    in physical memory (the bound the Krylov bases are held to)."""
+    """Refuse, before any draw, a sweep whose largest dense assemblies, float64
+    matrices of side ``block_size * max(block_counts)``, would not fit in
+    physical memory (the bound the Krylov bases are held to): two of them
+    when :func:`mae_sweep` solves two at a time, one otherwise."""
     side = block_size * max(block_counts)
-    spinchain._check_fits_memory(side * side * 8,
-                                 f"a noise-sweep assembly of shape {(side, side)}",
-                                 "noise-sweep.block_size or block_counts")
+    two_at_a_time = _bind_dsyevd()[1]
+    spinchain._check_fits_memory(
+        (2 if two_at_a_time else 1) * side * side * 8,
+        f"a noise-sweep assembly of shape {(side, side)}"
+        + (", held two at a time," if two_at_a_time else ""),
+        "noise-sweep.block_size or block_counts")
 
 
 def slope_report(fits: dict[tuple[int, int], FitResult]) -> str:

@@ -117,10 +117,12 @@ class BlockCoefficients:
     c_blocks: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
-        a_blocks = tuple(np.atleast_2d(np.asarray(a)) for a in self.a_blocks)
-        b_blocks = tuple(np.atleast_2d(np.asarray(b)) for b in self.b_blocks)
+        # tuples built from lists, not generators: a tuple() of a generator is
+        # resized to its length, which leaves the per-size free lists growing
+        a_blocks = tuple([np.atleast_2d(np.asarray(a)) for a in self.a_blocks])
+        b_blocks = tuple([np.atleast_2d(np.asarray(b)) for b in self.b_blocks])
         c_blocks = (None if self.c_blocks is None
-                    else tuple(np.atleast_2d(np.asarray(c)) for c in self.c_blocks))
+                    else tuple([np.atleast_2d(np.asarray(c)) for c in self.c_blocks]))
         if not a_blocks:
             raise ValueError("need at least one diagonal block")
         above = b_blocks if c_blocks is None else c_blocks
@@ -166,7 +168,7 @@ class BlockCoefficients:
 
     @property
     def widths(self) -> tuple[int, ...]:
-        return tuple(a.shape[0] for a in self.a_blocks)
+        return tuple([a.shape[0] for a in self.a_blocks])
 
     @property
     def dimension(self) -> int:
@@ -176,7 +178,7 @@ class BlockCoefficients:
     def upper_blocks(self) -> tuple[np.ndarray, ...]:
         """The C_n: ``c_blocks``, or B_n^H for a Hermitian table."""
         return self.c_blocks if self.c_blocks is not None else tuple(
-            b.conj().T for b in self.b_blocks)
+            [b.conj().T for b in self.b_blocks])
 
     def prefix(self, iterations: int) -> BlockCoefficients:
         """Coefficients after only ``iterations`` expansions.

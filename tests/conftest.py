@@ -13,7 +13,9 @@ directory; that home is a per-session temporary directory, so no run
 writes a ``.hypothesis/`` directory into the tree.
 
 The ``eigvalsh_calls`` fixture counts ``np.linalg.eigvalsh`` calls, so a
-test can pin how many dense eigensolves a routine makes; ``bond_calls``
+test can pin how many dense eigensolves a routine makes, and
+``sweep_solves`` counts the noise sweep's own eigensolves
+(``noise._eigvalsh`` calls, from either of its threads); ``bond_calls``
 counts the bonds the Kronecker oracle builds (``spinchain._bond`` calls).
 
 test_acceptance.py registers one line per criterion through
@@ -61,6 +63,25 @@ def eigvalsh_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.fixture
+def sweep_solves(monkeypatch):
+    """A list that gains the name of the calling thread per
+    ``noise._eigvalsh`` call."""
+    import threading
+
+    from blocklanczos import noise
+
+    calls = []
+    real = noise._eigvalsh
+
+    def counting(*args):
+        calls.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(noise, "_eigvalsh", counting)
     return calls
 
 

@@ -121,7 +121,7 @@ def test_criterion_04_hard_start_converges(small_record, random_start_record):
     assert shrinking and converging, f"trajectory must approach the target, got {deltas}"
 
 
-def test_criterion_05_coefficient_noise_scales_linearly(eigvalsh_calls):
+def test_criterion_05_coefficient_noise_scales_linearly(sweep_solves):
     block_size = 20
     block_counts = list(range(4, 21))
     etas = [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
@@ -139,7 +139,7 @@ def test_criterion_05_coefficient_noise_scales_linearly(eigvalsh_calls):
            f"slopes {min(slopes.values()):.3f}..{max(slopes.values()):.3f} "
            f"vs [0.9, 1.1] over {len(block_counts)} block counts, "
            f"noiseless error exactly 0: {zero_ok}, {elapsed:.1f}s, "
-           f"{len(eigvalsh_calls)} eigensolves")
+           f"{len(sweep_solves)} eigensolves")
     assert zero_ok, "noiseless coefficients must reproduce the clean spectrum exactly"
     assert slopes_ok, f"log-log slopes outside [0.9, 1.1]: {slopes}"
 

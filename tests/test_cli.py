@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import blocklanczos
-from blocklanczos import cli, scalar, spinchain
+from blocklanczos import cli, noise, scalar, spinchain
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -516,6 +516,38 @@ class TestErrorHandling:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("two_at_a_time", [True, False],
+                             ids=["helper", "no-helper"])
+    def test_noise_sweep_memory_counts_assemblies_in_flight(
+            self, tmp_path, capsys, monkeypatch, two_at_a_time):
+        # a (60, 60) float64 assembly takes 28800 bytes: one fits in 50000
+        # bytes, the two that a sweep with its helper thread holds do not
+        monkeypatch.setattr(spinchain, "_physical_memory", lambda: 50_000)
+        dsyevd = noise._bind_dsyevd()[0]
+        monkeypatch.setattr(noise, "_bind_dsyevd", lambda: (dsyevd, two_at_a_time))
+        if two_at_a_time:
+            def no_draw(*args, **kwargs):
+                raise AssertionError("random input drawn before the size check")
+
+            monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out = tmp_path / "out"
+        argv = ["--config", str(ROOT / "configs" / "noise_sweep.json"),
+                "--output-dir", str(out)]
+        for assignment in ("block_size=20", "block_counts=[3]", "trials=1"):
+            argv += ["--set", f"noise-sweep.{assignment}"]
+        status = cli.main(argv)
+        captured = capsys.readouterr()
+        if not two_at_a_time:
+            assert status == 0
+            assert (out / "noise_sweep.csv").exists()
+            return
+        assert status == 1
+        assert captured.out == (
+            "error: a noise-sweep assembly of shape (60, 60), held two at a "
+            "time, needs 57600 bytes, more than the 50000 bytes of physical "
+            "memory; lower noise-sweep.block_size or block_counts\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, assignment", [
         ("solve", "length=null"),
         ("solve", "length=[1]"),
@@ -620,14 +652,14 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("etas", ["[0.0,1e-3]", "[1e-3]", "[1e-3,1e-3,0]"])
     def test_unfittable_noise_sweep_refused_before_sweeping(
-            self, tmp_path, capsys, eigvalsh_calls, etas):
+            self, tmp_path, capsys, sweep_solves, etas):
         path = write_config(tmp_path / "config.json", {
             "command": "noise-sweep", "output_dir": str(tmp_path / "out")})
         assert cli.main(["--config", path,
                          "--set", f"noise-sweep.etas={etas}"]) == 1
         assert capsys.readouterr().out == (
             "error: need at least two positive-eta points to fit\n")
-        assert eigvalsh_calls == []
+        assert sweep_solves == []
         assert not (tmp_path / "out").exists()
 
     def test_refusal_removes_created_parents(self, tmp_path, capsys):

@@ -1,7 +1,12 @@
 """Tests for coefficient-noise propagation and sampling models."""
 
+import ctypes
 import math
+import os
+import sys
+import threading
 import warnings
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -9,7 +14,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from blocklanczos import block, scalar
+from blocklanczos import block, noise, scalar
 from blocklanczos.textio import write_csv
 from blocklanczos.noise import (
     CostModel,
@@ -231,10 +236,10 @@ class TestSweep:
         rows = mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
         assert rows == per_eta_sweep(4, [3, 5], SWEEP_ETAS, 3, 7)
 
-    def test_one_clean_solve_per_problem(self, eigvalsh_calls):
+    def test_one_clean_solve_per_problem(self, sweep_solves):
         mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
         positive = sum(eta > 0.0 for eta in SWEEP_ETAS)
-        assert len(eigvalsh_calls) == 2 * 3 * (1 + positive)
+        assert len(sweep_solves) == 2 * 3 * (1 + positive)
 
     def test_row_grid(self):
         rows = mae_sweep(2, [3, 4], [0.0, 1e-3], trials=2, base_seed=1)
@@ -269,6 +274,163 @@ class TestSweep:
         one = mae_sweep(2, [3], [1e-3], trials=2, base_seed=5)
         two = mae_sweep(2, [3], [1e-3], trials=2, base_seed=5)
         assert one == two
+
+
+@st.composite
+def sweep_assemblies(draw):
+    """The clean and one perturbed assembly of a drawn synthetic problem."""
+    problem = synthetic_problem(draw(st.integers(1, 20)), draw(st.integers(1, 20)),
+                                draw(st.integers(0, 2**32 - 1)))
+    model = NoiseModel(draw(st.floats(0.0, 0.1)), draw(st.integers(0, 2**32 - 1)))
+    return perturbed_assemblies(problem, model)
+
+
+class TestSweepSolves:
+    """The sweep's own eigensolve, ``noise._eigvalsh``, and the helper
+    thread that runs every other one."""
+
+    @given(sweep_assemblies())
+    def test_private_solve_is_numpys_bit_for_bit(self, assemblies):
+        dsyevd, _ = noise._bind_dsyevd()
+        for mat in assemblies:
+            # the ctypes call hands LAPACK the C buffer, so this must be exact
+            assert np.array_equal(mat, mat.T)
+            assert np.array_equal(noise._eigvalsh(dsyevd, mat.copy()),
+                                  np.linalg.eigvalsh(mat))
+
+    def test_binds_and_runs_two_at_a_time_on_one_blas_thread_and_two_cpus(
+            self, monkeypatch):
+        from numpy.linalg import _umath_linalg
+        lapack = ctypes.CDLL(_umath_linalg.__file__)
+        if not hasattr(lapack, "scipy_openblas_set_num_threads64_"):
+            pytest.skip("numpy is not linked to scipy-openblas64")
+        assert noise._bind_dsyevd()[0] is not None
+        threads = lapack.scipy_openblas_get_num_threads64_()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        try:
+            lapack.scipy_openblas_set_num_threads64_(1)
+            assert noise._bind_dsyevd()[1]
+            lapack.scipy_openblas_set_num_threads64_(2)
+            assert not noise._bind_dsyevd()[1]
+        finally:
+            lapack.scipy_openblas_set_num_threads64_(threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not noise._bind_dsyevd()[1]
+
+    def test_helper_solves_every_other_matrix(self, sweep_solves):
+        if not noise._bind_dsyevd()[1]:
+            pytest.skip("needs two CPUs and one OpenBLAS thread")
+        before = threading.active_count()
+        mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
+        # 24 solves in pairs: one helper thread takes one of each pair
+        main = threading.main_thread().name
+        helpers = [name for name in sweep_solves if name != main]
+        assert len(set(helpers)) == 1
+        assert len(helpers) == len(sweep_solves) // 2 == 12
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("bound", ["no symbol", "no helper"])
+    def test_serial_paths_give_the_same_rows(self, monkeypatch, sweep_solves,
+                                             eigvalsh_calls, bound):
+        expected = mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
+        sweep_solves.clear()
+        dsyevd = None if bound == "no symbol" else noise._bind_dsyevd()[0]
+        monkeypatch.setattr(noise, "_bind_dsyevd", lambda: (dsyevd, False))
+        eigvalsh_calls.clear()
+        assert mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7) == expected
+        assert set(sweep_solves) == {threading.main_thread().name}
+        assert len(eigvalsh_calls) == (len(sweep_solves) if dsyevd is None else 0)
+
+    @pytest.mark.parametrize("two_at_a_time", [True, False],
+                             ids=["helper", "no-helper"])
+    def test_at_most_two_assemblies_alive(self, monkeypatch, two_at_a_time):
+        dsyevd = noise._bind_dsyevd()[0]
+        monkeypatch.setattr(noise, "_bind_dsyevd", lambda: (dsyevd, two_at_a_time))
+        real = block.assemble_block_tridiagonal
+        built, alive = [], []
+
+        def tracking(coeffs):
+            alive.append(sum(ref() is not None for ref in built))
+            mat = real(coeffs)
+            built.append(weakref.ref(mat))
+            return mat
+
+        monkeypatch.setattr(block, "assemble_block_tridiagonal", tracking)
+        mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
+        # one matrix at most is alive when the next is built
+        assert len(alive) == 24 and max(alive) == 1
+
+    def test_concurrent_sweeps_under_fast_switching(self):
+        # three sweeps at once, each with its own helper, so more threads than
+        # CPUs, switching every microsecond: a lost or misrouted hand-over
+        # would change or drop a row
+        args = (3, [2, 4, 6], [0.0, 1e-4, 1e-3, 1e-2], 4, 11)
+        expected = per_eta_sweep(*args)
+        results = [None] * 3
+
+        def sweep(i):
+            results[i] = mae_sweep(*args)
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 3
+
+    @pytest.mark.parametrize("etas", [[1e-3, 1e308], [1e308]],
+                             ids=["nothing-in-flight", "helper-in-flight"])
+    def test_overflow_refused_and_helper_joined(self, etas):
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="has a non-finite entry"):
+            mae_sweep(2, [3], etas, trials=2, base_seed=1)
+        assert threading.active_count() == before
+
+    def test_helper_failure_raised_and_helper_joined(self, monkeypatch):
+        real = noise._eigvalsh
+
+        def failing_off_main(dsyevd, mat):
+            if threading.current_thread() is not threading.main_thread():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(dsyevd, mat)
+
+        dsyevd = noise._bind_dsyevd()[0]
+        monkeypatch.setattr(noise, "_eigvalsh", failing_off_main)
+        monkeypatch.setattr(noise, "_bind_dsyevd", lambda: (dsyevd, True))
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            mae_sweep(2, [3], [1e-3, 1e-2], trials=2, base_seed=1)
+        assert threading.active_count() == before
+
+    def test_private_solve_refuses_other_layouts(self):
+        dsyevd, _ = noise._bind_dsyevd()
+        if dsyevd is None:
+            pytest.skip("numpy's dsyevd does not bind")
+        read_only = np.eye(3)
+        read_only.flags.writeable = False
+        for mat in (np.eye(3, dtype=np.float32), np.eye(6)[::2, ::2], np.ones((2, 3)),
+                    read_only):
+            with pytest.raises(ValueError, match="C-order square float64"):
+                noise._eigvalsh(dsyevd, mat)
+
+    def test_lapack_failure_raises_linalgerror(self):
+        dsyevd, _ = noise._bind_dsyevd()
+        if dsyevd is None:
+            pytest.skip("numpy's dsyevd does not bind")
+
+        def not_converging(*args):
+            dsyevd(*args)
+            args[-1]._obj.value = 1  # info > 0: LAPACK's non-convergence
+
+        mat = block.assemble_block_tridiagonal(synthetic_problem(2, 3, seed=0))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            noise._eigvalsh(not_converging, mat)
 
 
 class TestFit:
