@@ -15,8 +15,8 @@ and gets numpy's eigenvalues bit for bit. When the process may use two
 CPUs and OpenBLAS runs one thread per call, one helper thread solves every
 other matrix while the main thread builds and solves the next; the main
 thread does all drawing and assembly, and at most two assemblies are alive
-at once. Without the LAPACK symbol the sweep calls ``eigvalsh`` itself,
-one solve at a time.
+at once. Otherwise the sweep calls ``eigvalsh`` itself, one solve at a
+time.
 
 The shot-sampling study reads every scalar coefficient as a success
 probability and replaces it with a binomial estimate at a given shot count,
@@ -112,9 +112,16 @@ def perturb_and_mae(problem: scalar.BlockCoefficients, noise: NoiseModel,
     passed in so that a problem perturbed many times is solved once. eta = 0
     returns exactly 0.0 without an eigensolve.
     """
-    if noise.eta == 0.0:
+    perturbed = (None if noise.eta == 0.0 else
+                 block.block_ritz_values(perturb_coefficients(problem, noise)))
+    return _mae(perturbed, reference)
+
+
+def _mae(perturbed: np.ndarray | None, reference: np.ndarray) -> float:
+    """Mean absolute error of a perturbed spectrum against the clean one,
+    both sorted; exactly 0.0 for None, the spectrum of eta = 0."""
+    if perturbed is None:
         return 0.0
-    perturbed = block.block_ritz_values(perturb_coefficients(problem, noise))
     return float(np.mean(np.abs(perturbed - reference)))
 
 
@@ -175,33 +182,32 @@ def noise_seed(trial: int, eta_index: int) -> int:
 
 
 def _bind_dsyevd():
-    """numpy's own LAPACK ``dsyevd`` through ``ctypes``, and whether two
-    solves may run at once.
+    """numpy's own LAPACK ``dsyevd`` through ``ctypes`` where two solves may
+    run at once, None otherwise.
 
     ``np.linalg.eigvalsh`` holds the GIL while LAPACK runs; a ``ctypes``
     call of the same routine releases it. The routine is the ILP64 symbol of
-    numpy's OpenBLAS, looked up in the extension that ``eigvalsh`` calls; it
-    is None where that symbol does not resolve. Two solves run at once only
-    when this process may use two CPUs and OpenBLAS runs each call on one
-    thread: with two BLAS threads a second solve slows the sweep down.
+    numpy's OpenBLAS, looked up in the extension that ``eigvalsh`` calls.
+    Two solves run at once only when this process may use two CPUs and
+    OpenBLAS runs each call on one thread: with two BLAS threads a second
+    solve slows the sweep down.
     """
     try:
         lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         dsyevd = lapack.scipy_dsyevd_64_
+        blas_threads = lapack.scipy_openblas_get_num_threads64_
+        cpus = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
-        return None, False
+        return None
+    blas_threads.argtypes, blas_threads.restype = (), ctypes.c_int
+    if blas_threads() != 1 or cpus < 2:
+        return None
     char, int64, double = (ctypes.POINTER(kind) for kind in (
         ctypes.c_char, ctypes.c_int64, ctypes.c_double))
     dsyevd.argtypes = (char, char, int64, double, int64, double, double, int64,
                        int64, int64, int64)
     dsyevd.restype = None
-    try:
-        blas_threads = lapack.scipy_openblas_get_num_threads64_
-        blas_threads.argtypes, blas_threads.restype = (), ctypes.c_int
-        two_at_a_time = blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2
-    except AttributeError:
-        two_at_a_time = False
-    return dsyevd, two_at_a_time
+    return dsyevd
 
 
 def _eigvalsh(dsyevd, mat: np.ndarray) -> np.ndarray:
@@ -258,19 +264,20 @@ def _sweep_assemblies(block_size, block_counts, etas, trials, base_seed):
                     block.assemble_block_tridiagonal(perturb_coefficients(problem, noise)))
 
 
-def _spectra(dsyevd, two_at_a_time, items):
+def _spectra(dsyevd, items):
     """``(key, values)`` for each ``(key, matrix)`` of ``items``, in order:
     the matrix's eigenvalues by :func:`_eigvalsh`, None for a None matrix.
 
-    With ``two_at_a_time``, one helper thread solves every other matrix
-    while this thread builds the next and solves it; then it collects the
-    helper's values. At most two matrices are alive at once, the helper
-    calls only :func:`_eigvalsh`, and it is joined before this returns or
-    raises.
+    With ``dsyevd`` None the matrices are solved one at a time. Otherwise
+    one helper thread solves every other matrix while this thread builds the
+    next and solves it; then it collects the helper's values. At most two
+    matrices are alive at once, the helper calls only :func:`_eigvalsh`, and
+    it is joined before this returns or raises. The helper lives through the
+    sweep: a new thread per pair made the ``noise`` benchmark 8% slower.
     """
-    if not two_at_a_time:
+    if dsyevd is None:
         for key, mat in items:
-            yield key, None if mat is None else _eigvalsh(dsyevd, mat)
+            yield key, None if mat is None else _eigvalsh(None, mat)
         return
     inbox, outbox = [], []
     handed, solved = threading.Semaphore(0), threading.Semaphore(0)
@@ -339,17 +346,13 @@ def mae_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dsyevd, two_at_a_time = _bind_dsyevd()
     items = _sweep_assemblies(block_size, block_counts, etas, trials, base_seed)
     rows = []
-    for (count, seed, eta), values in _spectra(dsyevd, two_at_a_time, items):
+    for (count, seed, eta), values in _spectra(_bind_dsyevd(), items):
         if eta is None:
             reference = values
         else:
-            rows.append(SweepRow(
-                block_size, count, eta, seed,
-                0.0 if values is None else float(np.mean(np.abs(values - reference))),
-            ))
+            rows.append(SweepRow(block_size, count, eta, seed, _mae(values, reference)))
     return rows
 
 
@@ -437,7 +440,7 @@ def check_sweep_fits(block_size: int, block_counts: list[int]) -> None:
     physical memory (the bound the Krylov bases are held to): two of them
     when :func:`mae_sweep` solves two at a time, one otherwise."""
     side = block_size * max(block_counts)
-    two_at_a_time = _bind_dsyevd()[1]
+    two_at_a_time = _bind_dsyevd() is not None
     spinchain._check_fits_memory(
         (2 if two_at_a_time else 1) * side * side * 8,
         f"a noise-sweep assembly of shape {(side, side)}"

@@ -15,8 +15,9 @@ writes a ``.hypothesis/`` directory into the tree.
 The ``eigvalsh_calls`` fixture counts ``np.linalg.eigvalsh`` calls, so a
 test can pin how many dense eigensolves a routine makes, and
 ``sweep_solves`` counts the noise sweep's own eigensolves
-(``noise._eigvalsh`` calls, from either of its threads); ``bond_calls``
-counts the bonds the Kronecker oracle builds (``spinchain._bond`` calls).
+(``noise._eigvalsh`` calls, from either of its threads); ``paired_dsyevd``
+makes the sweep solve in pairs on any host; ``bond_calls`` counts the
+bonds the Kronecker oracle builds (``spinchain._bond`` calls).
 
 test_acceptance.py registers one line per criterion through
 ``record_criterion``; the hook below reprints them as a summary section at
@@ -83,6 +84,34 @@ def sweep_solves(monkeypatch):
 
     monkeypatch.setattr(noise, "_eigvalsh", counting)
     return calls
+
+
+@pytest.fixture
+def paired_dsyevd(monkeypatch):
+    """The ``dsyevd`` that ``noise._bind_dsyevd`` binds where two solves may
+    run at once, on two CPUs and one OpenBLAS thread, patched in as its
+    result, so the noise sweep solves in pairs. Skips where numpy does not
+    link scipy-openblas64."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    from blocklanczos import noise
+
+    lapack = ctypes.CDLL(_umath_linalg.__file__)
+    if not hasattr(lapack, "scipy_openblas_set_num_threads64_"):
+        pytest.skip("numpy is not linked to scipy-openblas64")
+    threads = lapack.scipy_openblas_get_num_threads64_()
+    with monkeypatch.context() as host:
+        host.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        lapack.scipy_openblas_set_num_threads64_(1)
+        try:
+            dsyevd = noise._bind_dsyevd()
+        finally:
+            lapack.scipy_openblas_set_num_threads64_(threads)
+    assert dsyevd is not None
+    monkeypatch.setattr(noise, "_bind_dsyevd", lambda: dsyevd)
+    return dsyevd
 
 
 @pytest.fixture

@@ -519,13 +519,15 @@ class TestErrorHandling:
     @pytest.mark.parametrize("two_at_a_time", [True, False],
                              ids=["helper", "no-helper"])
     def test_noise_sweep_memory_counts_assemblies_in_flight(
-            self, tmp_path, capsys, monkeypatch, two_at_a_time):
+            self, tmp_path, capsys, monkeypatch, request, two_at_a_time):
         # a (60, 60) float64 assembly takes 28800 bytes: one fits in 50000
-        # bytes, the two that a sweep with its helper thread holds do not
+        # bytes, the two that a sweep solving in pairs holds do not
         monkeypatch.setattr(spinchain, "_physical_memory", lambda: 50_000)
-        dsyevd = noise._bind_dsyevd()[0]
-        monkeypatch.setattr(noise, "_bind_dsyevd", lambda: (dsyevd, two_at_a_time))
-        if two_at_a_time:
+        if not two_at_a_time:
+            monkeypatch.setattr(noise, "_bind_dsyevd", lambda: None)
+        else:
+            request.getfixturevalue("paired_dsyevd")
+
             def no_draw(*args, **kwargs):
                 raise AssertionError("random input drawn before the size check")
 

@@ -12,7 +12,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from blocklanczos import block, noise, scalar
 from blocklanczos.textio import write_csv
@@ -289,37 +289,35 @@ class TestSweepSolves:
     """The sweep's own eigensolve, ``noise._eigvalsh``, and the helper
     thread that runs every other one."""
 
+    # the fixture's binding serves every example unchanged
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(sweep_assemblies())
-    def test_private_solve_is_numpys_bit_for_bit(self, assemblies):
-        dsyevd, _ = noise._bind_dsyevd()
+    def test_private_solve_is_numpys_bit_for_bit(self, paired_dsyevd, assemblies):
         for mat in assemblies:
             # the ctypes call hands LAPACK the C buffer, so this must be exact
             assert np.array_equal(mat, mat.T)
-            assert np.array_equal(noise._eigvalsh(dsyevd, mat.copy()),
+            assert np.array_equal(noise._eigvalsh(paired_dsyevd, mat.copy()),
                                   np.linalg.eigvalsh(mat))
 
-    def test_binds_and_runs_two_at_a_time_on_one_blas_thread_and_two_cpus(
-            self, monkeypatch):
+    def test_binds_only_on_one_blas_thread_and_two_cpus(self, monkeypatch):
         from numpy.linalg import _umath_linalg
         lapack = ctypes.CDLL(_umath_linalg.__file__)
         if not hasattr(lapack, "scipy_openblas_set_num_threads64_"):
             pytest.skip("numpy is not linked to scipy-openblas64")
-        assert noise._bind_dsyevd()[0] is not None
         threads = lapack.scipy_openblas_get_num_threads64_()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         try:
             lapack.scipy_openblas_set_num_threads64_(1)
-            assert noise._bind_dsyevd()[1]
+            assert noise._bind_dsyevd() is not None
             lapack.scipy_openblas_set_num_threads64_(2)
-            assert not noise._bind_dsyevd()[1]
+            assert noise._bind_dsyevd() is None
+            lapack.scipy_openblas_set_num_threads64_(1)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert noise._bind_dsyevd() is None
         finally:
             lapack.scipy_openblas_set_num_threads64_(threads)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not noise._bind_dsyevd()[1]
 
-    def test_helper_solves_every_other_matrix(self, sweep_solves):
-        if not noise._bind_dsyevd()[1]:
-            pytest.skip("needs two CPUs and one OpenBLAS thread")
+    def test_helper_solves_every_other_matrix(self, paired_dsyevd, sweep_solves):
         before = threading.active_count()
         mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
         # 24 solves in pairs: one helper thread takes one of each pair
@@ -329,23 +327,23 @@ class TestSweepSolves:
         assert len(helpers) == len(sweep_solves) // 2 == 12
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("bound", ["no symbol", "no helper"])
-    def test_serial_paths_give_the_same_rows(self, monkeypatch, sweep_solves,
-                                             eigvalsh_calls, bound):
+    def test_serial_path_gives_the_same_rows(self, monkeypatch, paired_dsyevd,
+                                             sweep_solves, eigvalsh_calls):
         expected = mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
         sweep_solves.clear()
-        dsyevd = None if bound == "no symbol" else noise._bind_dsyevd()[0]
-        monkeypatch.setattr(noise, "_bind_dsyevd", lambda: (dsyevd, False))
+        monkeypatch.setattr(noise, "_bind_dsyevd", lambda: None)
         eigvalsh_calls.clear()
         assert mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7) == expected
         assert set(sweep_solves) == {threading.main_thread().name}
-        assert len(eigvalsh_calls) == (len(sweep_solves) if dsyevd is None else 0)
+        assert len(eigvalsh_calls) == len(sweep_solves)
 
     @pytest.mark.parametrize("two_at_a_time", [True, False],
                              ids=["helper", "no-helper"])
-    def test_at_most_two_assemblies_alive(self, monkeypatch, two_at_a_time):
-        dsyevd = noise._bind_dsyevd()[0]
-        monkeypatch.setattr(noise, "_bind_dsyevd", lambda: (dsyevd, two_at_a_time))
+    def test_at_most_two_assemblies_alive(self, monkeypatch, request, two_at_a_time):
+        if two_at_a_time:
+            request.getfixturevalue("paired_dsyevd")
+        else:
+            monkeypatch.setattr(noise, "_bind_dsyevd", lambda: None)
         real = block.assemble_block_tridiagonal
         built, alive = [], []
 
@@ -357,10 +355,11 @@ class TestSweepSolves:
 
         monkeypatch.setattr(block, "assemble_block_tridiagonal", tracking)
         mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
-        # one matrix at most is alive when the next is built
-        assert len(alive) == 24 and max(alive) == 1
+        # one matrix at most is alive when the next is built; the helper may
+        # have freed its matrix already, so none is alive at times
+        assert len(alive) == 24 and max(alive) <= 1
 
-    def test_concurrent_sweeps_under_fast_switching(self):
+    def test_concurrent_sweeps_under_fast_switching(self, paired_dsyevd):
         # three sweeps at once, each with its own helper, so more threads than
         # CPUs, switching every microsecond: a lost or misrouted hand-over
         # would change or drop a row
@@ -386,13 +385,14 @@ class TestSweepSolves:
 
     @pytest.mark.parametrize("etas", [[1e-3, 1e308], [1e308]],
                              ids=["nothing-in-flight", "helper-in-flight"])
-    def test_overflow_refused_and_helper_joined(self, etas):
+    def test_overflow_refused_and_helper_joined(self, paired_dsyevd, etas):
         before = threading.active_count()
         with pytest.raises(ValueError, match="has a non-finite entry"):
             mae_sweep(2, [3], etas, trials=2, base_seed=1)
         assert threading.active_count() == before
 
-    def test_helper_failure_raised_and_helper_joined(self, monkeypatch):
+    def test_helper_failure_raised_and_helper_joined(self, monkeypatch,
+                                                      paired_dsyevd):
         real = noise._eigvalsh
 
         def failing_off_main(dsyevd, mat):
@@ -400,32 +400,23 @@ class TestSweepSolves:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return real(dsyevd, mat)
 
-        dsyevd = noise._bind_dsyevd()[0]
         monkeypatch.setattr(noise, "_eigvalsh", failing_off_main)
-        monkeypatch.setattr(noise, "_bind_dsyevd", lambda: (dsyevd, True))
         before = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             mae_sweep(2, [3], [1e-3, 1e-2], trials=2, base_seed=1)
         assert threading.active_count() == before
 
-    def test_private_solve_refuses_other_layouts(self):
-        dsyevd, _ = noise._bind_dsyevd()
-        if dsyevd is None:
-            pytest.skip("numpy's dsyevd does not bind")
+    def test_private_solve_refuses_other_layouts(self, paired_dsyevd):
         read_only = np.eye(3)
         read_only.flags.writeable = False
         for mat in (np.eye(3, dtype=np.float32), np.eye(6)[::2, ::2], np.ones((2, 3)),
                     read_only):
             with pytest.raises(ValueError, match="C-order square float64"):
-                noise._eigvalsh(dsyevd, mat)
+                noise._eigvalsh(paired_dsyevd, mat)
 
-    def test_lapack_failure_raises_linalgerror(self):
-        dsyevd, _ = noise._bind_dsyevd()
-        if dsyevd is None:
-            pytest.skip("numpy's dsyevd does not bind")
-
+    def test_lapack_failure_raises_linalgerror(self, paired_dsyevd):
         def not_converging(*args):
-            dsyevd(*args)
+            paired_dsyevd(*args)
             args[-1]._obj.value = 1  # info > 0: LAPACK's non-convergence
 
         mat = block.assemble_block_tridiagonal(synthetic_problem(2, 3, seed=0))

@@ -72,7 +72,6 @@ class TestTridiagonalCoefficients:
             scalar.ritz_values(table)
 
 
-
 def test_table_construction_leaves_no_memory_behind():
     """Tables of 2-18 blocks, built and read as the noise sweep does, keep
     CPython's allocated-block count flat. Tuples built from generators of
@@ -91,6 +90,7 @@ def test_table_construction_leaves_no_memory_behind():
     before = sys.getallocatedblocks()
     build(20000)
     assert sys.getallocatedblocks() - before <= 50
+
 
 class TestLanczosRun:
     def test_eigenvector_start_terminates_first_step(self):
