@@ -8,7 +8,7 @@ Subpackages by role:
   recursions, the one Lanczos step loop and the Hermitian width-1 front
   end, tridiagonal eigensolve, eigenstate reconstruction.
 * :mod:`blocklanczos.block` - the Hermitian width-d front end with deflation,
-  the one block-tridiagonal assembly, multi-excitation reconstruction.
+  the one block-tridiagonal assembly.
 * :mod:`blocklanczos.nonhermitian` - two-sided biorthogonal block Lanczos for
   general square operators, the step loop's two-sided case.
 * :mod:`blocklanczos.incremental` - interaction-ramping protocol: append bond

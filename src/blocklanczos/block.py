@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from blocklanczos.scalar import (
-    BlockCoefficients, _block_recursion, _check_start, _HermitianParts, reconstruct_state,
+    BlockCoefficients, _block_recursion, _check_start, _HermitianParts,
 )
 from blocklanczos.spinchain import HamiltonianSpec
 
@@ -137,18 +137,3 @@ def block_eigensolve(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of an assembly: ascending values and the weight
     vectors as columns, rows in (block, column) flattened assembly order."""
     return np.linalg.eigh(mat)
-
-
-def reconstruct_excitations(
-    basis: np.ndarray, vectors: np.ndarray, count: int
-) -> np.ndarray:
-    """The ``count`` lowest states reconstructed from the ``(dim, k)`` basis
-    of a block run and the ascending weight columns of
-    :func:`block_eigensolve` on the assembly of its Hermitian
-    ``BlockCoefficients``: a ``(dim, count)`` array of normalized columns."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if count > vectors.shape[1]:
-        raise ValueError(
-            f"requested {count} states but only {vectors.shape[1]} pairs exist")
-    return np.column_stack([reconstruct_state(basis, w) for w in vectors.T[:count]])

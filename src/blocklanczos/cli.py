@@ -33,7 +33,7 @@ import argparse
 import json
 import platform
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -188,8 +188,11 @@ def _require(params: dict[str, Any], command: str) -> dict[str, Any]:
     """Merge the command's defaults with params, rejecting unknown keys and
     values of the wrong JSON type: the type of the default, a non-empty list
     of the default's item type, or, for a null default, null or its listed
-    type. A parameter listed in ``_CHOICES`` must also be one of its choices."""
+    type. A parameter listed in ``_CHOICES`` must also be one of its choices.
+    Numbers, and the items of number lists, are returned as floats; an
+    integer beyond float range is refused."""
     allowed = _DEFAULTS[command]
+    merged = dict(allowed)
     for key, value in params.items():
         if key not in allowed:
             raise ConfigError(
@@ -212,15 +215,28 @@ def _require(params: dict[str, Any], command: str) -> dict[str, Any]:
         if not ok:
             raise ConfigError(f"command {command!r}: parameter {key!r} must be "
                               f"{expected}, got {json.dumps(value)}")
-    merged = dict(allowed)
-    merged.update(params)
+        if kind is float and value is not None:
+            try:
+                value = ([float(item) for item in value]
+                         if isinstance(value, list) else float(value))
+            except OverflowError:
+                raise ConfigError(f"command {command!r}: parameter {key!r} "
+                                  "holds an integer beyond float range") from None
+        merged[key] = value
     return merged
 
 
 def _run_solve(config: ExperimentConfig, params: dict[str, Any],
                outdir: Path) -> tuple[list[str], list[str]]:
-    spec = spinchain.build_xxz(params["length"], float(params["j_xy"]),
-                               float(params["j_z"]))
+    length = params["length"]
+    physical = spinchain._physical_memory()
+    # a float64 start too large to hold is refused before any bond is built
+    # and without forming 2**length
+    if length >= (physical // 8).bit_length():
+        raise ValueError(f"a Krylov basis vector of the {length}-site chain "
+                         f"needs 8 * 2**{length} bytes, more than the {physical} "
+                         "bytes of physical memory; lower solve.length")
+    spec = spinchain.build_xxz(length, params["j_xy"], params["j_z"])
     width = params["block_size"]
     max_iter = params["max_iter"]
     count = params["excitations"]
@@ -264,26 +280,15 @@ def _run_solve(config: ExperimentConfig, params: dict[str, Any],
 def _run_incremental(config: ExperimentConfig, params: dict[str, Any],
                      outdir: Path) -> tuple[list[str], list[str]]:
     scenario = params["scenario"]
-    stock = incremental.default_config(scenario)
-    j_z = stock.j_z if params["j_z"] is None else float(params["j_z"])
-    per_step = (stock.lanczos_per_step if params["lanczos_per_step"] is None
-                else params["lanczos_per_step"])
-    start = None
+    # every parameter but the pattern names a ScenarioConfig field; a null
+    # one keeps the scenario's stock value
+    given = {key: value for key, value in params.items()
+             if key != "start_pattern" and value is not None}
     if params["start_pattern"] is not None:
-        start = spinchain.ProductState.from_string(params["start_pattern"])
-    elif scenario == "random-start":
-        start = incremental.alternating_spin_start()
-    scenario_config = incremental.ScenarioConfig(
-        scenario=scenario,
-        length=params["length"],
-        j_xy=float(params["j_xy"]),
-        j_z=j_z,
-        lanczos_per_step=per_step,
-        dlambda_fractions=params["dlambda_fractions"],
-        start_state=start,
-        descending_order=params["descending_order"],
-    )
-    record = incremental.run_incremental(scenario_config)
+        given["start_state"] = spinchain.ProductState.from_string(
+            params["start_pattern"])
+    record = incremental.run_incremental(
+        replace(incremental.default_config(scenario), **given))
     artifact = SCENARIO_ARTIFACTS[scenario]
     textio.write_csv(outdir / artifact, incremental.CSV_HEADER,
                      map(astuple, record.rows))
@@ -299,7 +304,7 @@ def _run_noise_sweep(config: ExperimentConfig, params: dict[str, Any],
     rows = noise.mae_sweep(
         params["block_size"],
         params["block_counts"],
-        [float(e) for e in params["etas"]],
+        params["etas"],
         trials=params["trials"],
         base_seed=config.seed,
     )

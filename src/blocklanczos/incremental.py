@@ -166,9 +166,6 @@ class ConvergenceRecord:
             raise ValueError("record has no rows")
         return self.rows[-1].delta_vs_exact
 
-    def deltas(self) -> np.ndarray:
-        return np.array([row.delta_vs_exact for row in self.rows])
-
     # kept: `benchmarks/worker.py` calls it
     @classmethod
     def from_csv(cls, path: str | Path) -> ConvergenceRecord:

@@ -226,12 +226,6 @@ class BlockCoefficients:
             sections += [("B", n, b), ("C", n, c), ("A", n, self.a_blocks[n])]
         textio.write_matrix_sections(path, sections, "two-sided block coefficients")
 
-    @classmethod
-    def load(cls, path: str | Path) -> BlockCoefficients:
-        """The table :meth:`save` wrote, in the general form (C given)."""
-        groups = textio.read_named_sections(path, ("A", "B", "C"))
-        return cls(tuple(groups["A"]), tuple(groups["B"]), tuple(groups["C"]))
-
 
 def _check_basis_fits(shape: tuple[int, int], dtype: np.dtype, count: int = 1) -> int:
     """Bytes of ``count`` Krylov basis buffers of ``shape``; one buffer
@@ -750,8 +744,3 @@ def reconstruct_state(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
     for gamma, column in zip(weights, basis.T):
         amps += gamma * column
     return amps / np.linalg.norm(amps)
-
-
-def residual_norm(spec: HamiltonianSpec, v: np.ndarray, energy: float) -> float:
-    """|| H v - energy * v ||, the Ritz-quality diagnostic (v normalized)."""
-    return float(np.linalg.norm(spinchain.apply_to_array(spec, v) - energy * v))

@@ -1,7 +1,9 @@
 """Text artifact formats: CSV tables and named matrix sections.
 
 Both formats are line-feed terminated and write every float as its
-``repr``, so a value read back is bit-identical to the one written.
+``repr``, so a value read back is bit-identical to the one written. No
+command reads the matrix sections back; the test suite's own reader of
+them holds that claim for the coefficient writer.
 """
 
 from __future__ import annotations
@@ -35,13 +37,6 @@ def _format_scalar(x) -> str:
     return repr(float(x))
 
 
-def _parse_scalar(token: str):
-    try:
-        return float(token)
-    except ValueError:
-        return complex(token)
-
-
 def write_matrix_sections(path: str | Path,
                           sections: list[tuple[str, int, np.ndarray]],
                           header: str) -> None:
@@ -60,42 +55,3 @@ def write_matrix_sections(path: str | Path,
             )
             lines.append(" ".join(_format_scalar(e) for e in entries))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_named_sections(path: str | Path,
-                        names: Sequence[str]) -> dict[str, list[np.ndarray]]:
-    """The matrices :func:`write_matrix_sections` wrote, grouped by name,
-    each group in index order; any section named outside ``names`` is
-    rejected."""
-    path = Path(path)
-    by_name: dict[str, dict[int, np.ndarray]] = {name: {} for name in names}
-    lines = [
-        ln.strip()
-        for ln in path.read_text().splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    pos = 0
-    while pos < len(lines):
-        head = lines[pos].split()
-        if len(head) != 4:
-            raise ValueError(
-                f"{path}: section header {lines[pos]!r} needs 4 columns: "
-                "name index rows cols"
-            )
-        name, index, rows, cols = head[0], int(head[1]), int(head[2]), int(head[3])
-        if name not in by_name:
-            raise ValueError(f"{path}: unexpected section {name!r}")
-        pos += 1
-        values = []
-        for r in range(rows):
-            if pos >= len(lines):
-                raise ValueError(f"{path}: truncated section {name} {index}")
-            row = [_parse_scalar(tok) for tok in lines[pos].split()]
-            if len(row) != cols:
-                raise ValueError(
-                    f"{path}: section {name} {index} row {r} has {len(row)} of {cols} columns"
-                )
-            values.append(row)
-            pos += 1
-        by_name[name][index] = np.array(values)
-    return {name: [group[k] for k in sorted(group)] for name, group in by_name.items()}

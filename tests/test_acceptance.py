@@ -69,7 +69,7 @@ def test_criterion_01_scalar_saturation_matches_dense_spectrum():
 
 
 def test_criterion_02_single_iteration_ramp_accuracy(small_record):
-    deltas = small_record.deltas()
+    deltas = [row.delta_vs_exact for row in small_record.rows]
     worst = max(deltas)
     final = small_record.final_delta
     ok = len(deltas) == 9 and worst < 1e-2 and final < 1e-2
@@ -107,9 +107,9 @@ def test_criterion_03_strong_coupling_iteration_ordering(large_records):
 
 
 def test_criterion_04_hard_start_converges(small_record, random_start_record):
-    hard_first = random_start_record.deltas()[0]
-    easy_first = small_record.deltas()[0]
-    deltas = random_start_record.deltas()
+    deltas = [row.delta_vs_exact for row in random_start_record.rows]
+    hard_first = deltas[0]
+    easy_first = small_record.rows[0].delta_vs_exact
     harder = hard_first > easy_first
     shrinking = all(b <= a for a, b in zip(deltas, deltas[1:]))
     converging = deltas[-1] < deltas[0]
@@ -209,7 +209,8 @@ def test_criterion_07_block_width_resolves_degeneracy():
                 block.assemble_block_tridiagonal(coeffs))
             for energy in ritz[:k]:
                 worst_energy = max(worst_energy, abs(energy - values[0]))
-            recon = block.reconstruct_excitations(basis, weights, k)
+            recon = np.column_stack(
+                [scalar.reconstruct_state(basis, w) for w in weights.T[:k]])
             angles = scipy.linalg.subspace_angles(recon, ed_space)
             worst_angle = max(worst_angle, float(np.max(angles)))
     ok = worst_energy < 1e-8 and worst_angle < 1e-4

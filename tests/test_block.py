@@ -12,8 +12,8 @@ def heisenberg(length):
 
 
 class TestBlockVector:
-    """Block vectors are (dim, width) arrays; block_lanczos_run validates
-    them as starts."""
+    """Starts are (dim, width) arrays, drawn by random_orthonormal_block and
+    validated by block_lanczos_run."""
 
     def test_width_and_matrix(self):
         rng = np.random.default_rng(0)
@@ -632,7 +632,7 @@ class TestEigensolveAndReconstruction:
         start = block.random_orthonormal_block(6, 2, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=25)
         _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(basis, vectors, 1)
+        states = np.column_stack([scalar.reconstruct_state(basis, w) for w in vectors.T[:1]])
         assert states.shape == (spec.dim, 1) and states.dtype == np.float64
         _, vecs = sc.exact_diagonalize(spec)
         assert abs(np.vdot(states[:, 0], vecs[:, 0])) > 1.0 - 1e-8
@@ -644,7 +644,7 @@ class TestEigensolveAndReconstruction:
         start = block.random_orthonormal_block(3, 2, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=10)
         _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(basis, vectors, 2)
+        states = np.column_stack([scalar.reconstruct_state(basis, w) for w in vectors.T[:2]])
         vals, vecs = sc.exact_diagonalize(spec)
         assert vals[0] == pytest.approx(vals[1], abs=1e-12)
         angles = sla.subspace_angles(states, vecs[:, :2])
@@ -656,7 +656,7 @@ class TestEigensolveAndReconstruction:
         start = block.random_orthonormal_block(3, 8, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=3)
         _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(basis, vectors, 8)
+        states = np.column_stack([scalar.reconstruct_state(basis, w) for w in vectors.T[:8]])
         ed = sc.eigenvalues(spec)
         for state, energy in zip(states.T, ed):
             rayleigh = np.vdot(state, sc.apply_to_array(spec, state)).real
@@ -668,16 +668,5 @@ class TestEigensolveAndReconstruction:
         start = block.random_orthonormal_block(5, 3, rng)
         coeffs, basis = block.block_lanczos_run(spec, start, max_iter=10)
         _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        states = block.reconstruct_excitations(basis, vectors, 5)
+        states = np.column_stack([scalar.reconstruct_state(basis, w) for w in vectors.T[:5]])
         assert np.max(np.abs(states.conj().T @ states - np.eye(5))) < 1e-8
-
-    def test_count_bounds(self):
-        rng = np.random.default_rng(1)
-        spec = heisenberg(3)
-        start = block.random_orthonormal_block(3, 2, rng)
-        coeffs, basis = block.block_lanczos_run(spec, start, max_iter=2)
-        _, vectors = block.block_eigensolve(block.assemble_block_tridiagonal(coeffs))
-        with pytest.raises(ValueError, match="pairs exist"):
-            block.reconstruct_excitations(basis, vectors, vectors.shape[1] + 1)
-        with pytest.raises(ValueError, match="count"):
-            block.reconstruct_excitations(basis, vectors, 0)

@@ -516,6 +516,55 @@ class TestErrorHandling:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("length, built", [(30, 1), (31, 0), (40, 0)])
+    def test_solve_start_beyond_memory_refused_before_the_chain_is_built(
+            self, tmp_path, capsys, monkeypatch, length, built):
+        # in 2**33 bytes the 30-site float64 start (8 * 2**30 bytes) just
+        # fits, and that run is refused later by the saturating-default cap;
+        # longer starts do not fit, and their chains' bonds are never built
+        monkeypatch.setattr(spinchain, "_physical_memory", lambda: 2**33)
+        calls = []
+        build_xxz = spinchain.build_xxz
+
+        def counted(*args):
+            calls.append(args)
+            return build_xxz(*args)
+
+        monkeypatch.setattr(spinchain, "build_xxz", counted)
+        path = solve_config(tmp_path, length=length)
+        assert cli.main(["--config", path]) == 1
+        assert len(calls) == built
+        captured = capsys.readouterr()
+        if built:
+            assert "saturates by default" in captured.out
+        else:
+            assert captured.out == (
+                f"error: a Krylov basis vector of the {length}-site chain "
+                f"needs 8 * 2**{length} bytes, more than the 8589934592 bytes "
+                "of physical memory; lower solve.length\n")
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, parameter", [
+        ("solve", "j_xy"), ("solve", "j_z"), ("incremental", "j_z"),
+        ("noise-sweep", "etas"),
+    ])
+    def test_integer_beyond_float_range_is_config_error(
+            self, tmp_path, capsys, command, parameter):
+        huge = str(10**400)
+        value = f"[1e-3, {huge}]" if parameter == "etas" else huge
+        out = tmp_path / "new" / "out"
+        path = write_config(tmp_path / "config.json", {
+            "command": command, "output_dir": str(out)})
+        assert cli.main(["--config", path,
+                         "--set", f"{command}.{parameter}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"config error: command {command!r}: parameter {parameter!r} "
+            "holds an integer beyond float range\n")
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("two_at_a_time", [True, False],
                              ids=["helper", "no-helper"])
     def test_noise_sweep_memory_counts_assemblies_in_flight(

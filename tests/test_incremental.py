@@ -197,7 +197,7 @@ class TestRunIncremental:
 
     def test_deltas_variational_and_small(self):
         record = run_incremental(small_chain_config())
-        deltas = record.deltas()
+        deltas = np.array([row.delta_vs_exact for row in record.rows])
         assert np.all(deltas >= -1e-12)
         assert np.max(deltas) < 1e-2
 

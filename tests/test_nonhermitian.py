@@ -28,6 +28,23 @@ def unit_column(dim: int, index: int = 0) -> np.ndarray:
     return e
 
 
+def read_saved_coefficients(path) -> scalar.BlockCoefficients:
+    """The general-form table that ``BlockCoefficients.save`` wrote, parsed
+    here rather than by the package, so the writer is checked on its own:
+    stanzas ``<name> <index> <rows> <cols>`` in the order A 0, then B n,
+    C n, A n, each followed by its rows of repr-exact scalars."""
+    groups = {"A": [], "B": [], "C": []}
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    while lines:
+        name, index, rows, _ = lines[0].split()
+        assert int(index) == len(groups[name]) + (name != "A")
+        groups[name].append(np.array([
+            [complex(t) if "j" in t else float(t) for t in line.split()]
+            for line in lines[1:1 + int(rows)]]))
+        lines = lines[1 + int(rows):]
+    return scalar.BlockCoefficients(*(tuple(groups[k]) for k in "ABC"))
+
+
 class TestGeneralOperator:
     def test_from_matrix_requires_square(self):
         with pytest.raises(ValueError):
@@ -97,7 +114,7 @@ class TestGeneralOperator:
 
 
 class TestBiorthogonalBlockPair:
-    """A biorthogonal pair is two equal-shape (dim, k) bases."""
+    """``biorthogonality_check`` takes two equal-shape (dim, k) bases."""
 
     def test_length_mismatch_rejected(self):
         b = np.eye(4, 2)
@@ -194,7 +211,7 @@ class TestNonHermitianBlockTridiagonal:
         coeffs = self.make_coeffs(rng, (3, 3, 3))
         path = tmp_path / "coeffs.txt"
         coeffs.save(path)
-        loaded = scalar.BlockCoefficients.load(path)
+        loaded = read_saved_coefficients(path)
         for got, want in zip(loaded.a_blocks, coeffs.a_blocks, strict=True):
             assert np.array_equal(got, want)
         for got, want in zip(loaded.b_blocks, coeffs.b_blocks, strict=True):
@@ -203,12 +220,12 @@ class TestNonHermitianBlockTridiagonal:
             assert np.array_equal(got, want)
 
     def test_hermitian_table_saves_its_upper_blocks(self, tmp_path):
-        # a table without C writes C_n = B_n^H and loads back in general form
+        # a table without C writes C_n = B_n^H and reads back in general form
         b = np.array([[1.0 + 2.0j, 0.5], [0.0, 3.0]])
         coeffs = scalar.BlockCoefficients((np.eye(2), 2.0 * np.eye(2)), (b,))
         path = tmp_path / "coeffs.txt"
         coeffs.save(path)
-        loaded = scalar.BlockCoefficients.load(path)
+        loaded = read_saved_coefficients(path)
         assert np.array_equal(loaded.c_blocks[0], b.conj().T)
         assert np.array_equal(block.assemble_block_tridiagonal(loaded),
                               block.assemble_block_tridiagonal(coeffs))
@@ -222,21 +239,9 @@ class TestNonHermitianBlockTridiagonal:
         )
         path = tmp_path / "coeffs.txt"
         coeffs.save(path)
-        loaded = scalar.BlockCoefficients.load(path)
+        loaded = read_saved_coefficients(path)
         for got, want in zip(loaded.c_blocks, coeffs.c_blocks):
             assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("text, fragment", [
-        ("D 0 1 1\n1.0\n", "unexpected section 'D'"),
-        ("1.0 2.0 3.0\n", "needs 4 columns"),
-        ("A 0 1 2\n1.0\n", "section A 0 row 0 has 1 of 2 columns"),
-        ("A 0 2 2\n1.0 2.0\n", "truncated section A 0"),
-    ], ids=["unknown-section", "header-columns", "row-columns", "truncated"])
-    def test_load_rejects_malformed(self, tmp_path, text, fragment):
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=fragment):
-            scalar.BlockCoefficients.load(path)
 
 
 class TestTwoSidedAssembly:

@@ -265,29 +265,6 @@ class TestReconstructState:
             scalar.reconstruct_state(v[:, None], np.array([1.0, 0.0]))
 
 
-class TestResidualNorm:
-    def test_exact_eigenpair(self):
-        spec = sc.build_xxz(4, 1.0, 0.3)
-        vals, vecs = sc.exact_diagonalize(spec)
-        assert scalar.residual_norm(spec, vecs[:, 0], float(vals[0])) < 1e-10
-
-    def test_two_level_mixture(self):
-        spec = sc.build_xxz(4, 1.0, 0.3)
-        vals, vecs = sc.exact_diagonalize(spec)
-        mix = (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2.0)
-        mid = float(vals[0] + vals[-1]) / 2.0
-        expected = abs(float(vals[-1] - vals[0])) / 2.0
-        assert scalar.residual_norm(spec, mix, mid) == pytest.approx(expected, abs=1e-10)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(9)
-        spec = sc.build_xxz(5, 1.0, 1.0)
-        v = sc.random_state_vector(5, rng)
-        e = np.vdot(v, sc.apply_to_array(spec, v)).real
-        r = scalar.residual_norm(spec, v, float(e))
-        assert 0.0 <= r <= np.max(np.abs(sc.eigenvalues(spec))) * 2
-
-
 def textbook_lanczos_full(spec, start, max_iter):
     """Reference three-term recursion: one vector per step, full
     reorthogonalization by the DGKS rule (a second pass only when the first
