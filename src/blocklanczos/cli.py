@@ -126,6 +126,8 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
         raise ConfigError(
             f"{path}: line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except ValueError as err:  # an integer beyond Python's digit limit
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def apply_override(data: dict[str, Any], assignment: str) -> None:
@@ -139,6 +141,8 @@ def apply_override(data: dict[str, Any], assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except ValueError as err:  # an integer beyond Python's digit limit
+        raise ConfigError(f"override of {key!r}: {err}") from err
     target = data
     parts = key.split(".")
     for part in parts[:-1]:

@@ -12,11 +12,11 @@ The sweep's time is almost all dense eigensolves, and ``np.linalg.eigvalsh``
 holds the GIL while LAPACK runs. So the sweep calls numpy's own LAPACK
 ``dsyevd`` through ``ctypes``, which releases it, with numpy's arguments,
 and gets numpy's eigenvalues bit for bit. When the process may use two
-CPUs and OpenBLAS runs one thread per call, one helper thread solves every
-other matrix while the main thread builds and solves the next; the main
-thread does all drawing and assembly, and at most two assemblies are alive
-at once. Otherwise the sweep calls ``eigvalsh`` itself, one solve at a
-time.
+CPUs and OpenBLAS runs one thread per call, a one-worker executor solves
+every other matrix while the calling thread builds and solves the next; the
+calling thread does all drawing and assembly, and at most two assemblies
+are alive at once. Otherwise the sweep calls ``eigvalsh`` itself, one solve
+at a time.
 
 The shot-sampling study reads every scalar coefficient as a success
 probability and replaces it with a binomial estimate at a given shot count,
@@ -29,7 +29,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,65 +267,40 @@ def _spectra(dsyevd, items):
     """``(key, values)`` for each ``(key, matrix)`` of ``items``, in order:
     the matrix's eigenvalues by :func:`_eigvalsh`, None for a None matrix.
 
-    With ``dsyevd`` None the matrices are solved one at a time. Otherwise
-    one helper thread solves every other matrix while this thread builds the
-    next and solves it; then it collects the helper's values. At most two
-    matrices are alive at once, the helper calls only :func:`_eigvalsh`, and
-    it is joined before this returns or raises. The helper lives through the
-    sweep: a new thread per pair made the ``noise`` benchmark 8% slower.
+    With ``dsyevd`` None the matrices are solved one at a time. Otherwise a
+    one-worker executor solves every other matrix while this thread builds
+    the next and solves it; then it takes the worker's values. The worker
+    calls only :func:`_eigvalsh` and drops its matrix before its values are
+    published, so at most two matrices are alive at once; it is joined
+    before this returns or raises. The worker lives through the sweep: a new
+    thread per pair made the ``noise`` benchmark 8% slower.
     """
     if dsyevd is None:
         for key, mat in items:
             yield key, None if mat is None else _eigvalsh(None, mat)
         return
-    inbox, outbox = [], []
-    handed, solved = threading.Semaphore(0), threading.Semaphore(0)
+    from concurrent.futures import ThreadPoolExecutor
 
-    def helper():
-        while True:
-            handed.acquire()
-            mat = inbox.pop()
-            if mat is None:
-                return
-            try:
-                values = _eigvalsh(dsyevd, mat)
-            except Exception as exc:  # re-raised by the main thread
-                values = exc
-            mat = None  # freed before the main thread builds the next one
-            outbox.append(values)
-            solved.release()
+    def solve(handed):
+        # popped, so the matrix is freed before the work item sets the result
+        return _eigvalsh(dsyevd, handed.pop())
 
-    def collect():
-        solved.acquire()
-        values = outbox.pop()
-        if isinstance(values, Exception):
-            raise values
-        return values
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
-        batch, at_helper = [], None  # [key, values] items awaiting output
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        batch, solving = [], None  # [key, values] items awaiting output
         for key, mat in items:
             item = [key, None]
             batch.append(item)
-            if mat is not None and at_helper is None:
-                inbox.append(mat)
-                handed.release()
-                at_helper = item
+            if mat is not None and solving is None:
+                solving, at_helper = helper.submit(solve, [mat]), item
             elif mat is not None:
                 item[1] = _eigvalsh(dsyevd, mat)
-                at_helper[1] = collect()
+                at_helper[1] = solving.result()
                 yield from batch
-                batch, at_helper = [], None
+                batch, solving = [], None
             del mat  # not alive while the next one is built
-        if at_helper is not None:
-            at_helper[1] = collect()
+        if solving is not None:
+            at_helper[1] = solving.result()
         yield from batch
-    finally:
-        inbox.append(None)
-        handed.release()
-        thread.join()
 
 
 def mae_sweep(

@@ -244,17 +244,13 @@ def _check_basis_fits(shape: tuple[int, int], dtype: np.dtype, count: int = 1) -
 
 
 def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
-    """Uninitialized Krylov basis buffer.
-
-    A buffer larger than physical memory is refused before allocation, so an
-    oversized request fails with a ValueError under every overcommit policy.
-    """
-    nbytes = _check_basis_fits(shape, dtype)
+    """Uninitialized Krylov basis buffer, which the caller has checked with
+    :func:`_check_basis_fits`; a failed allocation is a ValueError."""
     try:
         return np.empty(shape, dtype=dtype)
     except MemoryError as err:
         raise ValueError(
-            f"cannot allocate a Krylov basis of {nbytes} bytes: {err}"
+            f"cannot allocate a Krylov basis of shape {tuple(shape)}: {err}"
         ) from err
 
 
@@ -561,10 +557,11 @@ def _block_recursion(
     than physical memory, one side's or every side's together, before any
     operator product, then applies side 0's operator to its start. That
     product fixes the run's dtype, float64 or complex128: a complex
-    operator makes every block complex even from a real start. No product
-    is written into a start. Returns the table, with C only for two sides,
-    and each side's ``(dim, k)`` basis, the Krylov vectors as columns
-    (transposed views of the row buffers).
+    operator makes every block complex even from a real start, so every
+    side's basis is checked together again at that dtype before any is
+    allocated. No product is written into a start. Returns the table, with
+    C only for two sides, and each side's ``(dim, k)`` basis, the Krylov
+    vectors as columns (transposed views of the row buffers).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -573,6 +570,7 @@ def _block_recursion(
     _check_basis_fits((cap, dim), np.result_type(np.float64, *starts), len(starts))
     first = parts.applies[0](starts[0])
     dtype = np.result_type(np.float64, *starts, first)
+    _check_basis_fits((cap, dim), dtype, len(starts))
     residual = _residual_rows(first, starts[0], dtype)
     bases = tuple(allocate_basis((cap, dim), dtype) for _ in starts)
     for basis, start in zip(bases, starts):

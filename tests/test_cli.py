@@ -412,6 +412,23 @@ class TestErrorHandling:
         out = capsys.readouterr().out
         assert "line 2" in out
 
+    def test_integer_beyond_digit_limit_in_file_exit_2(self, tmp_path, capsys):
+        # json.loads refuses it with a plain ValueError, not a JSONDecodeError
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "solve", "output_dir": %s, "solve": {"j_xy": %s}}'
+                        % (json.dumps(str(tmp_path / "out")), "9" * 5000))
+        assert cli.main(["--config", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"config error: {path}: Exceeds the limit")
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_beyond_digit_limit_in_override_exit_2(self, tmp_path, capsys):
+        path = solve_config(tmp_path)
+        assert cli.main(["--config", path, "--set", "solve.j_xy=" + "9" * 5000]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("config error: override of 'solve.j_xy': Exceeds the limit")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_parameter_named_in_message(self, tmp_path, capsys):
         path = solve_config(tmp_path, typo_field=3)
         assert cli.main(["--config", str(path)]) == 2

@@ -359,6 +359,46 @@ class TestSweepSolves:
         # have freed its matrix already, so none is alive at times
         assert len(alive) == 24 and max(alive) <= 1
 
+    def test_helper_drops_its_matrix_before_publishing(self, monkeypatch,
+                                                       paired_dsyevd):
+        # an executor's work item keeps its arguments until after set_result,
+        # so a matrix passed as one would be alive beside this thread's own
+        from concurrent.futures import Future
+        assemble, publish = block.assemble_block_tridiagonal, Future.set_result
+        built, alive = [], []
+
+        def tracking(coeffs):
+            mat = assemble(coeffs)
+            built.append(weakref.ref(mat))
+            return mat
+
+        def publishing(future, result):
+            alive.append(sum(ref() is not None for ref in built))
+            publish(future, result)
+
+        monkeypatch.setattr(block, "assemble_block_tridiagonal", tracking)
+        monkeypatch.setattr(Future, "set_result", publishing)
+        mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
+        # only this thread's matrix of the pair may be alive
+        assert len(alive) == 12 and max(alive) <= 1
+
+    def test_draws_and_assemblies_stay_on_the_main_thread(self, monkeypatch,
+                                                          paired_dsyevd):
+        # the benchmark's span recorder times these on one thread
+        threads = []
+        for module, name in ((noise, "synthetic_problem"),
+                             (noise, "perturb_coefficients"),
+                             (block, "assemble_block_tridiagonal")):
+            def recording(*args, real=getattr(module, name)):
+                threads.append(threading.current_thread())
+                return real(*args)
+
+            monkeypatch.setattr(module, name, recording)
+        mae_sweep(4, [3, 5], SWEEP_ETAS, trials=3, base_seed=7)
+        # 6 draws, 18 perturbations (eta = 0 needs none) and 24 assemblies
+        assert len(threads) == 48
+        assert set(threads) == {threading.main_thread()}
+
     def test_concurrent_sweeps_under_fast_switching(self, paired_dsyevd):
         # three sweeps at once, each with its own helper, so more threads than
         # CPUs, switching every microsecond: a lost or misrouted hand-over

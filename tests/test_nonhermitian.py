@@ -113,7 +113,7 @@ class TestGeneralOperator:
             assert abs(u @ op.apply(v) - op.apply_transpose(u) @ v) < 1e-12
 
 
-class TestBiorthogonalBlockPair:
+class TestBiorthogonalityCheck:
     """``biorthogonality_check`` takes two equal-shape (dim, k) bases."""
 
     def test_length_mismatch_rejected(self):
@@ -380,6 +380,20 @@ class TestTwoSidedRun:
         _, basis = block.block_lanczos_run(spinchain.build_xxz(6, 1.0, 1.0), start,
                                            max_iter=40)
         assert basis.shape[0] == 64
+
+    def test_two_complex_bases_refused_together(self, monkeypatch):
+        # real starts fit as two float64 bases of 32768 bytes; the complex
+        # operator's first product makes them complex128, 65536 bytes each,
+        # which fit one at a time but not together
+        rng = np.random.default_rng(3)
+        mat = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        right, left = paired_random_start(64, 2, rng)
+        monkeypatch.setattr(spinchain, "_physical_memory", lambda: 98_304)
+        with pytest.raises(ValueError, match=(
+                r"a Krylov basis of 2 buffers of shape \(64, 64\) needs 131072 bytes, "
+                r"more than the 98304 bytes of physical memory")):
+            two_sided_block_run(GeneralOperator.from_matrix(mat), right, left,
+                                max_iter=40)
 
     def test_dimension_mismatch_rejected(self):
         op = GeneralOperator.from_matrix(np.eye(4))
