@@ -5,9 +5,11 @@ run, an ``output_dir`` and ``seed``, and a parameter block keyed by the
 command name. ``--set key=value`` flags override file values (dotted keys
 reach into blocks, values parse as JSON with a plain-string fallback), and
 ``--output-dir`` / ``--seed`` are shorthand overrides applied last. Every
-run writes its artifacts plus a ``manifest.json`` echoing the fully
-resolved config, so any run can be reproduced bit for bit from its
-manifest alone.
+run writes its artifacts plus a ``manifest.json`` echoing the config with
+its overrides applied. It holds only the parameters given; each omitted
+one takes its default in the ``blocklanczos`` version the manifest
+records, so with that version any run can be reproduced bit for bit from
+its manifest alone.
 
 Commands and their artifacts:
 
@@ -256,8 +258,7 @@ def _run_solve(config: ExperimentConfig, params: dict[str, Any],
     max_iter = spec.dim if max_iter is None else max_iter
     # the recursion's basis and the Hamiltonian kernel, bounded before the
     # start is drawn
-    scalar._check_basis_fits(
-        (min((max_iter + 1) * width, spec.dim), spec.dim), np.float64)
+    scalar._check_basis_fits(spec.dim, width, max_iter, np.float64)
     spinchain.check_kernel_fits(spec)
     rng = np.random.default_rng(config.seed)
     if width == 1:
@@ -305,6 +306,7 @@ def _run_incremental(config: ExperimentConfig, params: dict[str, Any],
 
 def _run_noise_sweep(config: ExperimentConfig, params: dict[str, Any],
                      outdir: Path) -> tuple[list[str], list[str]]:
+    noise.check_fittable_etas(params["etas"])
     rows = noise.mae_sweep(
         params["block_size"],
         params["block_counts"],
@@ -384,9 +386,11 @@ def run(config_path: str | Path, overrides: Sequence[str] = (),
         output_dir: str | None = None, seed: int | None = None) -> int:
     """Execute one experiment; returns a process exit status.
 
-    A refused run (status 1 or 2) removes the output directory, and any
-    parents, that it created and left empty; a directory that existed
-    before the run is never touched.
+    A bad config or override is status 2. A run the library refuses, one
+    that runs out of memory, or one whose output directory cannot be made or
+    written (an ``OSError``) is status 1. Either prints one line. A refused
+    run removes the output directory, and any parents, that it created and
+    left empty; a directory that existed before the run is never touched.
     """
     created: list[Path] = []
     try:
@@ -401,9 +405,6 @@ def run(config_path: str | Path, overrides: Sequence[str] = (),
             data["seed"] = seed
         config = ExperimentConfig.from_dict(data, str(config_path))
         params = _require(config.parameters, config.command)
-        if config.command == "noise-sweep":
-            noise.check_fittable_etas(params["etas"])
-            noise.check_sweep_fits(params["block_size"], params["block_counts"])
         outdir = Path(config.output_dir)
         created = [p for p in (outdir, *outdir.parents) if not p.exists()]
         outdir.mkdir(parents=True, exist_ok=True)
@@ -431,8 +432,9 @@ def run(config_path: str | Path, overrides: Sequence[str] = (),
     except ConfigError as err:
         print(f"config error: {err}")
         status = 2
-    except (ValueError, nonhermitian.SeriousBreakdownError) as err:
-        print(f"error: {err}")
+    except (ValueError, nonhermitian.SeriousBreakdownError, MemoryError,
+            OSError) as err:
+        print(f"error: {str(err) or type(err).__name__}")
         status = 1
     for path in created:  # deepest first; stops at the first non-empty one
         try:

@@ -29,12 +29,8 @@ SCENARIOS = ("small", "large", "random-start")
 CSV_HEADER = ("terms_added", "lambda_fraction", "energy", "delta_vs_exact",
               "lanczos_iters")
 
+# The random-start scenario's fixed 10-site product pattern.
 ALTERNATING_PATTERN = "uudddudduu"
-
-
-def alternating_spin_start() -> ProductState:
-    """The fixed 10-site product pattern up,up,down,down,down,up,down,down,up,up."""
-    return ProductState.from_string(ALTERNATING_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -103,16 +99,17 @@ class ScenarioConfig:
 
 
 def default_config(scenario: str) -> ScenarioConfig:
-    """Stock settings for the three scenarios."""
+    """Stock settings for the three scenarios: "small" is the
+    ``ScenarioConfig`` defaults, "large" a dominant Ising coupling with two
+    expansions per slice, and "random-start" the defaults seeded from the
+    product state ``ALTERNATING_PATTERN``."""
     if scenario == "small":
-        return ScenarioConfig("small", j_z=1.0, lanczos_per_step=1)
+        return ScenarioConfig("small")
     if scenario == "large":
         return ScenarioConfig("large", j_z=100.0, lanczos_per_step=2)
     if scenario == "random-start":
         return ScenarioConfig(
-            "random-start", j_z=1.0, lanczos_per_step=1,
-            start_state=alternating_spin_start(),
-        )
+            "random-start", start_state=ProductState.from_string(ALTERNATING_PATTERN))
     raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
 
@@ -196,11 +193,7 @@ def run_incremental(config: ScenarioConfig) -> ConvergenceRecord:
     stage's sum (the base first) by one bond. The sums live on the ramp's
     specs, so none outlives the call.
     """
-    if config.length > spinchain.DENSE_SITE_CAP:
-        raise ValueError(
-            f"exact reference capped at {spinchain.DENSE_SITE_CAP} sites, "
-            f"got {config.length}"
-        )
+    spinchain._check_dense_size(config.length)  # before the ramp's O(length) terms
     ramp = build_ramp(config)
     spinchain.sparse_matrix(ramp.base)
     if config.start_state is not None:

@@ -20,8 +20,8 @@ at a time.
 
 The shot-sampling study reads every scalar coefficient as a success
 probability and replaces it with a binomial estimate at a given shot count,
-and a small cost formula scores grouped operator application by
-auxiliary-register count.
+and :func:`cost_sweep` scores grouped operator application over
+``q`` auxiliary registers for every group size.
 """
 
 from __future__ import annotations
@@ -124,39 +124,21 @@ def _mae(perturbed: np.ndarray | None, reference: np.ndarray) -> float:
     return float(np.mean(np.abs(perturbed - reference)))
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Auxiliary-register count q and application group size D."""
-
-    q: int
-    d_group: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.d_group <= self.q:
-            raise ValueError(
-                f"group size must be in [1, q={self.q}], got {self.d_group}"
-            )
-
-
 # The largest q whose table is finite: the group-size-1 score of q = 2048,
 # 2^1024, overflows a float.
 _MAX_COST_Q = 2047
 
 
-def oaa_cost(model: CostModel) -> float:
-    """Search-cost score D * 2^(ceil(q/D)/2) for grouped application."""
-    groups = math.ceil(model.q / model.d_group)
-    return model.d_group * 2.0 ** (groups / 2.0)
-
-
 def cost_sweep(q: int) -> list[tuple[int, float]]:
-    """oaa_cost for every group size 1..q."""
+    """``(D, score)`` for every group size D = 1..q of ``q`` auxiliary
+    registers: the search-cost score D * 2^(ceil(q/D)/2) of grouped
+    application."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if q > _MAX_COST_Q:
         raise ValueError(f"q must be <= {_MAX_COST_Q}, the largest q whose "
                          f"costs are finite, got {q}")
-    return [(d, oaa_cost(CostModel(q, d))) for d in range(1, q + 1)]
+    return [(d, d * 2.0 ** (math.ceil(q / d) / 2.0)) for d in range(1, q + 1)]
 
 
 @dataclass(frozen=True)
@@ -316,10 +298,13 @@ def mae_sweep(
     spectrum solved once; every eta perturbs that same problem with its own
     noise stream, so the eta trend is measured on common ground. Where
     :func:`_bind_dsyevd` allows it, the spectra are solved two at a time
-    (:func:`_spectra`); every row is the same bit for bit either way.
+    (:func:`_spectra`); every row is the same bit for bit either way. A
+    sweep whose assemblies would not fit in memory is refused before any
+    draw (:func:`check_sweep_fits`).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_sweep_fits(block_size, block_counts)
     items = _sweep_assemblies(block_size, block_counts, etas, trials, base_seed)
     rows = []
     for (count, seed, eta), values in _spectra(_bind_dsyevd(), items):
@@ -413,7 +398,7 @@ def check_sweep_fits(block_size: int, block_counts: list[int]) -> None:
     matrices of side ``block_size * max(block_counts)``, would not fit in
     physical memory (the bound the Krylov bases are held to): two of them
     when :func:`mae_sweep` solves two at a time, one otherwise."""
-    side = block_size * max(block_counts)
+    side = block_size * max(block_counts, default=0)
     two_at_a_time = _bind_dsyevd() is not None
     spinchain._check_fits_memory(
         (2 if two_at_a_time else 1) * side * side * 8,

@@ -227,31 +227,22 @@ class BlockCoefficients:
         textio.write_matrix_sections(path, sections, "two-sided block coefficients")
 
 
-def _check_basis_fits(shape: tuple[int, int], dtype: np.dtype, count: int = 1) -> int:
-    """Bytes of ``count`` Krylov basis buffers of ``shape``; one buffer
-    larger than physical memory, or ``count`` of them that together are, is
-    refused with a ValueError (see
-    :func:`blocklanczos.spinchain._check_fits_memory`)."""
+def _check_basis_fits(dim: int, width: int, max_iter: int, dtype: np.dtype,
+                      count: int = 1) -> tuple[int, int]:
+    """The ``(cap, dim)`` shape of each Krylov basis buffer of a run of up to
+    ``max_iter`` expansions of width ``width``; one buffer larger than
+    physical memory, or ``count`` of them that together are, is refused with
+    a ValueError (see :func:`blocklanczos.spinchain._check_fits_memory`)."""
+    shape = (int(min((max_iter + 1) * width, dim)), dim)
     remedy = "max_iter or the dimension"
     nbytes = spinchain._check_fits_memory(
-        math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize,
-        f"a Krylov basis of shape {tuple(shape)}", remedy)
+        math.prod(shape) * np.dtype(dtype).itemsize,
+        f"a Krylov basis of shape {shape}", remedy)
     if count > 1:
-        return spinchain._check_fits_memory(
-            count * nbytes,
-            f"a Krylov basis of {count} buffers of shape {tuple(shape)}", remedy)
-    return nbytes
-
-
-def allocate_basis(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
-    """Uninitialized Krylov basis buffer, which the caller has checked with
-    :func:`_check_basis_fits`; a failed allocation is a ValueError."""
-    try:
-        return np.empty(shape, dtype=dtype)
-    except MemoryError as err:
-        raise ValueError(
-            f"cannot allocate a Krylov basis of shape {tuple(shape)}: {err}"
-        ) from err
+        spinchain._check_fits_memory(
+            count * nbytes, f"a Krylov basis of {count} buffers of shape {shape}",
+            remedy)
+    return shape
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -566,13 +557,13 @@ def _block_recursion(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     dim, width = starts[0].shape
-    cap = min((max_iter + 1) * width, dim)
-    _check_basis_fits((cap, dim), np.result_type(np.float64, *starts), len(starts))
+    shape = _check_basis_fits(dim, width, max_iter,
+                              np.result_type(np.float64, *starts), len(starts))
     first = parts.applies[0](starts[0])
     dtype = np.result_type(np.float64, *starts, first)
-    _check_basis_fits((cap, dim), dtype, len(starts))
+    _check_basis_fits(dim, width, max_iter, dtype, len(starts))
     residual = _residual_rows(first, starts[0], dtype)
-    bases = tuple(allocate_basis((cap, dim), dtype) for _ in starts)
+    bases = tuple(np.empty(shape, dtype) for _ in starts)
     for basis, start in zip(bases, starts):
         basis[:width] = start.T
 
@@ -590,7 +581,7 @@ def _block_recursion(
     a_list: list[np.ndarray] = []
     b_list: list[np.ndarray] = []
     c_list: list[np.ndarray] = []
-    blocks = cap // width + 1
+    blocks = shape[0] // width + 1
     norms = None
     if not parts.orthonormal:  # each block's largest row norm, per side
         norms = np.empty((len(bases), blocks))

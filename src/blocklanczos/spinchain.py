@@ -416,16 +416,16 @@ def sparse_matrix(spec: HamiltonianSpec) -> sp.csr_matrix:
     return spec._sum
 
 
-def _check_dense_size(spec: HamiltonianSpec) -> None:
-    if spec.length > DENSE_SITE_CAP:
+def _check_dense_size(length: int) -> None:
+    if length > DENSE_SITE_CAP:
         raise ValueError(
-            f"dense assembly capped at {DENSE_SITE_CAP} sites, got {spec.length}"
+            f"reference oracle capped at {DENSE_SITE_CAP} sites, got {length}"
         )
 
 
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     """Dense float64 form of :func:`sparse_matrix`, capped at ``DENSE_SITE_CAP``."""
-    _check_dense_size(spec)
+    _check_dense_size(spec.length)
     return sparse_matrix(spec).toarray()
 
 
@@ -462,7 +462,7 @@ def ground_state(spec: HamiltonianSpec) -> tuple[float, np.ndarray]:
     from scipy.sparse import _sparsetools  # deferred, as in sparse_matrix
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    _check_dense_size(spec)
+    _check_dense_size(spec.length)
     if not any(term.coefficient for term in spec.terms):
         return spec.constant, np.eye(1, spec.dim)[0]
     dim, mat = spec.dim, sparse_matrix(spec)

@@ -291,7 +291,7 @@ def test_criterion_09_extraction_and_grouping_costs():
     table = {(4, 1): 4.0, (4, 2): 4.0, (4, 4): 4.0 * np.sqrt(2.0),
              (10, 3): 3.0 * 2.0 ** 2, (40, 14): 14.0 * 2.0 ** 1.5,
              (40, 40): 40.0 * np.sqrt(2.0), (7, 2): 2.0 ** 3}
-    cost_ok = all(noise.oaa_cost(noise.CostModel(q, d_group)) == expected
+    cost_ok = all(dict(noise.cost_sweep(q))[d_group] == expected
                   for (q, d_group), expected in table.items())
     ok = counts_ok and cost_ok
     report(9, "d^2 extractions per block and exact grouping costs", ok,

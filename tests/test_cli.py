@@ -753,6 +753,38 @@ class TestErrorHandling:
         assert cli.main(["--config", path]) == 1
         assert sorted(os.listdir(outdir)) == keep
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_output_dir_on_a_regular_file_exit_1(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        path = solve_config(tmp_path)
+        outdir = blocker / "out" if below else blocker
+        assert cli.main(["--config", path, "--output-dir", str(outdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error: ")
+        assert len(captured.out.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "taken"]
+        assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("config, module, name", [
+        ("solve_2site", spinchain, "build_xxz"),
+        ("noise_sweep", noise, "synthetic_problem"),
+    ], ids=["solve", "noise-sweep"])
+    def test_memory_error_outside_the_basis_exit_1(
+            self, tmp_path, capsys, monkeypatch, config, module, name):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(module, name, out_of_memory)
+        out = tmp_path / "new" / "out"
+        assert cli.main(["--config", str(ROOT / "configs" / f"{config}.json"),
+                         "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "error: MemoryError\n"
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "new").exists()
+
     def test_config_file_not_mutated(self, tmp_path, capsys):
         path = solve_config(tmp_path)
         before = open(path, "rb").read()

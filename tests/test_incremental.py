@@ -15,7 +15,6 @@ from blocklanczos.incremental import (
     ConvergenceRow,
     RampSchedule,
     ScenarioConfig,
-    alternating_spin_start,
     build_ramp,
     default_config,
     run_incremental,
@@ -38,17 +37,17 @@ def fresh_copy(spec):
 
 class TestAlternatingSpinStart:
     def test_pattern(self):
-        start = alternating_spin_start()
+        start = default_config("random-start").start_state
         assert start.pattern == tuple("uudddudduu")
         assert start.length == 10
 
     def test_total_sz_zero(self):
         # as many up as down sites: the start lies in the S^z = 0 sector
-        pattern = alternating_spin_start().pattern
+        pattern = default_config("random-start").start_state.pattern
         assert 2 * pattern.count("u") == len(pattern)
 
     def test_single_unit_amplitude(self):
-        sv = alternating_spin_start().to_state_vector()
+        sv = default_config("random-start").start_state.to_state_vector()
         nonzero = np.nonzero(sv)[0]
         # up sites 0, 1, 5, 8, 9 set bits 1 + 2 + 32 + 256 + 512
         assert list(nonzero) == [803]
@@ -113,7 +112,7 @@ class TestScenarioConfig:
     def test_start_state_length_checked(self):
         with pytest.raises(ValueError):
             ScenarioConfig("random-start", length=6,
-                           start_state=alternating_spin_start())
+                           start_state=default_config("random-start").start_state)
 
     def test_positive_knobs(self):
         with pytest.raises(ValueError):

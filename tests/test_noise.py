@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from blocklanczos import block, noise, scalar
 from blocklanczos.textio import write_csv
 from blocklanczos.noise import (
-    CostModel,
     NoiseModel,
     SUMMARY_HEADER,
     SWEEP_HEADER,
@@ -27,7 +26,6 @@ from blocklanczos.noise import (
     fit_summary,
     mae_sweep,
     noise_seed,
-    oaa_cost,
     perturb_and_mae,
     perturb_coefficients,
     perturbed_assemblies,
@@ -180,10 +178,6 @@ class TestPerturbAndMae:
 
 class TestCostModel:
     def test_group_bounds(self):
-        with pytest.raises(ValueError):
-            CostModel(4, 0)
-        with pytest.raises(ValueError):
-            CostModel(4, 5)
         for q in (0, -3):
             with pytest.raises(ValueError, match=f"q must be >= 1, got {q}"):
                 cost_sweep(q)
@@ -196,10 +190,10 @@ class TestCostModel:
             cost_sweep(2048)
 
     def test_single_group_value(self):
-        assert oaa_cost(CostModel(4, 1)) == 4.0
+        assert dict(cost_sweep(4))[1] == 4.0
 
     def test_whole_register_value(self):
-        assert oaa_cost(CostModel(4, 4)) == 4.0 * 2.0 ** 0.5
+        assert dict(cost_sweep(4))[4] == 4.0 * 2.0 ** 0.5
 
     def test_q40_sweep_minimizer(self):
         sweep = cost_sweep(40)

@@ -145,7 +145,7 @@ class TestBiorthogonalityCheck:
         assert biorthogonality_check(*pair) < 1e-8
 
 
-class TestNonHermitianBlockTridiagonal:
+class TestGeneralFormCoefficients:
     """The general (two-sided) form of ``scalar.BlockCoefficients``: a C
     stack given, no Hermiticity asked of A."""
 
@@ -206,7 +206,7 @@ class TestNonHermitianBlockTridiagonal:
         with pytest.raises(ValueError):
             coeffs.prefix(4)
 
-    def test_save_load_round_trip_real(self, tmp_path):
+    def test_save_round_trip_real(self, tmp_path):
         rng = np.random.default_rng(8)
         coeffs = self.make_coeffs(rng, (3, 3, 3))
         path = tmp_path / "coeffs.txt"
@@ -230,7 +230,7 @@ class TestNonHermitianBlockTridiagonal:
         assert np.array_equal(block.assemble_block_tridiagonal(loaded),
                               block.assemble_block_tridiagonal(coeffs))
 
-    def test_save_load_round_trip_complex(self, tmp_path):
+    def test_save_round_trip_complex(self, tmp_path):
         rng = np.random.default_rng(9)
         mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         r0, l0 = paired_random_start(16, 2, rng)
@@ -254,7 +254,7 @@ class TestTwoSidedAssembly:
 
     def test_band_structure_exact_zeros(self):
         rng = np.random.default_rng(10)
-        coeffs = TestNonHermitianBlockTridiagonal.make_coeffs(rng, (2, 2, 2, 2))
+        coeffs = TestGeneralFormCoefficients.make_coeffs(rng, (2, 2, 2, 2))
         mat = block.assemble_block_tridiagonal(coeffs)
         assert mat.shape == (8, 8)
         # beyond the first off-diagonal block row/column everything is zero
